@@ -52,9 +52,12 @@ from .frames import (
     TrialPairInfo,
     gram,
     loewdin,
+    loewdin_frame,
     make_trial_pair,
     project_tangent,
+    project_tangent_frame,
     retract,
+    retract_frame,
     smoothstep_cutoff,
 )
 from .solvers import (
@@ -101,4 +104,4 @@ from .asymptotics import (
     write_sweep_csv,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -27,12 +27,11 @@ from .grid import (
     ScalarField,
     inner,
     integrate,
-    kinetic_energy,
     norm,
     resample_scaled,
 )
 from .frames import OrbitalPair, loewdin
-from .model import TrapPotential, density
+from .model import TrapPotential, density, p_integral, quotient_value
 
 
 FORMAT_VERSION = 1
@@ -254,13 +253,6 @@ def rescale_extract(
         center=(float(c[0]), float(c[1]), float(c[2])),
         raw_mass=raw_mass,
     )
-
-
-def _pair_quotient(pair: OrbitalPair) -> float:
-    rho = density(pair)
-    T = kinetic_energy(pair.u1) + kinetic_energy(pair.u2)
-    P = integrate(ScalarField(rho.grid, np.cbrt(rho.values) ** 5))
-    return T / P
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +551,11 @@ def energy_constant_check(records, extract: ProfileExtract,
     xb = np.asarray(xbar, dtype=float)
     r2 = (X + xb[0]) ** 2 + (Y + xb[1]) ** 2 + (Z + xb[2]) ** 2
     weight = r2 ** (p / 2.0)
-    p_norm = integrate(ScalarField(grid, np.cbrt(rho.values) ** 5))
+    p_norm = p_integral(rho)
     moment = integrate(ScalarField(grid, weight * rho.values))
     rhs = p_norm + alpha * moment
 
-    tp = _pair_quotient(extract.rescaled_pair)
+    tp = quotient_value(extract.rescaled_pair)
     return {
         "lhs_fit_constant": lhs,
         "rhs_profile_constant": rhs,
@@ -647,7 +639,7 @@ def build_report(
                 cur.rescaled_density.values - prev.rescaled_density.values,
             )
             dists.append(norm(diff))
-        tp = _pair_quotient(profile_extracts[-1].rescaled_pair)
+        tp = quotient_value(profile_extracts[-1].rescaled_pair)
         report["profile"] = {
             "raw_masses": masses,
             "max_mass_error": max(abs(m - 2.0) for m in masses),

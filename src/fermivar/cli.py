@@ -34,13 +34,13 @@ try:
 except ImportError as _exc:  # pragma: no cover - hard dependency
     raise ImportError("the command-line interface requires jsonschema") from _exc
 
-from .grid import BoxGrid, ScalarField, read_snapshot, write_snapshot, norm, inner
+from .grid import BoxGrid, ScalarField, atomic_open, norm, read_snapshot, write_snapshot
 from .model import (
     TrapPotential,
     TrapError,
     Well,
     density,
-    hamiltonian_apply,
+    multipliers,
 )
 from .frames import OrbitalPair, make_trial_pair
 from .solvers import (
@@ -177,6 +177,14 @@ def load_config(path: str) -> dict:
             "fractions must be strictly increasing",
             details={"schema_pointer": "/sweep/a_fractions"},
         )
+    L = raw["grid"]["half_width"]
+    for i, w in enumerate(raw["trap"]["wells"]):
+        if max(abs(c) for c in w["center"]) > L:
+            raise ConfigError(
+                f"config {path} invalid at /trap/wells/{i}/center: "
+                f"well center {w['center']} outside the box [-{L}, {L}]^3",
+                details={"schema_pointer": f"/trap/wells/{i}/center"},
+            )
     return raw
 
 
@@ -219,7 +227,7 @@ def build_solver(raw: dict, seed_override: int | None) -> SolverConfig:
 
 
 def _dump_json(obj: dict, path: str) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         json.dump(obj, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -229,17 +237,6 @@ def _emit_error(code: int, kind: str, message: str, **extra) -> int:
     payload["error"].update(extra)
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return code
-
-
-def _rank1_residual(u: ScalarField, a1_hat: float) -> tuple[float, float]:
-    """Multiplier and eigenresidual of the single-orbital stationarity system."""
-    grid = u.grid
-    rho = ScalarField(grid, u.values * u.values)
-    zero = grid.zeros()
-    hu = hamiltonian_apply(rho, zero, a1_hat, u)
-    mu = inner(u, hu)
-    res = ScalarField(grid, hu.values - mu * u.values)
-    return float(mu), float(norm(res))
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +258,9 @@ def cmd_astar(raw: dict, args) -> int:
         return _emit_error(EXIT_SOLVER, "solver", f"threshold estimation failed: {exc}")
 
     _, _, (m1, m2), (r1, r2) = quotient_multiplier_residuals(pair)
-    mu_1, res_1 = _rank1_residual(orb1, a1_hat)
+    # single-orbital stationarity: multiplier and eigenresidual at a1_hat
+    (mu_1,), _, (hu,) = multipliers((orb1,), grid.zeros(), a1_hat)
+    res_1 = norm(ScalarField(grid, hu.values - mu_1 * orb1.values))
     profile = shoot_soliton()
     oracle = gn_constants(profile)
     bound = separated_pair_upper_bound(profile=profile)
@@ -293,7 +292,6 @@ def cmd_astar(raw: dict, args) -> int:
         {
             "format_version": FORMAT_VERSION,
             "a": float(a2_hat),
-            "iteration": cfg.max_iters,
             "config_digest": digest,
             "fields": ["astar_u1.snap", "astar_u2.snap"],
         },
@@ -322,6 +320,8 @@ def _load_astar(outdir: str) -> dict:
 def cmd_solve(raw: dict, args) -> int:
     if args.a is None:
         raise ConfigError("solve requires --a <coupling>")
+    if not args.a >= 0.0:
+        raise ConfigError(f"--a must be a nonnegative coupling, got {args.a}")
     grid = build_grid(raw)
     trap = build_trap(raw)
     cfg = build_solver(raw, args.seed)

@@ -20,6 +20,8 @@ module level and return new fields.
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 from dataclasses import dataclass
 
@@ -357,9 +359,22 @@ class SnapshotFormatError(ValueError):
     pass
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str):
+    """Open a temporary file beside ``path`` that replaces it only on success."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
 def write_snapshot(field: ScalarField, path) -> None:
     g = field.grid
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(struct.pack("<I", g.n_per_axis))
         fh.write(struct.pack("<d", g.half_width))

@@ -177,26 +177,39 @@ class Diagnostics:
     virial_residual: float | None = None
     orthonormality_defect: float = 0.0
 
-    def as_dict(self) -> dict:
-        return {
-            "energy": self.energy,
-            "kinetic": self.kinetic,
-            "potential": self.potential,
-            "p_norm": self.p_norm,
-            "a": self.a,
-            "mu1": self.mu1,
-            "mu2": self.mu2,
-            "sum_rule_residual": self.sum_rule_residual,
-            "virial_residual": self.virial_residual,
-            "orthonormality_defect": self.orthonormality_defect,
-        }
+
+def density(frame) -> ScalarField:
+    """rho = sum_i u_i^2 of a frame (an :class:`OrbitalPair` or a tuple of k
+    fields); integrates to k within k times the frame's orthonormality defect."""
+    us = tuple(frame)
+    v = us[0].values * us[0].values
+    for u in us[1:]:
+        v += u.values * u.values
+    return ScalarField(us[0].grid, v)
 
 
-def density(pair: OrbitalPair) -> ScalarField:
-    """rho = u1^2 + u2^2.  Integrates to 2 within twice the pair defect."""
-    v = pair.u1.values * pair.u1.values
-    v += pair.u2.values * pair.u2.values
-    return ScalarField(pair.grid, v)
+def p_integral(rho: ScalarField) -> float:
+    """P = int rho^{5/3}."""
+    return integrate(ScalarField(rho.grid, np.cbrt(rho.values) ** 5))
+
+
+def effective_potential(rho: ScalarField, V: ScalarField, a: float) -> np.ndarray:
+    """V - (5a/3) rho^{2/3}, the multiplicative part of the mean-field operator."""
+    return V.values - FIVE_THIRDS * a * np.cbrt(rho.values) ** 2
+
+
+def quotient_value(frame) -> float:
+    """Concentration quotient T (m/k)^{2/3} / P of a k-frame, m = int rho.
+
+    On orthonormal frames m = k and this is T/P.  The mass factor makes it
+    invariant under frame rotations and a common amplitude scale, so frames
+    whose norms drift at rounding level compare on equal terms.
+    """
+    us = tuple(frame)
+    rho = density(us)
+    T = sum(kinetic_energy(u) for u in us)
+    m = integrate(rho)
+    return T * (m / len(us)) ** (2.0 / 3.0) / p_integral(rho)
 
 
 def energy(pair: OrbitalPair, a: float, V: ScalarField) -> Diagnostics:
@@ -204,7 +217,7 @@ def energy(pair: OrbitalPair, a: float, V: ScalarField) -> Diagnostics:
     rho = density(pair)
     T = kinetic_energy(pair.u1) + kinetic_energy(pair.u2)
     W = integrate(ScalarField(rho.grid, V.values * rho.values))
-    P = integrate(ScalarField(rho.grid, np.cbrt(rho.values) ** 5))
+    P = p_integral(rho)
     return Diagnostics(
         energy=T + W - a * P,
         kinetic=T,
@@ -243,7 +256,7 @@ def concentration_energies(
     grid = pair.grid
     rho = density(pair)
     T0 = kinetic_energy(pair.u1) + kinetic_energy(pair.u2)
-    P0 = integrate(ScalarField(grid, np.cbrt(rho.values) ** 5))
+    P0 = p_integral(rho)
     X, Y, Z = grid.meshgrid()
     out = []
     for tau in taus:
@@ -275,29 +288,24 @@ def hamiltonian_apply(
     operator stays symmetric under the grid inner product.
     """
     out = laplacian_apply(f)
-    w = V.values - FIVE_THIRDS * a * np.cbrt(rho.values) ** 2
-    out.values += w * mask_boundary(f.values)
+    out.values += effective_potential(rho, V, a) * mask_boundary(f.values)
     return out
 
 
-def multipliers(pair: OrbitalPair, V: ScalarField, a: float):
-    """Sorted eigenvalues and eigenbasis of the 2x2 matrix <u_i, H u_j>.
+def multipliers(frame, V: ScalarField, a: float):
+    """Sorted eigenvalues and eigenbasis of the k x k matrix <u_i, H u_j>.
 
-    Returns ((mu1, mu2), R, (H u1, H u2)) where R is the 2x2 rotation whose
-    columns express the multiplier eigenbasis in terms of (u1, u2).
+    Returns ((mu_1..mu_k), R, (H u_1..H u_k)) where R is the k x k rotation
+    whose columns express the multiplier eigenbasis in terms of the frame
+    (an :class:`OrbitalPair` or a tuple of fields).
     """
-    rho = density(pair)
-    hu1 = hamiltonian_apply(rho, V, a, pair.u1)
-    hu2 = hamiltonian_apply(rho, V, a, pair.u2)
-    M = np.array(
-        [
-            [inner(pair.u1, hu1), inner(pair.u1, hu2)],
-            [inner(pair.u2, hu1), inner(pair.u2, hu2)],
-        ]
-    )
+    us = tuple(frame)
+    rho = density(us)
+    hus = tuple(hamiltonian_apply(rho, V, a, u) for u in us)
+    M = np.array([[inner(u, hv) for hv in hus] for u in us])
     M = 0.5 * (M + M.T)
     vals, R = np.linalg.eigh(M)
-    return (float(vals[0]), float(vals[1])), R, (hu1, hu2)
+    return tuple(float(v) for v in vals), R, hus
 
 
 def sum_rule_residual(diag: Diagnostics) -> float:

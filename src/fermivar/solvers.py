@@ -9,16 +9,16 @@ Two families of problems share the machinery here:
   the two lowest eigenpairs of the frozen mean-field operator and mixes
   densities linearly;
 
-* the concentration quotients: minimize T/P over orthonormal pairs (rank 2)
-  or over unit fields (rank 1).  The continuum quotient is dilation
-  invariant, but the discrete one degrades at the grid scale (a lattice
-  spike scores T/P = 6 regardless of h), so iterates are periodically
-  dilated back to a reference width — collapse past that guard is an
-  under-resolution error, not a minimum.
+* the concentration quotients: minimize T/P over orthonormal k-frames, by
+  one pinned-slice descent for k = 2 (pairs) and k = 1 (unit fields).  The
+  continuum quotient is dilation invariant, but the discrete one degrades at
+  the grid scale (a lattice spike scores T/P = 6 regardless of h), so
+  iterates are periodically dilated back to a reference width — collapse
+  past that guard is an under-resolution error, not a minimum.
 
-Eigenpairs come from LOBPCG preconditioned with an exact inverse of the
-shifted Dirichlet Laplacian, applied per axis by the type-I discrete sine
-transform.  Residuals are recomputed and certified after every solve.
+Eigenpairs come from LOBPCG preconditioned with the inverse of a separable
+surrogate of the mean-field operator (:class:`TensorPreconditioner`).
+Residuals are recomputed and certified after every solve.
 """
 
 from __future__ import annotations
@@ -28,32 +28,42 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.fft import dstn
 from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .grid import (
     BoxGrid,
     ScalarField,
+    dilate,
     dilation_generator,
     inner,
     integrate,
-    kinetic_energy,
     mask_boundary,
     neg_laplacian_core,
     norm,
     second_moment,
 )
-from .frames import OrbitalPair, loewdin, project_tangent, retract
+from .frames import (
+    OrbitalPair,
+    loewdin,
+    loewdin_frame,
+    project_tangent,
+    project_tangent_frame,
+    retract,
+    retract_frame,
+)
 from .model import (
-    FIVE_THIRDS,
     Diagnostics,
     TrapPotential,
     density,
     diagnose,
+    effective_potential,
+    energy,
     hamiltonian_apply,
     multipliers,
+    p_integral,
     potential_field,
+    quotient_value,
 )
 
 from . import asymptotics as _asy
@@ -93,7 +103,6 @@ class SolverConfig:
     scf_mixing: float = 0.5
     scf_toggle: bool = True
     seed: int = 2024
-    checkpoint_every: int = 0
 
     # plumbing knobs beyond the core contract, all deterministic defaults
     armijo_c: float = 1e-4
@@ -171,29 +180,6 @@ class SolveResult:
 # ---------------------------------------------------------------------------
 
 
-class ShiftedInverseLaplacian:
-    """(-lap_h + shift)^{-1} on interior nodes via the type-I DST.
-
-    The interior Dirichlet Laplacian is diagonal in the sine basis with 1D
-    eigenvalues (2/h^2)(1 - cos(pi k/(n-1))); the orthonormal DST-I is its own
-    inverse, so application is two transforms and one divide.
-    """
-
-    def __init__(self, grid: BoxGrid, shift: float):
-        n, h = grid.n_per_axis, grid.spacing
-        k = np.arange(1, n - 1)
-        lam = (2.0 / (h * h)) * (1.0 - np.cos(np.pi * k / (n - 1)))
-        self.den = (
-            lam[:, None, None] + lam[None, :, None] + lam[None, None, :] + shift
-        )
-        self.shift = shift
-
-    def apply_core(self, core: np.ndarray) -> np.ndarray:
-        t = dstn(core, type=1, norm="ortho")
-        t /= self.den
-        return dstn(t, type=1, norm="ortho")
-
-
 class TensorPreconditioner:
     """Inverse of a separable surrogate of -lap + diag on interior nodes.
 
@@ -255,10 +241,6 @@ def _pad(core: np.ndarray) -> np.ndarray:
     return out
 
 
-def _effective_potential(rho: ScalarField, V: ScalarField, a: float) -> np.ndarray:
-    return V.values - FIVE_THIRDS * a * np.cbrt(rho.values) ** 2
-
-
 def lowest_eigenpairs(
     rho: ScalarField,
     V: ScalarField,
@@ -270,7 +252,7 @@ def lowest_eigenpairs(
 ) -> EigResult:
     """Certified k lowest eigenpairs of H = -lap + V - (5a/3) rho^{2/3}.
 
-    LOBPCG with the DST preconditioner, then a Rayleigh-Ritz cleanup of the
+    LOBPCG with the tensor preconditioner, then a Rayleigh-Ritz cleanup of the
     returned block; residuals ||H v - lam v|| are recomputed in L2 and the
     result is flagged unconverged if any exceeds tol.
     """
@@ -280,7 +262,7 @@ def lowest_eigenpairs(
     grid = rho.grid
     n, h = grid.n_per_axis, grid.spacing
     m = n - 2
-    diag = _core(_effective_potential(rho, V, a))
+    diag = _core(effective_potential(rho, V, a))
     prec = TensorPreconditioner(grid, diag, cfg.precond_shift)
 
     def apply_core_H(x3: np.ndarray) -> np.ndarray:
@@ -361,18 +343,15 @@ def lowest_eigenpairs(
 # ---------------------------------------------------------------------------
 
 
-def _energy_of(pair: OrbitalPair, a: float, V: ScalarField) -> Diagnostics:
-    from .model import energy as _energy
+def _gradient_fields(frame, rho, V, a):
+    """2 H u_i for every orbital of the frame."""
+    return tuple(ScalarField(rho.grid, 2.0 * hamiltonian_apply(rho, V, a, u).values)
+                 for u in frame)
 
-    return _energy(pair, a, V)
 
-
-def _gradient_fields(pair, rho, V, a):
-    hu1 = hamiltonian_apply(rho, V, a, pair.u1)
-    hu2 = hamiltonian_apply(rho, V, a, pair.u2)
-    g1 = ScalarField(pair.grid, 2.0 * hu1.values)
-    g2 = ScalarField(pair.grid, 2.0 * hu2.values)
-    return g1, g2
+def _frame_dot(x, y) -> float:
+    """Frame inner product sum_i <x_i, y_i>."""
+    return sum(inner(xi, yi) for xi, yi in zip(x, y))
 
 
 def _fix_signs(pair: OrbitalPair) -> OrbitalPair:
@@ -474,10 +453,6 @@ def _horizontal(pair: OrbitalPair, d1: ScalarField, d2: ScalarField):
     return out[0], out[1]
 
 
-def _pair_dot(x, y) -> float:
-    return inner(x[0], y[0]) + inner(x[1], y[1])
-
-
 def _descent_phase(
     pair: OrbitalPair,
     a: float,
@@ -507,7 +482,7 @@ def _descent_phase(
     """
     grid = pair.grid
     prec = None
-    E = _energy_of(pair, a, V).energy
+    E = energy(pair, a, V).energy
     max_defect = pair.defect()
     breached = False
     it = 0
@@ -526,11 +501,11 @@ def _descent_phase(
         rho = density(pair)
         if cfg.precondition and (prec is None or it % 25 == 1):
             prec = TensorPreconditioner(
-                grid, _core(_effective_potential(rho, V, a)), cfg.precond_shift,
+                grid, _core(effective_potential(rho, V, a)), cfg.precond_shift,
             )
         g1, g2 = _gradient_fields(pair, rho, V, a)
         t = project_tangent(pair, g1, g2)
-        grad_norm = math.sqrt(_pair_dot(t, t))
+        grad_norm = math.sqrt(_frame_dot(t, t))
         history.append((it0 + it, E, grad_norm))
         if breach_floor is not None and E < breach_floor:
             breached = True
@@ -542,33 +517,33 @@ def _descent_phase(
         if last is not None:
             step_vec, t_prev = (_horizontal(pair, *x) for x in last)
             y = tuple(ScalarField(grid, t[i].values - t_prev[i].values) for i in range(2))
-            sy = _pair_dot(step_vec, y)
-            if sy > 1e-12 * math.sqrt(_pair_dot(step_vec, step_vec) * _pair_dot(y, y)):
+            sy = _frame_dot(step_vec, y)
+            if sy > 1e-12 * math.sqrt(_frame_dot(step_vec, step_vec) * _frame_dot(y, y)):
                 memory.append((step_vec, y, 1.0 / sy))
                 del memory[:-_LBFGS_MEMORY]
         # two-loop recursion: r = H_k t with H_0 the preconditioner
         q = t
         alphas = []
         for sv, yv, r in reversed(memory):
-            al = r * _pair_dot(sv, q)
+            al = r * _frame_dot(sv, q)
             alphas.append(al)
             q = tuple(ScalarField(grid, q[i].values - al * yv[i].values) for i in range(2))
         z = apply_prec(q)
         if memory:
             sv, yv, r = memory[-1]
             hy = apply_prec(yv)
-            z = tuple(ScalarField(grid, z[i].values / (r * _pair_dot(yv, hy)))
+            z = tuple(ScalarField(grid, z[i].values / (r * _frame_dot(yv, hy)))
                       for i in range(2))
         for (sv, yv, r), al in zip(memory, reversed(alphas)):
-            be = r * _pair_dot(yv, z)
+            be = r * _frame_dot(yv, z)
             z = tuple(ScalarField(grid, z[i].values + (al - be) * sv[i].values)
                       for i in range(2))
         d = tuple(ScalarField(grid, -f.values) for f in _horizontal(pair, *z))
-        slope = _pair_dot(t, d)
+        slope = _frame_dot(t, d)
         if slope >= 0.0:  # curvature memory lost descent: start afresh
             memory.clear()
             d = tuple(ScalarField(grid, -f.values) for f in apply_prec(t))
-            slope = _pair_dot(t, d)
+            slope = _frame_dot(t, d)
             if slope >= 0.0:
                 d = tuple(ScalarField(grid, -f.values) for f in t)
                 slope = -grad_norm ** 2
@@ -576,7 +551,7 @@ def _descent_phase(
         step = 1.0 if memory else step_init
         for _ in range(40):
             cand = retract(pair, d[0], d[1], step)
-            Ec = _energy_of(cand, a, V).energy
+            Ec = energy(cand, a, V).energy
             if Ec <= E + cfg.armijo_c * step * slope:
                 accepted = True
                 break
@@ -673,7 +648,7 @@ def scf_refine(
         defect = integrate(
             ScalarField(rho_new.grid, np.abs(rho_new.values - rho_mix.values))
         )
-        E = _energy_of(cand, a, V).energy
+        E = energy(cand, a, V).energy
         energies.append(E)
         history.append((it0 + outer, E, defect))
         pair, warm = cand, list(eig.fields)
@@ -741,7 +716,7 @@ def minimize_ground_state(
         pair = loewdin(eig.fields[0], eig.fields[1])
 
     history: list[tuple[int, float, float]] = []
-    E0 = _energy_of(pair, a, V).energy
+    E0 = energy(pair, a, V).energy
     breach_floor = -1e-6 * max(1.0, abs(E0))
 
     pair, iters, grad_norm, breached, max_defect, _ = _descent_phase(
@@ -807,19 +782,9 @@ def minimize_ground_state(
 # ---------------------------------------------------------------------------
 
 
-def quotient_value(pair: OrbitalPair) -> float:
-    """T / int rho^{5/3} for an orthonormal pair (scale invariant)."""
-    rho = density(pair)
-    T = kinetic_energy(pair.u1) + kinetic_energy(pair.u2)
-    P = integrate(ScalarField(rho.grid, np.cbrt(rho.values) ** 5))
-    return T / P
-
-
 def quotient_value_rank1(u: ScalarField) -> float:
-    m = inner(u, u)
-    T = kinetic_energy(u)
-    I = integrate(ScalarField(u.grid, np.cbrt(u.values * u.values) ** 5))
-    return T * m ** (2.0 / 3.0) / I
+    """Rank-1 quotient T m^{2/3} / int u^{10/3} (k = 1 :func:`quotient_value`)."""
+    return quotient_value((u,))
 
 
 def _max_node_mass(grid: BoxGrid, *fields: ScalarField) -> float:
@@ -834,14 +799,12 @@ def _orbital_width(u: ScalarField) -> float:
     return math.sqrt(max(w2, 0.0))
 
 
-def _pin_orbitals(pair: OrbitalPair, c1: float, c2: float) -> OrbitalPair:
-    """Rescale each orbital to the prescribed radial width, re-orthonormalize."""
-    from .grid import dilate
-
-    w1, w2 = _orbital_width(pair.u1), _orbital_width(pair.u2)
-    if w1 <= 0 or w2 <= 0:
+def _pin_orbitals(us, widths) -> tuple[ScalarField, ...]:
+    """Rescale each orbital to its prescribed radial width, re-orthonormalize."""
+    ws = [_orbital_width(u) for u in us]
+    if min(ws) <= 0:
         raise UnderResolvedError("iterate has zero width")
-    return loewdin(dilate(pair.u1, w1 / c1), dilate(pair.u2, w2 / c2))
+    return loewdin_frame(dilate(u, w / c) for u, w, c in zip(us, ws, widths))
 
 
 def minimize_quotient_rank2(
@@ -881,7 +844,16 @@ def minimize_quotient_rank2(
     )
 
     def slice_min(start, ratio, config):
-        return _quotient_descent(start, grid, config, target_w, ratio * target_w)
+        return _quotient_descent(start, grid, config, (target_w, ratio * target_w))
+
+    def scan(r):
+        """Coarse slice at ratio r from the Gaussian seed; None if it collapsed."""
+        try:
+            us, qc = slice_min(gaussian_pair(grid, sigma0), r, coarse)
+        except UnderResolvedError:
+            return None
+        scanned[r] = (qc, us)
+        return qc
 
     # Outer scan over the orbital width ratio.  Every slice starts fresh from
     # the pinned Gaussian s+p seed: warm-starting a slice from its neighbor
@@ -897,12 +869,8 @@ def minimize_quotient_rank2(
         k_lo -= 1
     for k in range(k_lo, 5):
         r = step_r ** k
-        try:
-            pair, qc = slice_min(gaussian_pair(grid, sigma0), r, coarse)
-        except UnderResolvedError:
-            continue
-        scanned[r] = (qc, pair)
-        if best_r is None or qc < scanned[best_r][0]:
+        qc = scan(r)
+        if qc is not None and (best_r is None or qc < scanned[best_r][0]):
             best_r = r
     if best_r is None:
         raise UnderResolvedError("every quotient start collapsed on this grid")
@@ -915,12 +883,8 @@ def minimize_quotient_rank2(
             r = best_r * step_r
         else:
             break
-        try:
-            cand, qc = slice_min(gaussian_pair(grid, sigma0), r, coarse)
-        except UnderResolvedError:
-            break
-        scanned[r] = (qc, cand)
-        if qc >= scanned[best_r][0]:
+        qc = scan(r)
+        if qc is None or qc >= scanned[best_r][0]:
             break
         best_r = r
     # parabolic refinement of the ratio through the bracketing triple
@@ -936,13 +900,9 @@ def minimize_quotient_rank2(
             ) / den
             rv = math.exp(xv)
             if min(abs(rv / r - 1.0) for r in rs) > 0.01:
-                try:
-                    cand, qc = slice_min(gaussian_pair(grid, sigma0), rv, coarse)
-                    scanned[rv] = (qc, cand)
-                    if qc < scanned[best_r][0]:
-                        best_r = rv
-                except UnderResolvedError:
-                    pass
+                qc = scan(rv)
+                if qc is not None and qc < scanned[best_r][0]:
+                    best_r = rv
 
     # Random re-starts on the winning slice (insurance against a
     # start-dependent basin), then a full-tolerance polish.  A contender that
@@ -981,31 +941,42 @@ def minimize_quotient_rank2(
         )
 
     zero = grid.zeros()
-    rotated, _, _ = _rotate_to_multiplier_basis(pair, zero, q)
+    rotated, _, _ = _rotate_to_multiplier_basis(OrbitalPair(*pair), zero, q)
     return quotient_value(rotated), rotated
 
 
-def _quotient_descent(pair, grid, cfg, w1_t, w2_t):
-    """Projected descent for the pair quotient on the doubly pinned slice.
+def _drop_modes(x, modes):
+    """Remove from a frame direction its components along orthonormal modes."""
+    for b in modes:
+        c = _frame_dot(x, b)
+        x = tuple(ScalarField(xi.grid, xi.values - c * bi.values) for xi, bi in zip(x, b))
+    return x
 
-    Both per-orbital dilation generators are removed from the gradient and
-    the search direction, widths are re-pinned whenever they drift, and the
-    node-mass guard rejects runs that still find a spike+halo path (those
-    beat every smooth profile on the lattice while the continuum assigns
-    them a far larger quotient, so they carry no threshold information).
 
-    Returns the iterate with the smallest full stationarity residual
+def _quotient_descent(us, grid, cfg, widths):
+    """Projected descent of the quotient over k-frames on the pinned slice.
+
+    ``us`` holds k orbitals (k = 2 for the pair quotient, k = 1 for the
+    single-orbital one) and ``widths`` their pinned radial widths.  Each
+    orbital's dilation generator is removed from the gradient and the search
+    direction, widths are re-pinned whenever they drift, and the node-mass
+    guard rejects runs that still find a spike+halo path (those beat every
+    smooth profile on the lattice while the continuum assigns them a far
+    larger quotient, so they carry no threshold information).
+
+    Returns the frame with the smallest full stationarity residual
     (gradient norm before the dilation modes are removed) among those
-    passing the node-mass guard, not the last one: past the stall shoulder
-    the quotient keeps creeping down along a node-concentration channel
-    that looks convergent to the slice-restricted gradient while the full
-    residual grows, so the final iterate is the least trustworthy of the
-    run.
+    passing the node-mass guard, and its quotient, not the last one: past
+    the stall shoulder the quotient keeps creeping down along a
+    node-concentration channel that looks convergent to the slice-restricted
+    gradient while the full residual grows, so the final iterate is the
+    least trustworthy of the run.
     """
+    k = len(widths)
     prec = None
     zero = grid.zeros()
-    pair = _pin_orbitals(pair, w1_t, w2_t)
-    q = quotient_value(pair)
+    us = _pin_orbitals(us, widths)
+    q = quotient_value(us)
     step = cfg.step_init
     strikes = 0
     best = None
@@ -1013,60 +984,44 @@ def _quotient_descent(pair, grid, cfg, w1_t, w2_t):
     floor = cfg.collapse_width_nodes * grid.spacing
     for it in range(1, cfg.max_iters + 1):
         if it % cfg.pin_every == 0:
-            w1, w2 = _orbital_width(pair.u1), _orbital_width(pair.u2)
-            spiky = _max_node_mass(grid, pair.u1, pair.u2) > cfg.spike_guard
-            if spiky or min(w1, w2) < floor:
+            ws = [_orbital_width(u) for u in us]
+            spiky = _max_node_mass(grid, *us) > cfg.spike_guard
+            if spiky or min(ws) < floor:
                 strikes += 1
                 if strikes >= 2:
                     raise UnderResolvedError(
-                        f"quotient iterate left the resolvable regime "
-                        f"(widths {w1:.3g}/{w2:.3g}, spiky={spiky})"
+                        "quotient iterate left the resolvable regime (widths "
+                        + "/".join(f"{w:.3g}" for w in ws) + f", spiky={spiky})"
                     )
-            if abs(w1 / w1_t - 1.0) > 0.02 or abs(w2 / w2_t - 1.0) > 0.02:
-                pair = _pin_orbitals(pair, w1_t, w2_t)
-                q = quotient_value(pair)
+            if any(abs(w / wt - 1.0) > 0.02 for w, wt in zip(ws, widths)):
+                us = _pin_orbitals(us, widths)
+                q = quotient_value(us)
                 step = cfg.step_init
-        rho = density(pair)
+        rho = density(us)
         if cfg.precondition and (prec is None or it % cfg.pin_every == 0):
             prec = TensorPreconditioner(
-                grid, _core(_effective_potential(rho, zero, q)),
-                cfg.precond_shift,
+                grid, _core(effective_potential(rho, zero, q)), cfg.precond_shift,
             )
-        P = integrate(ScalarField(grid, np.cbrt(rho.values) ** 5))
+        P = p_integral(rho)
         # grad q = (2/P) * (-lap u_i - (5q/3) rho^{2/3} u_i)
-        g1, g2 = _gradient_fields(pair, rho, zero, q)
-        g1 = ScalarField(grid, g1.values / P)
-        g2 = ScalarField(grid, g2.values / P)
+        g = tuple(ScalarField(grid, f.values / P)
+                  for f in _gradient_fields(us, rho, zero, q))
+        # one dilation mode per orbital, in the tangent space, orthonormalized
         modes = []
-        for m1, m2 in (
-            project_tangent(pair, dilation_generator(pair.u1), zero),
-            project_tangent(pair, zero, dilation_generator(pair.u2)),
-        ):
-            for b1, b2 in modes:
-                c = inner(m1, b1) + inner(m2, b2)
-                m1 = ScalarField(grid, m1.values - c * b1.values)
-                m2 = ScalarField(grid, m2.values - c * b2.values)
-            nn = math.sqrt(inner(m1, m1) + inner(m2, m2))
+        for i in range(k):
+            m = _drop_modes(project_tangent_frame(us, tuple(
+                dilation_generator(us[j]) if j == i else zero for j in range(k))), modes)
+            nn = math.sqrt(_frame_dot(m, m))
             if nn > 1e-12:
-                modes.append((
-                    ScalarField(grid, m1.values / nn),
-                    ScalarField(grid, m2.values / nn),
-                ))
+                modes.append(tuple(ScalarField(grid, f.values / nn) for f in m))
 
-        def drop_scale_modes(a1, a2):
-            for b1, b2 in modes:
-                c = inner(a1, b1) + inner(a2, b2)
-                a1 = ScalarField(grid, a1.values - c * b1.values)
-                a2 = ScalarField(grid, a2.values - c * b2.values)
-            return a1, a2
-
-        t1, t2 = project_tangent(pair, g1, g2)
-        full = math.sqrt(inner(t1, t1) + inner(t2, t2))
-        t1, t2 = drop_scale_modes(t1, t2)
-        gn = math.sqrt(inner(t1, t1) + inner(t2, t2))
+        t = project_tangent_frame(us, g)
+        full = math.sqrt(_frame_dot(t, t))
+        t = _drop_modes(t, modes)
+        gn = math.sqrt(_frame_dot(t, t))
         if ((best is None or full < best[0])
-                and _max_node_mass(grid, pair.u1, pair.u2) <= cfg.spike_guard):
-            best = (full, pair, q)
+                and _max_node_mass(grid, *us) <= cfg.spike_guard):
+            best = (full, us, q)
         if gn <= cfg.grad_tol:
             break
         if best is not None and full > _SLIDE_FACTOR * best[0]:
@@ -1075,35 +1030,32 @@ def _quotient_descent(pair, grid, cfg, w1_t, w2_t):
                 break
         else:
             slide_run = 0
+        d = steepest = tuple(ScalarField(grid, -f.values) for f in t)
         if prec is not None:
-            d1 = ScalarField(grid, -_pad(prec.apply_core(_core(t1.values))))
-            d2 = ScalarField(grid, -_pad(prec.apply_core(_core(t2.values))))
-            d1, d2 = project_tangent(pair, d1, d2)
-            d1, d2 = drop_scale_modes(d1, d2)
-        else:
-            d1, d2 = ScalarField(grid, -t1.values), ScalarField(grid, -t2.values)
-        slope = inner(g1, d1) + inner(g2, d2)
+            d = _drop_modes(project_tangent_frame(us, tuple(
+                ScalarField(grid, -_pad(prec.apply_core(_core(f.values)))) for f in t
+            )), modes)
+        slope = _frame_dot(g, d)
         if slope >= 0:
-            d1, d2 = ScalarField(grid, -t1.values), ScalarField(grid, -t2.values)
-            slope = -gn * gn
+            d, slope = steepest, -gn * gn
         accepted = False
-        t = step
+        tau = step
         for _ in range(40):
-            cand = retract(pair, d1, d2, t)
+            cand = retract_frame(us, d, tau)
             qc = quotient_value(cand)
-            if qc <= q + cfg.armijo_c * t * slope:
+            if qc <= q + cfg.armijo_c * tau * slope:
                 accepted = True
                 break
-            t *= cfg.backtrack_factor
+            tau *= cfg.backtrack_factor
         if not accepted:
             break
-        pair, q = cand, qc
-        step = min(cfg.step_init, t / cfg.backtrack_factor)
+        us, q = cand, qc
+        step = min(cfg.step_init, tau / cfg.backtrack_factor)
     if best is not None:
-        _, pair, q = best
-    if _max_node_mass(grid, pair.u1, pair.u2) > cfg.spike_guard:
+        _, us, q = best
+    if _max_node_mass(grid, *us) > cfg.spike_guard:
         raise UnderResolvedError("quotient descent ended on a lattice spike")
-    return pair, q
+    return us, q
 
 
 def quotient_multiplier_residuals(pair: OrbitalPair):
@@ -1117,7 +1069,14 @@ def quotient_multiplier_residuals(pair: OrbitalPair):
 def minimize_quotient_rank1(
     grid: BoxGrid, cfg: SolverConfig
 ) -> tuple[float, ScalarField]:
-    """Single-orbital concentration threshold (the shooting cross-check)."""
+    """Single-orbital concentration threshold (the shooting cross-check).
+
+    The k = 1 case of the pinned-slice descent behind
+    :func:`minimize_quotient_rank2`, started from a Gaussian and from
+    ``cfg.multistart - 1`` random smooth fields; a start that leaves the
+    resolvable regime is discarded.  The returned orbital has a positive
+    dominant lobe.
+    """
     target_w = cfg.pin_fraction * grid.half_width
     if target_w < cfg.collapse_width_nodes * grid.spacing:
         # at the default pin, w/h = (n-1)/10 depends on n alone; need n >= 61
@@ -1129,19 +1088,6 @@ def minimize_quotient_rank1(
     )
     sigma0 = target_w / math.sqrt(3.0)
 
-    def width1(u: ScalarField) -> float:
-        rho = ScalarField(grid, 2.0 * u.values * u.values)
-        return math.sqrt(max(second_moment(rho) / 2.0, 0.0))
-
-    def pin(u: ScalarField) -> ScalarField:
-        from .grid import dilate
-
-        w = width1(u)
-        if w <= 0:
-            raise UnderResolvedError("rank-1 iterate has zero width")
-        v = dilate(u, w / target_w)
-        return ScalarField(grid, v.values / norm(v))
-
     X, Y, Z = grid.meshgrid()
     starts = []
     g = np.exp(-(X * X + Y * Y + Z * Z) / (4 * sigma0 * sigma0))
@@ -1152,94 +1098,10 @@ def minimize_quotient_rank1(
         starts.append(p.u1)
 
     best = None
-    zero = grid.zeros()
     for u in starts:
-        u = pin(u)
-        q = quotient_value_rank1(u)
-        step = cfg.step_init
-        strikes = 0
-        collapsed = False
-        best_it = None
-        slide_run = 0
-        prec = None
-        for it in range(1, cfg.max_iters + 1):
-            if it % cfg.pin_every == 0:
-                w = width1(u)
-                if (w < cfg.collapse_width_nodes * grid.spacing
-                        or _max_node_mass(grid, u) > cfg.spike_guard):
-                    strikes += 1
-                    if strikes >= 2:
-                        collapsed = True  # discard this start
-                        break
-                if abs(w / target_w - 1.0) > 0.02:
-                    u = pin(u)
-                    q = quotient_value_rank1(u)
-                    step = cfg.step_init
-            rho = ScalarField(grid, u.values * u.values)
-            if cfg.precondition and (prec is None or it % cfg.pin_every == 0):
-                prec = TensorPreconditioner(
-                    grid, _core(_effective_potential(rho, zero, q)),
-                    cfg.precond_shift,
-                )
-            I = integrate(ScalarField(grid, np.cbrt(rho.values) ** 5))
-            hu = hamiltonian_apply(rho, zero, q, u)
-            g_ = ScalarField(grid, 2.0 * hu.values / I)
-            # pinned-slice descent: remove the sphere-normal and dilation
-            # components (see _quotient_descent)
-            s_ = dilation_generator(u)
-            s_ = ScalarField(grid, s_.values - inner(u, s_) * u.values)
-            sn2 = inner(s_, s_)
-
-            def drop_scale_mode(a):
-                if sn2 <= 1e-30:
-                    return a
-                return ScalarField(
-                    grid, a.values - (inner(a, s_) / sn2) * s_.values
-                )
-
-            coef = inner(u, g_)
-            t_ = ScalarField(grid, g_.values - coef * u.values)
-            full = norm(t_)
-            t_ = drop_scale_mode(t_)
-            gn = norm(t_)
-            if ((best_it is None or full < best_it[0])
-                    and _max_node_mass(grid, u) <= cfg.spike_guard):
-                best_it = (full, u, q)
-            if gn <= cfg.grad_tol:
-                break
-            if best_it is not None and full > _SLIDE_FACTOR * best_it[0]:
-                slide_run += 1
-                if slide_run >= _SLIDE_PATIENCE:
-                    break
-            else:
-                slide_run = 0
-            if prec is not None:
-                d = ScalarField(grid, -_pad(prec.apply_core(_core(t_.values))))
-                d = ScalarField(grid, d.values - inner(u, d) * u.values)
-                d = drop_scale_mode(d)
-            else:
-                d = ScalarField(grid, -t_.values)
-            slope = inner(g_, d)
-            if slope >= 0:
-                d, slope = ScalarField(grid, -t_.values), -gn * gn
-            accepted = False
-            t = step
-            for _ in range(40):
-                vv = ScalarField(grid, u.values + t * d.values)
-                vv = ScalarField(grid, vv.values / norm(vv))
-                qc = quotient_value_rank1(vv)
-                if qc <= q + cfg.armijo_c * t * slope:
-                    accepted = True
-                    break
-                t *= cfg.backtrack_factor
-            if not accepted:
-                break
-            u, q = vv, qc
-            step = min(cfg.step_init, t / cfg.backtrack_factor)
-        if best_it is not None:
-            # smallest-residual iterate of this start (see _quotient_descent)
-            _, u, q = best_it
-        elif collapsed or _max_node_mass(grid, u) > cfg.spike_guard:
+        try:
+            (u,), q = _quotient_descent((u,), grid, cfg, (target_w,))
+        except UnderResolvedError:
             continue
         if best is None or q < best[0]:
             best = (q, u)
@@ -1312,14 +1174,7 @@ def separated_pair_upper_bound(
         um = ScalarField(
             grid, (left.values - right.values) / math.sqrt(2.0 * (1.0 - s))
         )
-        rho = up.values * up.values + um.values * um.values
-        p_val = integrate(ScalarField(grid, np.cbrt(rho) ** 5))
-        return (kinetic_energy(up) + kinetic_energy(um)) / p_val
-
-    def rank1_quotient(grid: BoxGrid) -> float:
-        u = lump(grid, 0.0)
-        p_val = integrate(ScalarField(grid, np.cbrt(u.values * u.values) ** 5))
-        return kinetic_energy(u) / p_val
+        return quotient_value((up, um))
 
     table = []
     for d in separations:
@@ -1327,7 +1182,7 @@ def separated_pair_upper_bound(
         ratios = []
         for n in (n_lo, n_hi):
             grid = BoxGrid(n, box)
-            ratios.append(pair_quotient(grid, d) / rank1_quotient(grid))
+            ratios.append(pair_quotient(grid, d) / quotient_value_rank1(lump(grid, 0.0)))
         ratio = w_hi * ratios[1] + (1.0 - w_hi) * ratios[0]
         table.append({"separation": float(d), "value": float(ratio * consts.a1_star)})
     best = min(table, key=lambda row: row["value"])

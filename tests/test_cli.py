@@ -79,6 +79,8 @@ def test_invalid_json(tmp_path, capsys):
     ({"sweep": {"a_fractions": [0.5, 1.5]}}, None, "/sweep/a_fractions/1"),
     ({"solver": {"bogus_knob": 1}}, None, "/solver"),
     ({"format_version": 2}, None, "/format_version"),
+    ({"trap.wells": [{"center": [3.0, 0.0, 0.0], "power": 2.0}]}, None,
+     "/trap/wells/0/center"),
 ])
 def test_schema_rejections(tmp_path, capsys, patch, drop, pointer):
     cp = write_config(tmp_path, patch=patch, drop=drop)
@@ -109,6 +111,25 @@ def test_config_digest_ignores_output_dir_and_key_order():
     assert fcli.config_digest(changed) != fcli.config_digest(raw1)
 
 
+def test_json_artifact_write_is_atomic(tmp_path):
+    path = tmp_path / "artifact.json"
+    fcli._dump_json({"a": 1.0}, str(path))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):  # fails after part of the JSON is written
+        fcli._dump_json({"a": 2.0, "b": object()}, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
+    import fermivar
+    from conftest import REPO_ROOT
+    with open(REPO_ROOT / "pyproject.toml", "rb") as fh:
+        meta = tomllib.load(fh)
+    assert fermivar.__version__ == meta["project"]["version"]
+
+
 def test_solver_schema_covers_all_config_fields():
     import dataclasses
     from fermivar.solvers import SolverConfig
@@ -126,6 +147,15 @@ def test_solve_requires_coupling(tmp_path, capsys):
     rc, _, err = run(["solve", "--config", cp], capsys)
     assert rc == fcli.EXIT_CONFIG
     assert "requires --a" in stderr_error(err)["message"]
+
+
+def test_solve_rejects_negative_coupling(tmp_path, capsys):
+    cp = write_config(tmp_path)
+    rc, _, err = run(["solve", "--config", cp, "--a", "-1.0"], capsys)
+    assert rc == fcli.EXIT_CONFIG
+    e = stderr_error(err)
+    assert e["kind"] == "config"
+    assert "nonnegative coupling" in e["message"]
 
 
 def test_solve_requires_stored_threshold(tmp_path, capsys):

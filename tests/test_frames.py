@@ -9,9 +9,12 @@ from fermivar.frames import (
     PairDefectError,
     gram,
     loewdin,
+    loewdin_frame,
     make_trial_pair,
     project_tangent,
+    project_tangent_frame,
     retract,
+    retract_frame,
     smoothstep_cutoff,
 )
 from fermivar.grid import (
@@ -25,7 +28,14 @@ from fermivar.grid import (
     second_moment,
 )
 
-from helpers import gaussian, normalize, p_gaussian, random_pair, sp_pair
+from helpers import (
+    gaussian,
+    normalize,
+    p_gaussian,
+    random_pair,
+    random_smooth_field,
+    sp_pair,
+)
 
 
 def _unit_pair_with_overlap(grid, s, rng):
@@ -38,6 +48,15 @@ def _unit_pair_with_overlap(grid, s, rng):
     return e1, f2
 
 
+def _random_frame(grid, k, rng):
+    """k orthonormalized random smooth fields (the k-field code path)."""
+    return loewdin_frame(random_smooth_field(grid, rng, 0.6) for _ in range(k))
+
+
+def _frame_defect(frame):
+    return float(np.abs(gram(*frame) - np.eye(len(frame))).max())
+
+
 def test_gram_matrix_entries():
     g = BoxGrid(24, 3.0)
     f1 = normalize(gaussian(g, 0.6))
@@ -48,6 +67,18 @@ def test_gram_matrix_entries():
     assert abs(G[0, 0] - 1.0) < 1e-12
     assert abs(G[1, 1] - 1.0) < 1e-12
     assert abs(G[0, 1] - inner(f1, f2)) < 1e-14
+    # the same matrix for k = 1 and k = 3 fields
+    f3 = ScalarField(g, 2.0 * normalize(p_gaussian(g, 0.6, axis=1)).values)
+    G1 = gram(f3)
+    assert G1.shape == (1, 1)
+    assert abs(G1[0, 0] - 4.0) < 1e-12
+    G3 = gram(f1, f2, f3)
+    assert G3.shape == (3, 3)
+    assert np.array_equal(G3, G3.T)
+    assert np.array_equal(G3[:2, :2], G)
+    for i, fi in enumerate((f1, f2, f3)):
+        for j, fj in enumerate((f1, f2, f3)):
+            assert abs(G3[i, j] - inner(fi, fj)) < 1e-14
 
 
 def test_loewdin_defect_at_roundoff():
@@ -58,6 +89,14 @@ def test_loewdin_defect_at_roundoff():
         f1, f2 = _unit_pair_with_overlap(g, s, rng)
         pair = loewdin(f1, f2)
         assert pair.defect() <= 1e-10
+    for k in (1, 3):
+        for _ in range(3):
+            raw = [ScalarField(g, rng.uniform(0.5, 2.0) * f.values)
+                   for f in _random_frame(g, k, rng)]
+            if k == 3:  # overlapping inputs: mix the orthonormal fields
+                raw = [ScalarField(g, raw[i].values + 0.3 * raw[(i + 1) % 3].values)
+                       for i in range(3)]
+            assert _frame_defect(loewdin_frame(raw)) <= 1e-10
 
 
 def test_loewdin_first_order_expansion_bound():
@@ -132,6 +171,16 @@ def test_project_tangent_antisymmetry_and_idempotence():
         r1, r2 = project_tangent(pair, t1, t2)
         assert np.allclose(r1.values, t1.values, atol=1e-12)
         assert np.allclose(r2.values, t2.values, atol=1e-12)
+    for k in (1, 3):
+        frame = _random_frame(g, k, np.random.default_rng(20 + k))
+        d = [ScalarField(g, rng.standard_normal(g.shape)) for _ in range(k)]
+        t = project_tangent_frame(frame, d)
+        for i in range(k):
+            for j in range(k):
+                assert abs(inner(frame[i], t[j]) + inner(frame[j], t[i])) < 1e-10
+        r = project_tangent_frame(frame, t)
+        for ri, ti in zip(r, t):
+            assert np.allclose(ri.values, ti.values, atol=1e-12)
 
 
 def test_retract_restores_constraint_and_is_first_order():
@@ -153,6 +202,20 @@ def test_retract_restores_constraint_and_is_first_order():
     # dominated by the second-order Loewdin correction: O(step^2)
     assert errs[1] < 0.35 * errs[0]
     assert errs[2] < 0.35 * errs[1]
+    for k in (1, 3):
+        frame = _random_frame(g, k, np.random.default_rng(30 + k))
+        t = project_tangent_frame(
+            frame, [ScalarField(g, rng.standard_normal(g.shape)) for _ in range(k)])
+        errs = []
+        for step in (1e-2, 5e-3, 2.5e-3):
+            stepped = retract_frame(frame, t, step)
+            assert _frame_defect(stepped) <= 1e-12
+            errs.append(max(
+                norm(ScalarField(g, s.values - u.values - step * ti.values))
+                for s, u, ti in zip(stepped, frame, t)
+            ))
+        assert errs[1] < 0.35 * errs[0]
+        assert errs[2] < 0.35 * errs[1]
 
 
 def test_smoothstep_cutoff_plateau_support_and_range():

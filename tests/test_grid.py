@@ -212,3 +212,22 @@ def test_snapshot_rejects_corruption(tmp_path):
     (tmp_path / "truncated.snap").write_bytes(path.read_bytes()[:-16])
     with pytest.raises(SnapshotFormatError):
         read_snapshot(tmp_path / "truncated.snap")
+
+
+def test_snapshot_write_is_atomic(tmp_path):
+    g = BoxGrid(12, 1.0)
+    path = tmp_path / "f.snap"
+    write_snapshot(gaussian(g, 0.4), path)
+    before = path.read_bytes()
+
+    class FailingField:  # its values fail after the header is written
+        grid = g
+
+        @property
+        def values(self):
+            raise RuntimeError("interrupted")
+
+    with pytest.raises(RuntimeError):
+        write_snapshot(FailingField(), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["f.snap"]
