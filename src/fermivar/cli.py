@@ -278,6 +278,8 @@ def cmd_astar(raw: dict, args) -> int:
         "separation_rel": float((a1_hat - a2_hat) / a1_hat),
         "rank2_continuum_upper": float(bound["value"]),
         "rank2_continuum_separation": float(bound["separation"]),
+        "rank2_continuum_table": bound["table"],
+        "rank2_continuum_quad_error": float(bound["quad_error"]),
         "ordering_continuum": bool(bound["value"] < oracle.a1_star),
         "separation_rel_continuum": float(bound["rel_below_rank1"]),
         "grid": {"n": grid.n_per_axis, "half_width": grid.half_width},

@@ -180,16 +180,31 @@ def _pick_match_radius(r: np.ndarray, w: np.ndarray, w0: float, tol: float) -> f
     return float(r[i])
 
 
+def profile_spline(profile: RadialProfile):
+    """Cubic spline of w(r) through the stored mesh, with w'(0) = 0 clamped.
+
+    The spline is the one smooth reading of the profile that every
+    continuum integral uses (w' included); it is only meaningful on
+    [0, r_max], and callers take w = 0 beyond.
+    """
+    # imported here: scipy.interpolate adds a few tenths of a second to
+    # `import fermivar`, and only the threshold path needs it
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline(profile.r, profile.w, bc_type=((1, 0.0), "not-a-knot"))
+
+
 def gn_constants(profile: RadialProfile) -> GNConstants:
     """Mass, kinetic and interaction integrals plus the rank-one threshold.
 
-    Quadrature is the trapezoid rule on the stored mesh; the [r_max, inf)
-    remainders of the matched tail are added in closed form (they are far
-    below the quoted tolerances but cost nothing).
+    Quadrature is the trapezoid rule on the stored mesh, with w' read off
+    :func:`profile_spline`; the [r_max, inf) remainders of the matched tail
+    are added in closed form (they are far below the quoted tolerances but
+    cost nothing).
     """
     r, w, C, R = profile.r, profile.w, profile.tail_coeff, profile.r_max
     fourpi = 4.0 * math.pi
-    dw = np.gradient(w, profile.dr)
+    dw = profile_spline(profile)(r, 1)
     M = fourpi * np.trapezoid(r * r * w * w, dx=profile.dr)
     T = fourpi * np.trapezoid(r * r * dw * dw, dx=profile.dr)
     I = fourpi * np.trapezoid(r * r * np.abs(w) ** (10.0 / 3.0), dx=profile.dr)

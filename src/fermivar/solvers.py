@@ -67,6 +67,7 @@ from .model import (
 )
 
 from . import asymptotics as _asy
+from .radial import gn_constants, profile_spline, shoot_soliton
 
 
 class SolverError(RuntimeError):
@@ -1113,10 +1114,63 @@ def minimize_quotient_rank1(
     return quotient_value_rank1(u), u
 
 
+# Composite Gauss-Legendre rule of the separated-pair quadrature: order per
+# panel, panels along the separation axis and off it, and the reach beyond the
+# lump centres (w(22)^2 ~ 1e-22, below every quoted digit).
+_GL_ORDER = 8
+_PAIR_PANELS = (80, 40)
+_PAIR_REACH = 22.0
+
+
+def _gauss_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``panels`` equal order-8 Gauss-Legendre panels on [a, b]."""
+    t, wt = np.polynomial.legendre.leggauss(_GL_ORDER)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * t).ravel(), (half * wt).ravel()
+
+
+def _separated_pair_quotients(spline, d: float, panels=_PAIR_PANELS) -> tuple[float, float]:
+    """Continuum quotients of the separated pair (k=2) and of one lump (k=1).
+
+    The lumps are w(|x -+ d e_x|) with w read off ``spline`` (zero beyond its
+    last knot); the pair is their even/odd orthonormal combination.  Every
+    field is axisymmetric about the x axis, so each integral over R^3 is a
+    2-D one in cylindrical coordinates (x, r) with measure 2 pi r dx dr, done
+    by composite Gauss-Legendre on ``panels`` = (x panels, r panels).
+    """
+    x, wx = _gauss_panels(-d - _PAIR_REACH, d + _PAIR_REACH, panels[0])
+    r, wr = _gauss_panels(0.0, _PAIR_REACH, panels[1])
+    X, R = x[:, None], r[None, :]
+    weight = 2.0 * math.pi * wx[:, None] * (wr * r)[None, :]
+
+    def quad(f: np.ndarray) -> float:
+        return float(np.sum(weight * f))
+
+    def lump(c: float) -> tuple[np.ndarray, np.ndarray]:
+        # w and w'/dist; Gauss nodes have r > 0, so dist > 0
+        dist = np.hypot(X - c, R)
+        inside = dist <= spline.x[-1]
+        f = np.where(inside, spline(dist), 0.0)
+        return f, np.where(inside, spline(dist, 1), 0.0) / dist
+
+    (fl, gl), (fr, gr) = lump(-d), lump(+d)
+    # mass and kinetic energy of one lump, overlap and gradient cross term
+    # of the two, with grad L . grad R = gl gr ((x + d)(x - d) + r^2)
+    M = quad(fl * fl)
+    K = quad(gl * gl * ((X + d) ** 2 + R * R))
+    s = quad(fl * fr)
+    g = quad(gl * gr * ((X + d) * (X - d) + R * R))
+    T = (K + g) / (M + s) + (K - g) / (M - s)
+    rho = (fl + fr) ** 2 / (2.0 * (M + s)) + (fl - fr) ** 2 / (2.0 * (M - s))
+    q2 = T * (quad(rho) / 2.0) ** (2.0 / 3.0) / quad(np.cbrt(rho) ** 5)
+    q1 = K * M ** (2.0 / 3.0) / quad(np.cbrt(fl * fl) ** 5)
+    return q2, q1
+
+
 def separated_pair_upper_bound(
     separations: tuple[float, ...] = (2.0, 2.5, 3.0),
-    refine: tuple[int, int] = (128, 192),
-    margin: float = 6.5,
     profile=None,
 ) -> dict:
     """Continuum upper bound on the rank-2 threshold from explicit trials.
@@ -1133,65 +1187,40 @@ def separated_pair_upper_bound(
     affordable grids cannot resolve the ordering and why this explicit
     trial evaluation exists.
 
-    For each separation the quotient is evaluated on two refinement grids
-    and Richardson-extrapolated in h^2 as a *ratio* to the same-grid rank-1
-    trial value (the lattice kinetic deficit cancels almost entirely in the
-    ratio); the extrapolated ratio then multiplies the shooting oracle's
-    rank-1 constant.  Because the trial pair is an admissible orthonormal
-    competitor, the continuum quotient of the family upper-bounds the true
-    threshold; the returned value estimates that bound with O(h^4) error.
+    The trial pair is axisymmetric about the separation axis, so its
+    continuum quotient is a 2-D quadrature in cylindrical coordinates: 80 x
+    40 order-8 Gauss-Legendre panels over x in [-d-22, d+22], r in [0, 22],
+    of w and w' from one cubic spline of the shooting profile.  The value
+    is reported as the ratio to the same-quadrature rank-1 quotient of one
+    lump, times the shooting oracle's rank-1 constant (the two agree to
+    ~1e-11).  Because the trial pair is an admissible orthonormal
+    competitor, its continuum quotient upper-bounds the true threshold.
 
     Returns a dict with the bound (``value``), the separation attaining it,
-    its relative depth below the rank-1 constant, and the per-separation
-    table.  Deterministic; no RNG involved.
+    its relative depth below the rank-1 constant, the per-separation
+    table, and ``quad_error``, |value - value at half the panels|.
+    Deterministic; no RNG involved.
     """
-    from .radial import gn_constants, shoot_soliton
-
     if profile is None:
         profile = shoot_soliton()
-    consts = gn_constants(profile)
-    n_lo, n_hi = refine
-    if not (8 <= n_lo < n_hi):
-        raise ValueError("refine must be an increasing pair of grid sizes")
-    # h ~ 1/(n-1): eliminate the h^2 term between the two grids
-    w_hi = (n_hi - 1) ** 2 / ((n_hi - 1) ** 2 - (n_lo - 1) ** 2)
+    a1 = gn_constants(profile).a1_star
+    spline = profile_spline(profile)
 
-    def lump(grid: BoxGrid, d: float) -> ScalarField:
-        X, Y, Z = grid.meshgrid()
-        rr = np.sqrt((X - d) ** 2 + Y * Y + Z * Z)
-        vals = np.interp(rr.ravel(), profile.r, profile.w, right=0.0)
-        f = ScalarField(grid, mask_boundary(vals.reshape(rr.shape)))
-        m = integrate(ScalarField(grid, f.values * f.values))
-        return ScalarField(grid, f.values / math.sqrt(m))
+    def value(d: float, panels) -> float:
+        q2, q1 = _separated_pair_quotients(spline, d, panels)
+        return float(q2 / q1 * a1)
 
-    def pair_quotient(grid: BoxGrid, d: float) -> float:
-        left = lump(grid, -d)
-        right = lump(grid, +d)
-        s = inner(left, right)
-        up = ScalarField(
-            grid, (left.values + right.values) / math.sqrt(2.0 * (1.0 + s))
-        )
-        um = ScalarField(
-            grid, (left.values - right.values) / math.sqrt(2.0 * (1.0 - s))
-        )
-        return quotient_value((up, um))
-
-    table = []
-    for d in separations:
-        box = d + margin
-        ratios = []
-        for n in (n_lo, n_hi):
-            grid = BoxGrid(n, box)
-            ratios.append(pair_quotient(grid, d) / quotient_value_rank1(lump(grid, 0.0)))
-        ratio = w_hi * ratios[1] + (1.0 - w_hi) * ratios[0]
-        table.append({"separation": float(d), "value": float(ratio * consts.a1_star)})
+    table = [{"separation": float(d), "value": value(d, _PAIR_PANELS)}
+             for d in separations]
     best = min(table, key=lambda row: row["value"])
+    coarse = value(best["separation"], tuple(p // 2 for p in _PAIR_PANELS))
     return {
         "value": best["value"],
         "separation": best["separation"],
-        "rel_below_rank1": float((consts.a1_star - best["value"]) / consts.a1_star),
-        "rank1": float(consts.a1_star),
+        "rel_below_rank1": float((a1 - best["value"]) / a1),
+        "rank1": float(a1),
         "table": table,
+        "quad_error": abs(best["value"] - coarse),
     }
 
 

@@ -223,3 +223,16 @@ def test_astar_artifacts_are_complete(small_astar_run):
     assert art["oracle_a1"] == pytest.approx(9.578297, rel=1e-5)
     state = load_json(small_astar_run / "astar_state.json")
     assert state["config_digest"] == art["config_digest"]
+
+
+def test_astar_reports_continuum_bound_quality(small_astar_run):
+    art = load_json(small_astar_run / "astar.json")
+    table = art["rank2_continuum_table"]
+    assert [row["separation"] for row in table] == [2.0, 2.5, 3.0]
+    best = min(table, key=lambda row: row["value"])
+    assert best["value"] == art["rank2_continuum_upper"]
+    assert best["separation"] == art["rank2_continuum_separation"]
+    # quadrature error far below the gap the continuum ordering rests on
+    err = art["rank2_continuum_quad_error"]
+    assert 0.0 <= err < 1e-3 * art["separation_rel_continuum"] * art["oracle_a1"]
+    assert art["ordering_continuum"] is True

@@ -78,3 +78,11 @@ def test_shooting_report_contents():
     assert res["sum_identity"] < 1e-3
     assert res["kinetic_fraction"] < 1e-3
     assert res["mass_fraction"] < 1e-3
+
+
+def test_virial_residuals_at_roundoff():
+    # With w' read off the profile spline, T = (3/5) I and T + M = I hold to
+    # the quadrature's accuracy rather than to a finite difference's.
+    res = shooting_report(PROFILE)["residuals"]
+    assert res["kinetic_fraction"] < 1e-10
+    assert res["sum_identity"] < 1e-10

@@ -9,6 +9,7 @@ from fermivar.grid import BoxGrid, ScalarField, inner, integrate, norm
 from fermivar.model import TrapPotential, Well, potential_field
 from fermivar.solvers import (
     SolverConfig,
+    _separated_pair_quotients,
     UnderResolvedError,
     continuation_sweep,
     gaussian_pair,
@@ -20,7 +21,9 @@ from fermivar.solvers import (
     quotient_value,
     quotient_value_rank1,
     random_smooth_pair,
+    separated_pair_upper_bound,
 )
+from fermivar.radial import gn_constants, profile_spline, shoot_soliton
 
 from helpers import exact_harmonic_levels, random_pair
 
@@ -246,6 +249,74 @@ def test_quotient_multiplier_residuals_structure():
     # multipliers of the quotient system: mu_i = <u_i, H_q u_i> with
     # H_q = -lap - (5q/3) rho^{2/3}; both negative for a bound profile
     assert m1 < 0 and m2 < 0
+
+
+# ---------------------------------------------------------------------------
+# separated-pair continuum bound
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def soliton():
+    return shoot_soliton()
+
+
+def test_separated_pair_quadrature_converged(soliton):
+    spline = profile_spline(soliton)
+    q2, q1 = _separated_pair_quotients(spline, 2.5, (80, 40))
+    q2f, q1f = _separated_pair_quotients(spline, 2.5, (160, 80))
+    assert abs((q2f / q1f) / (q2 / q1) - 1.0) < 1e-12
+    # the k=1 quotient of one lump is the shooting oracle's constant
+    assert q1 == pytest.approx(gn_constants(soliton).a1_star, rel=1e-10)
+
+
+def _gauss_nodes(a, b, panels):
+    t, w = np.polynomial.legendre.leggauss(8)
+    edges = np.linspace(a, b, panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    return ((edges[:-1, None] + half * (t + 1.0)).ravel(),
+            (half * w).ravel())
+
+
+def test_separated_pair_bound_matches_3d_quadrature(soliton):
+    # Independent check without the axisymmetric reduction: the even/odd
+    # pair of the two lumps on a 3-D tensor Gauss-Legendre rule.
+    d = 2.5
+    spline = profile_spline(soliton)
+    x, wx = _gauss_nodes(-d - 12.0, d + 12.0, 18)
+    y, wy = _gauss_nodes(-12.0, 12.0, 12)
+    X, Y, Z = np.meshgrid(x, y, y, indexing="ij", sparse=True)
+    W = wx[:, None, None] * wy[None, :, None] * wy[None, None, :]
+
+    def lump(c):
+        r = np.sqrt((X - c) ** 2 + Y * Y + Z * Z)
+        f = np.where(r <= soliton.r[-1], spline(r), 0.0)
+        g = np.where(r <= soliton.r[-1], spline(r, 1), 0.0) / r
+        return f, (g * (X - c), g * Y, g * Z)
+
+    def quotient(fields, grads):
+        # T (m/k)^{2/3} / P of an orthonormal basis of span(fields)
+        gram = np.array([[np.sum(W * a * b) for b in fields] for a in fields])
+        evals, evecs = np.linalg.eigh(gram)
+        coef = evecs / np.sqrt(evals)
+        T, rho = 0.0, 0.0
+        for c in coef.T:
+            u = sum(cj * f for cj, f in zip(c, fields))
+            rho = rho + u * u
+            for ax in range(3):
+                du = sum(cj * g[ax] for cj, g in zip(c, grads))
+                T += np.sum(W * du * du)
+        k = len(fields)
+        return T * (np.sum(W * rho) / k) ** (2.0 / 3.0) / np.sum(W * np.cbrt(rho) ** 5)
+
+    (fl, gl), (fr, gr) = lump(-d), lump(d)
+    ratio = quotient([fl, fr], [gl, gr]) / quotient([fl], [gl])
+    bound = separated_pair_upper_bound(separations=(d,), profile=soliton)
+    a1 = gn_constants(soliton).a1_star
+    assert bound["value"] == pytest.approx(ratio * a1, rel=1e-9)
+    assert bound["value"] < a1
+    assert bound["rel_below_rank1"] > 1e-5
+    assert bound["quad_error"] < 1e-9
 
 
 # ---------------------------------------------------------------------------
