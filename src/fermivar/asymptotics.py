@@ -82,6 +82,9 @@ class SweepRecord:
     defect: float
     converged: bool
     under_resolved: bool = False
+    # the solve's stop reason (SolveResult.stop_reason); None for records
+    # read back from artifacts written before it was stored
+    stop_reason: str | None = None
 
     def __post_init__(self):
         if not self.eps > 0:

@@ -361,6 +361,7 @@ def cmd_solve(raw: dict, args) -> int:
         "defect": res.pair.defect(),
         "max_pair_defect": res.max_pair_defect,
         "iters": res.iters,
+        "stop_reason": res.stop_reason,
         "scf_outer": res.scf_outer,
         "scf_defect": res.scf_defect,
         "degeneracy_gap": res.degeneracy_gap,
@@ -510,7 +511,8 @@ def cmd_sweep(raw: dict, args) -> int:
     for rec in records:
         print(
             f"a={rec.a:.6f} eps={rec.eps:.4f} E={rec.E:.6f} "
-            f"converged={rec.converged} under_resolved={rec.under_resolved}",
+            f"converged={rec.converged} under_resolved={rec.under_resolved} "
+            f"stop={rec.stop_reason}",
             flush=True,
         )
     if not records:
@@ -567,6 +569,7 @@ def cmd_sweep(raw: dict, args) -> int:
         "a_hat": a_hat,
         "a_list": [float(a) for a in a_list],
         "under_resolved": [bool(r.under_resolved) for r in records],
+        "stop_reasons": [r.stop_reason for r in records],
         "widths": [float(w) for w in outcome.widths],
         "aborted_at": outcome.aborted_at,
         "extracts": extract_meta,

@@ -167,6 +167,9 @@ class SolveResult:
     iters: int
     residuals: tuple[float, float]
     history: list[tuple[int, float, float]]  # (iteration, energy, grad norm)
+    # why the descent stopped (see _descent_phase), "+scf" when the SCF
+    # polish ran after it
+    stop_reason: str
     threshold_breach: bool = False
     degeneracy_gap: float | None = None
     scf_outer: int = 0
@@ -189,7 +192,9 @@ class TensorPreconditioner:
     minimum so the well depth is counted once), capturing both the trap
     growth and the attractive mean-field well where the orbitals live.
     Exactly separable potentials (e.g. the pure harmonic trap) make the
-    surrogate exact.  Application is three small dense transforms.
+    surrogate exact.  Application transforms each axis into the eigenbasis
+    of its 1-D tridiagonal operator, divides by the summed eigenvalues and
+    transforms back: six (m, m) matrix products per field.
     """
 
     def __init__(self, grid: BoxGrid, diag: np.ndarray, shift: float):
@@ -221,14 +226,27 @@ class TensorPreconditioner:
         self.den = den
 
     def apply_core(self, core: np.ndarray) -> np.ndarray:
-        Q0, Q1, Q2 = self.Q
-        t = np.einsum("ai,ijk->ajk", Q0.T, core, optimize=True)
-        t = np.einsum("bj,ajk->abk", Q1.T, t, optimize=True)
-        t = np.einsum("ck,abk->abc", Q2.T, t, optimize=True)
-        t /= self.den
-        t = np.einsum("ia,abc->ibc", Q0, t, optimize=True)
-        t = np.einsum("jb,ibc->ijc", Q1, t, optimize=True)
-        return np.einsum("kc,ijc->ijk", Q2, t, optimize=True)
+        """Surrogate inverse of one (m, m, m) field or an (m, m, m, b) block.
+
+        Each mode product contracts the leading spatial axis and appends
+        the new one, (i, j, k) -> (j, k, a): one (m^2, m) @ (m, m) matmul
+        per field on a transposed view, so three products bring the axes
+        back to their order with no copy.  The block's fields are moved to
+        the front first; every field then goes through the same products
+        as alone, so a block equals its fields applied one at a time.  The
+        result does not depend on the BLAS thread count (identical under 1
+        and 2 OpenBLAS threads for n = 10..160; a test pins n = 96), which
+        products with m rows and m^2 columns do not guarantee.
+        """
+        m = self.den.shape[0]
+        t = core.reshape(m ** 3, -1).T
+        b = t.shape[0]
+        for Q in self.Q:
+            t = np.matmul(t.reshape(b, m, -1).transpose(0, 2, 1), Q)
+        t = t.reshape(b, -1) / self.den.reshape(-1)
+        for Q in self.Q:
+            t = np.matmul(t.reshape(b, m, -1).transpose(0, 2, 1), Q.T)
+        return t.reshape(b, -1).T.reshape(core.shape)
 
 
 def _core(values: np.ndarray) -> np.ndarray:
@@ -266,20 +284,12 @@ def lowest_eigenpairs(
     diag = _core(effective_potential(rho, V, a))
     prec = TensorPreconditioner(grid, diag, cfg.precond_shift)
 
-    def apply_core_H(x3: np.ndarray) -> np.ndarray:
-        return neg_laplacian_core(x3, h) + diag * x3
-
     def matmat(X: np.ndarray) -> np.ndarray:
-        out = np.empty_like(X)
-        for j in range(X.shape[1]):
-            out[:, j] = apply_core_H(X[:, j].reshape(m, m, m)).ravel()
-        return out
+        x = X.reshape(m, m, m, -1)
+        return (neg_laplacian_core(x, h) + diag[..., None] * x).reshape(X.shape)
 
     def pmat(X: np.ndarray) -> np.ndarray:
-        out = np.empty_like(X)
-        for j in range(X.shape[1]):
-            out[:, j] = prec.apply_core(X[:, j].reshape(m, m, m)).ravel()
-        return out
+        return prec.apply_core(X.reshape(m, m, m, -1)).reshape(X.shape)
 
     mdof = m ** 3
     A = LinearOperator((mdof, mdof), matvec=lambda x: matmat(x.reshape(-1, 1))[:, 0],
@@ -479,15 +489,18 @@ def _descent_phase(
     ``step_init``; later trial steps start at 1.  A direction that is not
     a descent direction clears the memory.
 
-    Returns (pair, iterations, grad_norm, breached, max_defect, energy).
+    Returns (pair, stop reason, max_defect).  The stop reason is
+    ``"tolerance"`` (gradient norm at ``cfg.grad_tol``), ``"line_search"``
+    (no Armijo step in 40 halvings: the energy no longer resolves the
+    step), ``"max_iters"`` or ``"breach"`` (the energy fell through
+    ``breach_floor``; this one overrides the others).
     """
     grid = pair.grid
     prec = None
     E = energy(pair, a, V).energy
     max_defect = pair.defect()
     breached = False
-    it = 0
-    grad_norm = math.inf
+    reason = "max_iters"
     post_breach = 0
     memory: list[tuple[tuple, tuple, float]] = []  # (s, y, 1/<s, y>)
     last = None  # (step vector, tangent gradient) of the previous iterate
@@ -514,6 +527,7 @@ def _descent_phase(
             if post_breach >= 12 or E < breach_floor - 1e3 * (1 + abs(breach_floor)):
                 break
         if grad_norm <= cfg.grad_tol and not breached:
+            reason = "tolerance"
             break
         if last is not None:
             step_vec, t_prev = (_horizontal(pair, *x) for x in last)
@@ -558,12 +572,15 @@ def _descent_phase(
                 break
             step *= cfg.backtrack_factor
         if not accepted:
-            break  # stagnation at rounding level
+            reason = "line_search"
+            break
         last = (tuple(ScalarField(grid, step * f.values) for f in d), t)
         pair = cand
         E = Ec
         max_defect = max(max_defect, pair.defect())
-    return pair, it, grad_norm, breached, max_defect, E
+    if breached:
+        reason = "breach"
+    return pair, reason, max_defect
 
 
 def _occupied_from_eigs(eig: EigResult, ref: OrbitalPair) -> OrbitalPair:
@@ -672,7 +689,7 @@ def scf_refine(
                 fallbacks += 1
                 if fallbacks >= 3:
                     # descend a little and restart the loop once
-                    pair, _, _, _, _, _ = _descent_phase(
+                    pair, _, _ = _descent_phase(
                         pair, a, V, cfg,
                         max_iters=40, step_init=cfg.step_init / 4.0,
                         history=history, it0=it0 + outer,
@@ -698,7 +715,7 @@ def minimize_ground_state(
     """Trapped two-orbital ground state at coupling a.
 
     L-BFGS descent phase, then an SCF polish if cfg.scf_toggle and the
-    descent stopped above grad_tol (iteration cap or stagnation) or on a
+    descent stopped short of grad_tol (iteration cap or line search) or on a
     stationary point that fails the aufbau check, final rotation to the
     multiplier eigenbasis with certified eigenresiduals.  ``converged``
     needs small eigenresiduals and the aufbau property: the occupied
@@ -720,7 +737,7 @@ def minimize_ground_state(
     E0 = energy(pair, a, V).energy
     breach_floor = -1e-6 * max(1.0, abs(E0))
 
-    pair, iters, grad_norm, breached, max_defect, _ = _descent_phase(
+    pair, reason, max_defect = _descent_phase(
         pair, a, V, cfg,
         max_iters=cfg.max_iters, step_init=cfg.step_init,
         history=history, breach_floor=breach_floor,
@@ -728,16 +745,16 @@ def minimize_ground_state(
 
     scf_outer = 0
     scf_defect = None
-    if breached:
+    if reason == "breach":
         diag = diagnose(pair, a, V, trap)
         return SolveResult(
             pair=pair, diag=diag, converged=False, iters=len(history),
             residuals=(math.inf, math.inf), history=history,
-            threshold_breach=True, max_pair_defect=max_defect,
-            width=pair_width(pair),
+            stop_reason=reason, threshold_breach=True,
+            max_pair_defect=max_defect, width=pair_width(pair),
         )
 
-    polish = cfg.scf_toggle and grad_norm > cfg.grad_tol
+    polish = cfg.scf_toggle and reason != "tolerance"
     while True:
         if polish:
             pair, scf_outer, scf_defect, history = scf_refine(
@@ -771,7 +788,8 @@ def minimize_ground_state(
     )
     return SolveResult(
         pair=rotated, diag=diag, converged=converged, iters=len(history),
-        residuals=(res1, res2), history=history, degeneracy_gap=gap,
+        residuals=(res1, res2), history=history,
+        stop_reason=reason + "+scf" if polish else reason, degeneracy_gap=gap,
         scf_outer=scf_outer, scf_defect=scf_defect,
         max_pair_defect=max_defect, width=pair_width(rotated),
         eig_values=tuple(float(v) for v in gap_eig.values),
@@ -1292,6 +1310,7 @@ def continuation_sweep(
             defect=res.pair.defect(),
             converged=res.converged,
             under_resolved=bool(under),
+            stop_reason=res.stop_reason,
         )
         records.append(rec)
         pairs.append(res.pair)

@@ -20,6 +20,7 @@ from fermivar.grid import (
     kinetic_energy,
     laplacian_apply,
     mask_boundary,
+    neg_laplacian_core,
     norm,
     read_snapshot,
     resample_scaled,
@@ -58,6 +59,18 @@ def test_quadrature_exact_for_trilinear_products():
     # volume of the box
     one = ScalarField(g, np.ones(g.shape))
     assert integrate(one) == pytest.approx(8.0, rel=1e-12)
+    # the rule is exact for trilinear integrands, which pins the half-weight
+    # boundary rows on a field that does not vanish there: over [-L, L]^3,
+    # (1 + x)(2 - y)(z + 1/2) integrates to 2L * 4L * L
+    L = 1.3
+    g = BoxGrid(11, L)
+    X, Y, Z = g.meshgrid()
+    exact = 8.0 * L ** 3
+    tri = ScalarField(g, (1.0 + X) * (2.0 - Y) * (Z + 0.5))
+    assert integrate(tri) == pytest.approx(exact, rel=1e-13)
+    f = ScalarField(g, (1.0 + X) * (2.0 - Y))
+    h = ScalarField(g, Z + 0.5)
+    assert inner(f, h) == pytest.approx(exact, rel=1e-13)
 
 
 def test_integrate_converges_second_order():
@@ -126,6 +139,20 @@ def test_laplacian_second_order_convergence():
     e1, e2 = stencil_err(32), stencil_err(64)
     ratio = e1 / e2
     assert 3.0 < ratio < 5.5, f"expected ~4x error drop per halving, got {ratio}"
+
+
+def test_neg_laplacian_core_batches_fields():
+    # the interior operator on a block of fields (trailing batch axis) is
+    # the interior of laplacian_apply, field by field, bit for bit
+    g = BoxGrid(14, 1.5)
+    rng = np.random.default_rng(5)
+    fields = [ScalarField(g, rng.standard_normal(g.shape)) for _ in range(3)]
+    block = np.stack([f.values[1:-1, 1:-1, 1:-1] for f in fields], axis=-1)
+    out = neg_laplacian_core(block, g.spacing)
+    for j, f in enumerate(fields):
+        ref = laplacian_apply(f).values[1:-1, 1:-1, 1:-1]
+        assert np.array_equal(neg_laplacian_core(block[..., j], g.spacing), ref)
+        assert np.array_equal(out[..., j], ref)
 
 
 def test_kinetic_energy_matches_quadratic_form():

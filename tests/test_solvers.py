@@ -1,14 +1,20 @@
 """Ground-state solver, concentration-quotient minimizers, sweep driver."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fermivar
 from fermivar.grid import BoxGrid, ScalarField, inner, integrate, norm
 from fermivar.model import TrapPotential, Well, potential_field
 from fermivar.solvers import (
     SolverConfig,
+    TensorPreconditioner,
     _separated_pair_quotients,
     UnderResolvedError,
     continuation_sweep,
@@ -119,6 +125,66 @@ def test_lowest_eigenpairs_validation():
         lowest_eigenpairs(g.zeros(), g.zeros(), 0.0, 9, 1e-6)
 
 
+def test_tensor_preconditioner_block_and_dense_solve():
+    # A separable diagonal makes the surrogate exact, so apply_core inverts
+    # -lap_h + diag + shift, whose 512 x 512 matrix is assembled here from
+    # the 1-D tridiagonals.  A block of fields equals field by field.
+    g = BoxGrid(10, 1.5)
+    m, h = g.n_per_axis - 2, g.spacing
+    x = g.axis()[1:-1]
+    diag = (x ** 2)[:, None, None] + (0.5 * x + 1.0)[None, :, None] \
+        + np.cos(x)[None, None, :]
+    shift = 1.0
+    prec = TensorPreconditioner(g, diag, shift)
+    T = (np.diag(np.full(m, 2.0 / h ** 2))
+         - np.diag(np.full(m - 1, 1.0 / h ** 2), 1)
+         - np.diag(np.full(m - 1, 1.0 / h ** 2), -1))
+    eye = np.eye(m)
+    A = (np.kron(np.kron(T, eye), eye) + np.kron(np.kron(eye, T), eye)
+         + np.kron(np.kron(eye, eye), T) + np.diag(diag.ravel() + shift))
+    block = np.random.default_rng(9).standard_normal((m, m, m, 3))
+    out = prec.apply_core(block)
+    assert out.shape == block.shape
+    for j in range(3):
+        col = prec.apply_core(np.ascontiguousarray(block[..., j]))
+        assert np.array_equal(out[..., j], col)
+        dense = np.linalg.solve(A, block[..., j].ravel()).reshape(m, m, m)
+        assert np.abs(col - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+_THREADS_PROBE = """
+import hashlib
+import numpy as np
+from fermivar.grid import BoxGrid, ScalarField, inner, integrate
+from fermivar.solvers import TensorPreconditioner
+g = BoxGrid(96, 2.2)
+rng = np.random.default_rng(2024)
+f = ScalarField(g, rng.standard_normal(g.shape))
+h = ScalarField(g, rng.standard_normal(g.shape))
+prec = TensorPreconditioner(g, rng.random((94, 94, 94)), 1.0)
+core = f.values[1:-1, 1:-1, 1:-1]
+print(inner(f, h).hex(), integrate(f).hex(),
+      hashlib.sha256(prec.apply_core(core).tobytes()).hexdigest(),
+      hashlib.sha256(prec.apply_core(np.stack([core, core], -1)).tobytes()).hexdigest())
+"""
+
+
+def test_kernels_independent_of_blas_threads():
+    # "same config, same seed, same bytes out" must not depend on how many
+    # threads the BLAS behind the quadrature and the preconditioner uses
+    src = str(Path(fermivar.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append(run.stdout.split())
+    assert len(outs[0]) == 4
+    assert outs[0] == outs[1]
+
+
 # ---------------------------------------------------------------------------
 # trapped ground state
 # ---------------------------------------------------------------------------
@@ -184,6 +250,7 @@ def test_supercritical_coupling_breaches():
     cfg = SolverConfig(seed=2, max_iters=400)
     res = minimize_ground_state(14.0, HARMONIC, g, cfg)
     assert res.threshold_breach
+    assert res.stop_reason == "breach"
     assert not res.converged
     assert res.history[-1][1] < 0.0  # the dive is on record
     assert math.isinf(res.residuals[0])
@@ -344,6 +411,9 @@ def test_sweep_produces_ordered_records():
     assert r0.eps > r1.eps  # eps shrinks approaching the threshold
     assert r0.eps == pytest.approx((9.5 - 5.0) ** 0.25, rel=1e-12)
     assert r0.converged and r1.converged
+    # each record says why its solve stopped
+    for r in out.records:
+        assert r.stop_reason.split("+")[0] in ("tolerance", "line_search", "max_iters")
     assert not r0.under_resolved  # eps ~ 1.45 >> 8 spacings
     # concentrates at the well: the paper fixes |peak - x0| = O(eps) only,
     # and the s+p density peaks on the p lobe, off the well centre
