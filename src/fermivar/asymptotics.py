@@ -25,6 +25,7 @@ import numpy as np
 from .grid import (
     BoxGrid,
     ScalarField,
+    atomic_open,
     inner,
     integrate,
     norm,
@@ -103,7 +104,7 @@ def write_sweep_csv(records, path) -> None:
     recs = list(records)
     if any(b.a <= a.a for a, b in zip(recs, recs[1:])):
         raise SweepFormatError("records must be sorted by a ascending")
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         w = csv.writer(fh, lineterminator="\n")
         for r in recs:
@@ -685,7 +686,7 @@ def build_report(
 
 
 def write_report(report: dict, path) -> None:
-    with open(path, "w") as fh:
+    with atomic_open(path, "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
@@ -699,7 +700,7 @@ def write_plot_tables(records, a_hat: float, outdir,
     use = usable_records(records)
     for name, get in (("E", lambda r: r.E), ("P", lambda r: r.P)):
         path = os.path.join(outdir, f"loglog_{name}.csv")
-        with open(path, "w") as fh:
+        with atomic_open(path, "w") as fh:
             fh.write(f"a_hat_minus_a,{name}\n")
             for r in use:
                 fh.write(f"{repr(a_hat - r.a)},{repr(get(r))}\n")
@@ -707,7 +708,7 @@ def write_plot_tables(records, a_hat: float, outdir,
     if decay_extract is not None:
         centers, means, counts = radial_shell_profile(decay_extract.rescaled_density)
         path = os.path.join(outdir, "radial_profile.csv")
-        with open(path, "w") as fh:
+        with atomic_open(path, "w") as fh:
             fh.write("r,rho_shell_mean\n")
             for c, m, k in zip(centers, means, counts):
                 if k > 0:

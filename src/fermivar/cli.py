@@ -215,9 +215,15 @@ def build_trap(raw: dict) -> TrapPotential:
 
 def build_solver(raw: dict, seed_override: int | None) -> SolverConfig:
     kwargs = dict(raw.get("solver", {}))
+    # The schema admits any number for a float knob and whole-number floats
+    # such as 5.0 for an integer one; hand both over as their field's type.
+    # type() keeps bool fields (true/false only) apart from int.
     for f in dataclasses.fields(SolverConfig):
-        if f.name in kwargs and isinstance(f.default, float):
-            kwargs[f.name] = float(kwargs[f.name])
+        value = kwargs.get(f.name)
+        if type(f.default) is float and value is not None:
+            kwargs[f.name] = float(value)
+        elif type(f.default) is int and isinstance(value, float) and value.is_integer():
+            kwargs[f.name] = int(value)
     if seed_override is not None:
         kwargs["seed"] = seed_override
     try:

@@ -372,11 +372,11 @@ class SnapshotFormatError(ValueError):
 
 
 @contextlib.contextmanager
-def atomic_open(path, mode: str):
+def atomic_open(path, mode: str, newline: str | None = None):
     """Open a temporary file beside ``path`` that replaces it only on success."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     finally:

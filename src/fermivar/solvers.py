@@ -10,7 +10,8 @@ Two families of problems share the machinery here:
   densities linearly;
 
 * the concentration quotients: minimize T/P over orthonormal k-frames, by
-  one pinned-slice descent for k = 2 (pairs) and k = 1 (unit fields).  The
+  one pinned-slice descent for k = 2 (pairs) and k = 1 (unit fields), each
+  started from pinned Gaussians only, so no random numbers enter.  The
   continuum quotient is dilation invariant, but the discrete one degrades at
   the grid scale (a lattice spike scores T/P = 6 regardless of h), so
   iterates are periodically dilated back to a reference width — collapse
@@ -94,32 +95,36 @@ _SLIDE_PATIENCE = 40
 # Curvature pairs kept by the ground-state L-BFGS descent.
 _LBFGS_MEMORY = 8
 
+# Armijo sufficient-decrease constant and step factor of the backtracking
+# line search in both descents.
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
+
+# Shift of the tensor preconditioner's separable surrogate operator.
+_PRECOND_SHIFT = 1.0
+
+# LOBPCG runs in rounds of 15 iterations, at most this many.
+_EIG_ROUNDS = 6
+
+# Iterations between preconditioner rebuilds in both descents; the quotient
+# descent checks and re-pins its orbital widths on the same beat.
+_REFRESH_EVERY = 25
+
+# Narrowest radial width, in grid spacings, a quotient iterate may take.
+_COLLAPSE_WIDTH_NODES = 6.0
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 500
     grad_tol: float = 1e-6
     step_init: float = 0.25
-    step_rule: str = "backtracking_armijo"
     scf_mixing: float = 0.5
     scf_toggle: bool = True
     seed: int = 2024
-
-    # plumbing knobs beyond the core contract, all deterministic defaults
-    armijo_c: float = 1e-4
-    backtrack_factor: float = 0.5
-    precondition: bool = True
-    precond_shift: float = 1.0
     scf_max_outer: int = 90
     scf_tol: float = 1e-8  # L1 self-consistency defect
     eig_tol: float = 1e-7
-    eig_max_rounds: int = 6
-    pin_every: int = 25
-    collapse_width_nodes: float = 6.0
-    multistart: int = 3
-    # A sweep record is flagged under-resolved when its blow-up length eps
-    # spans fewer than this many grid spacings.
-    eps_resolution_nodes: float = _asy.EPS_RESOLUTION_NODES
     # Pinned width of a quotient minimizer as a fraction of the box
     # half-width.  The quotient is dilation-invariant, so any pin scale is
     # equally valid in exact arithmetic; on the grid the kinetic stencil
@@ -138,10 +143,12 @@ class SolverConfig:
     def __post_init__(self):
         if not (0.0 < self.scf_mixing <= 1.0):
             raise ValueError(f"scf_mixing must be in (0, 1], got {self.scf_mixing}")
-        if self.step_rule != "backtracking_armijo":
-            raise ValueError(f"unknown step rule {self.step_rule!r}")
-        if self.max_iters < 1 or self.grad_tol <= 0 or self.step_init <= 0:
-            raise ValueError("max_iters, grad_tol, step_init must be positive")
+        if self.max_iters < 1 or self.scf_max_outer < 1:
+            raise ValueError("max_iters and scf_max_outer must be at least 1")
+        for name in ("grad_tol", "step_init", "eig_tol", "scf_tol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit in uint64")
         if not (0.0 < self.spike_guard <= 1.0):
@@ -282,7 +289,7 @@ def lowest_eigenpairs(
     n, h = grid.n_per_axis, grid.spacing
     m = n - 2
     diag = _core(effective_potential(rho, V, a))
-    prec = TensorPreconditioner(grid, diag, cfg.precond_shift)
+    prec = TensorPreconditioner(grid, diag, _PRECOND_SHIFT)
 
     def matmat(X: np.ndarray) -> np.ndarray:
         x = X.reshape(m, m, m, -1)
@@ -312,7 +319,7 @@ def lowest_eigenpairs(
     X, _ = np.linalg.qr(X)
 
     total_iter = 0
-    for _round in range(cfg.eig_max_rounds):
+    for _round in range(_EIG_ROUNDS):
         with np.errstate(all="ignore"), warnings.catch_warnings():
             # residuals are recomputed and certified below; the solver's own
             # not-converged-yet warnings are noise between rounds
@@ -408,39 +415,25 @@ def _density_sigma(rho: ScalarField, center: np.ndarray) -> float:
     return math.sqrt(max(second_moment(rho, center) / mass / 3.0, 0.0))
 
 
+def _gaussian(grid: BoxGrid, sigma: float, center=(0.0, 0.0, 0.0)):
+    """exp(-|x - center|^2 / (4 sigma^2)) on the nodes, and x - center per axis."""
+    xs = tuple(x - c for x, c in zip(grid.meshgrid(), center))
+    r2 = xs[0] ** 2 + xs[1] ** 2 + xs[2] ** 2
+    return np.exp(-r2 / (4.0 * sigma * sigma)), xs
+
+
+def _unit_orbital(grid: BoxGrid, values: np.ndarray) -> ScalarField:
+    """``values`` with the boundary set to zero, scaled to unit norm."""
+    f = ScalarField(grid, mask_boundary(values))
+    return ScalarField(grid, f.values / norm(f))
+
+
 def gaussian_pair(
     grid: BoxGrid, sigma: float, center=(0.0, 0.0, 0.0), axis: int = 0
 ) -> OrbitalPair:
     """s-like and p-like Gaussians, the structured initial guess."""
-    X, Y, Z = grid.meshgrid()
-    r2 = (X - center[0]) ** 2 + (Y - center[1]) ** 2 + (Z - center[2]) ** 2
-    g = np.exp(-r2 / (4.0 * sigma * sigma))
-    xs = (X - center[0], Y - center[1], Z - center[2])[axis]
-    f1 = ScalarField(grid, mask_boundary(g))
-    f2 = ScalarField(grid, mask_boundary(xs * g))
-    n1, n2 = norm(f1), norm(f2)
-    f1 = ScalarField(grid, f1.values / n1)
-    f2 = ScalarField(grid, f2.values / n2)
-    return loewdin(f1, f2)
-
-
-def random_smooth_pair(grid: BoxGrid, sigma: float, rng: np.random.Generator,
-                       center=(0.0, 0.0, 0.0)) -> OrbitalPair:
-    """Random superposition of displaced Gaussians, orthonormalized."""
-    X, Y, Z = grid.meshgrid()
-    fields = []
-    for _ in range(2):
-        acc = np.zeros(grid.shape)
-        for _ in range(6):
-            c = center + rng.uniform(-sigma, sigma, size=3)
-            s = sigma * rng.uniform(0.6, 1.6)
-            amp = rng.standard_normal()
-            r2 = (X - c[0]) ** 2 + (Y - c[1]) ** 2 + (Z - c[2]) ** 2
-            acc += amp * np.exp(-r2 / (4.0 * s * s))
-        acc = mask_boundary(acc)
-        f = ScalarField(grid, acc)
-        fields.append(ScalarField(grid, acc / norm(f)))
-    return loewdin(fields[0], fields[1])
+    g, xs = _gaussian(grid, sigma, center)
+    return loewdin(_unit_orbital(grid, g), _unit_orbital(grid, xs[axis] * g))
 
 
 # ---------------------------------------------------------------------------
@@ -506,16 +499,14 @@ def _descent_phase(
     last = None  # (step vector, tangent gradient) of the previous iterate
 
     def apply_prec(x):
-        if prec is None:
-            return x
         return _horizontal(pair, *(
             ScalarField(grid, _pad(prec.apply_core(_core(f.values)))) for f in x))
 
     for it in range(1, max_iters + 1):
         rho = density(pair)
-        if cfg.precondition and (prec is None or it % 25 == 1):
+        if it % _REFRESH_EVERY == 1:
             prec = TensorPreconditioner(
-                grid, _core(effective_potential(rho, V, a)), cfg.precond_shift,
+                grid, _core(effective_potential(rho, V, a)), _PRECOND_SHIFT,
             )
         g1, g2 = _gradient_fields(pair, rho, V, a)
         t = project_tangent(pair, g1, g2)
@@ -567,10 +558,10 @@ def _descent_phase(
         for _ in range(40):
             cand = retract(pair, d[0], d[1], step)
             Ec = energy(cand, a, V).energy
-            if Ec <= E + cfg.armijo_c * step * slope:
+            if Ec <= E + _ARMIJO_C * step * slope:
                 accepted = True
                 break
-            step *= cfg.backtrack_factor
+            step *= _BACKTRACK
         if not accepted:
             reason = "line_search"
             break
@@ -818,6 +809,17 @@ def _orbital_width(u: ScalarField) -> float:
     return math.sqrt(max(w2, 0.0))
 
 
+def _pinned_width(grid: BoxGrid, cfg: SolverConfig) -> float:
+    """Radial width the quotient minimizers pin; raises if the grid cannot hold it."""
+    target_w = cfg.pin_fraction * grid.half_width
+    if target_w < _COLLAPSE_WIDTH_NODES * grid.spacing:
+        # w/h = pin_fraction * (n-1)/2 depends on n alone (n >= 61 at 0.2)
+        raise UnderResolvedError(
+            f"pinned width {target_w:.3g} below {_COLLAPSE_WIDTH_NODES} nodes"
+        )
+    return target_w
+
+
 def _pin_orbitals(us, widths) -> tuple[ScalarField, ...]:
     """Rescale each orbital to its prescribed radial width, re-orthonormalize."""
     ws = [_orbital_width(u) for u in us]
@@ -840,23 +842,17 @@ def minimize_quotient_rank2(
     held fixed and both per-orbital dilation generators projected out of
     the search direction -- and the one genuine internal parameter this
     freezes, the width ratio of the two orbitals, is recovered by an outer
-    scan of independently started slices.  Slices whose descent still finds
-    a kurtotic core+shoulder shape (pinned widths, node-scale center) are
-    rejected by the node-mass guard rather than reported: such shapes slide
-    indefinitely on the lattice and carry no threshold information.  The
-    reported value is the minimum over surviving ratios of the polished
-    slice minimum, rotated to the eigenbasis of its own mean-field operator.
+    scan of slices, each started from the same pinned Gaussian s+p pair of
+    :func:`gaussian_pair`.  Slices whose descent still finds a kurtotic
+    core+shoulder shape (pinned widths, node-scale center) are rejected by
+    the node-mass guard rather than reported: such shapes slide indefinitely
+    on the lattice and carry no threshold information.  The reported value
+    is the polished minimum of the best-scoring scanned slice that survives
+    the polish, rotated to the eigenbasis of its own mean-field operator.
     The discrete value depends on the node count alone, not the box scale.
     """
-    target_w = cfg.pin_fraction * grid.half_width
-    floor = cfg.collapse_width_nodes * grid.spacing
-    if target_w < floor:
-        raise UnderResolvedError(
-            f"pinned width {target_w:.3g} below {cfg.collapse_width_nodes} nodes"
-        )
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(41,))
-    )
+    target_w = _pinned_width(grid, cfg)
+    floor = _COLLAPSE_WIDTH_NODES * grid.spacing
     sigma0 = target_w / 2.0
     coarse = replace(
         cfg, grad_tol=max(cfg.grad_tol, 1e-4), max_iters=min(cfg.max_iters, 60)
@@ -923,38 +919,17 @@ def minimize_quotient_rank2(
                 if qc is not None and qc < scanned[best_r][0]:
                     best_r = rv
 
-    # Random re-starts on the winning slice (insurance against a
-    # start-dependent basin), then a full-tolerance polish.  A contender that
-    # was quietly creeping toward node-scale structure during the short scan
-    # pass dies under the guard here; when every contender on a slice dies,
-    # the slice itself was contaminated and the next-best scanned ratio is
-    # polished instead.  Only a polished, guard-passing pair is returned.
-    def polish(r):
-        contenders = [scanned[r]]
-        for _ in range(max(0, cfg.multistart - 1)):
-            try:
-                cand, qc = slice_min(
-                    random_smooth_pair(grid, sigma0, rng), r, coarse
-                )
-            except UnderResolvedError:
-                continue
-            contenders.append((qc, cand))
-        contenders.sort(key=lambda item: item[0])
-        for _, cand in contenders:
-            try:
-                out, qv = slice_min(cand, r, cfg)
-            except UnderResolvedError:
-                continue
-            return qv, out
-        return None
-
-    pair = None
+    # Full-tolerance polish of the best scanned slice.  A slice that was
+    # quietly creeping toward node-scale structure during the short scan pass
+    # dies under the guard here, and the next-best scanned ratio is polished
+    # instead.  Only a polished, guard-passing pair is returned.
     for r in sorted(scanned, key=lambda rr: scanned[rr][0]):
-        result = polish(r)
-        if result is not None:
-            q, pair = result
-            break
-    if pair is None:
+        try:
+            pair, q = slice_min(scanned[r][1], r, cfg)
+        except UnderResolvedError:
+            continue
+        break
+    else:
         raise UnderResolvedError(
             "no quotient slice admitted a resolved minimizer on this grid"
         )
@@ -1000,9 +975,9 @@ def _quotient_descent(us, grid, cfg, widths):
     strikes = 0
     best = None
     slide_run = 0
-    floor = cfg.collapse_width_nodes * grid.spacing
+    floor = _COLLAPSE_WIDTH_NODES * grid.spacing
     for it in range(1, cfg.max_iters + 1):
-        if it % cfg.pin_every == 0:
+        if it % _REFRESH_EVERY == 0:
             ws = [_orbital_width(u) for u in us]
             spiky = _max_node_mass(grid, *us) > cfg.spike_guard
             if spiky or min(ws) < floor:
@@ -1017,9 +992,9 @@ def _quotient_descent(us, grid, cfg, widths):
                 q = quotient_value(us)
                 step = cfg.step_init
         rho = density(us)
-        if cfg.precondition and (prec is None or it % cfg.pin_every == 0):
+        if prec is None or it % _REFRESH_EVERY == 0:
             prec = TensorPreconditioner(
-                grid, _core(effective_potential(rho, zero, q)), cfg.precond_shift,
+                grid, _core(effective_potential(rho, zero, q)), _PRECOND_SHIFT,
             )
         P = p_integral(rho)
         # grad q = (2/P) * (-lap u_i - (5q/3) rho^{2/3} u_i)
@@ -1049,27 +1024,25 @@ def _quotient_descent(us, grid, cfg, widths):
                 break
         else:
             slide_run = 0
-        d = steepest = tuple(ScalarField(grid, -f.values) for f in t)
-        if prec is not None:
-            d = _drop_modes(project_tangent_frame(us, tuple(
-                ScalarField(grid, -_pad(prec.apply_core(_core(f.values)))) for f in t
-            )), modes)
+        d = _drop_modes(project_tangent_frame(us, tuple(
+            ScalarField(grid, -_pad(prec.apply_core(_core(f.values)))) for f in t
+        )), modes)
         slope = _frame_dot(g, d)
         if slope >= 0:
-            d, slope = steepest, -gn * gn
+            d, slope = tuple(ScalarField(grid, -f.values) for f in t), -gn * gn
         accepted = False
         tau = step
         for _ in range(40):
             cand = retract_frame(us, d, tau)
             qc = quotient_value(cand)
-            if qc <= q + cfg.armijo_c * tau * slope:
+            if qc <= q + _ARMIJO_C * tau * slope:
                 accepted = True
                 break
-            tau *= cfg.backtrack_factor
+            tau *= _BACKTRACK
         if not accepted:
             break
         us, q = cand, qc
-        step = min(cfg.step_init, tau / cfg.backtrack_factor)
+        step = min(cfg.step_init, tau / _BACKTRACK)
     if best is not None:
         _, us, q = best
     if _max_node_mass(grid, *us) > cfg.spike_guard:
@@ -1091,42 +1064,14 @@ def minimize_quotient_rank1(
     """Single-orbital concentration threshold (the shooting cross-check).
 
     The k = 1 case of the pinned-slice descent behind
-    :func:`minimize_quotient_rank2`, started from a Gaussian and from
-    ``cfg.multistart - 1`` random smooth fields; a start that leaves the
-    resolvable regime is discarded.  The returned orbital has a positive
-    dominant lobe.
+    :func:`minimize_quotient_rank2`, run once from the pinned s-like
+    Gaussian of :func:`gaussian_pair`; an iterate that leaves the resolvable
+    regime raises :class:`UnderResolvedError`.  The returned orbital has a
+    positive dominant lobe.
     """
-    target_w = cfg.pin_fraction * grid.half_width
-    if target_w < cfg.collapse_width_nodes * grid.spacing:
-        # at the default pin, w/h = (n-1)/10 depends on n alone; need n >= 61
-        raise UnderResolvedError(
-            f"pinned width {target_w:.3g} below {cfg.collapse_width_nodes} nodes"
-        )
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=cfg.seed, spawn_key=(43,))
-    )
-    sigma0 = target_w / math.sqrt(3.0)
-
-    X, Y, Z = grid.meshgrid()
-    starts = []
-    g = np.exp(-(X * X + Y * Y + Z * Z) / (4 * sigma0 * sigma0))
-    f = ScalarField(grid, mask_boundary(g))
-    starts.append(ScalarField(grid, f.values / norm(f)))
-    for _ in range(max(0, cfg.multistart - 1)):
-        p = random_smooth_pair(grid, sigma0, rng)
-        starts.append(p.u1)
-
-    best = None
-    for u in starts:
-        try:
-            (u,), q = _quotient_descent((u,), grid, cfg, (target_w,))
-        except UnderResolvedError:
-            continue
-        if best is None or q < best[0]:
-            best = (q, u)
-    if best is None:
-        raise UnderResolvedError("every rank-1 quotient start collapsed")
-    q, u = best
+    target_w = _pinned_width(grid, cfg)
+    g, _ = _gaussian(grid, target_w / math.sqrt(3.0))
+    (u,), _ = _quotient_descent((_unit_orbital(grid, g),), grid, cfg, (target_w,))
     if u.values.ravel()[int(np.argmax(np.abs(u.values)))] < 0:
         u = ScalarField(grid, -u.values)
     return quotient_value_rank1(u), u
@@ -1272,9 +1217,10 @@ def continuation_sweep(
     """Warm-started sequence of ground-state solves for increasing a.
 
     Records carry the scale parameter eps = (a_hat - a)^{1/(p+2)} and the
-    under-resolution flag (eps spanning fewer than cfg.eps_resolution_nodes
-    grid spacings).  Any solve failure aborts the sweep at that index with
-    the partial records preserved.
+    under-resolution flag (eps spanning fewer than
+    ``asymptotics.EPS_RESOLUTION_NODES`` grid spacings, the rule
+    :func:`asymptotics.rescale_extract` warns by).  Any solve failure aborts
+    the sweep at that index with the partial records preserved.
     """
     a_arr = [float(a) for a in a_list]
     if any(b <= a for a, b in zip(a_arr, a_arr[1:])):
@@ -1296,7 +1242,7 @@ def continuation_sweep(
         peak = _asy.find_peak(rho)
         sigma = _density_sigma(rho, peak)
         eps = (a_hat - a) ** (1.0 / (p + 2.0))
-        under = eps < cfg.eps_resolution_nodes * grid.spacing
+        under = eps < _asy.EPS_RESOLUTION_NODES * grid.spacing
         rec = _asy.SweepRecord(
             a=a,
             eps=eps,

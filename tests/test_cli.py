@@ -81,6 +81,7 @@ def test_invalid_json(tmp_path, capsys):
     ({"format_version": 2}, None, "/format_version"),
     ({"trap.wells": [{"center": [3.0, 0.0, 0.0], "power": 2.0}]}, None,
      "/trap/wells/0/center"),
+    ({"solver": {"multistart": 3}}, None, "/solver"),  # a removed knob
 ])
 def test_schema_rejections(tmp_path, capsys, patch, drop, pointer):
     cp = write_config(tmp_path, patch=patch, drop=drop)
@@ -119,6 +120,30 @@ def test_json_artifact_write_is_atomic(tmp_path):
         fcli._dump_json({"a": 2.0, "b": object()}, str(path))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+
+
+def test_report_write_is_atomic(tmp_path):
+    from fermivar.asymptotics import write_report
+    path = tmp_path / "report.json"
+    write_report({"verdict": "pass"}, str(path))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):  # fails after part of the JSON is written
+        write_report({"a": 2.0, "b": object()}, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_solver_numbers_take_their_field_types(tmp_path):
+    # the schema admits 5.0 as an integer; range() and SeedSequence do not
+    cp = write_config(tmp_path, patch={"solver": {
+        "max_iters": 5.0, "seed": 3.0, "scf_max_outer": 7, "grad_tol": 1,
+        "scf_toggle": False}})
+    cfg = fcli.build_solver(fcli.load_config(cp), None)
+    assert type(cfg.max_iters) is int and cfg.max_iters == 5
+    assert type(cfg.seed) is int and cfg.seed == 3
+    assert type(cfg.scf_max_outer) is int
+    assert type(cfg.grad_tol) is float and cfg.grad_tol == 1.0
+    assert cfg.scf_toggle is False
 
 
 def test_version_matches_pyproject():

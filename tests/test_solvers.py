@@ -26,7 +26,6 @@ from fermivar.solvers import (
     quotient_multiplier_residuals,
     quotient_value,
     quotient_value_rank1,
-    random_smooth_pair,
     separated_pair_upper_bound,
 )
 from fermivar.radial import gn_constants, profile_spline, shoot_soliton
@@ -46,8 +45,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(scf_mixing=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(step_rule="exact_line_search")
-    with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(grad_tol=-1.0)
@@ -57,6 +54,11 @@ def test_config_validation():
         SolverConfig(spike_guard=0.0)
     with pytest.raises(ValueError):
         SolverConfig(pin_fraction=0.5)
+    for bad in ({"grad_tol": math.nan}, {"step_init": math.inf},
+                {"eig_tol": -1.0}, {"scf_tol": 0.0}, {"scf_tol": -1e-8},
+                {"scf_max_outer": 0}):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -76,17 +78,6 @@ def test_gaussian_pair_orthonormal_and_shaped():
     assert abs(u1 - u1[::-1, :, :]).max() < 1e-10
     mid = g.n_per_axis // 2
     assert pair.u1.values[mid, mid, mid] > 0
-
-
-def test_random_smooth_pair_deterministic_per_seed():
-    g = BoxGrid(24, 3.0)
-    p1 = random_smooth_pair(g, 0.6, np.random.default_rng(42))
-    p2 = random_smooth_pair(g, 0.6, np.random.default_rng(42))
-    p3 = random_smooth_pair(g, 0.6, np.random.default_rng(43))
-    assert np.array_equal(p1.u1.values, p2.u1.values)
-    assert np.array_equal(p1.u2.values, p2.u2.values)
-    assert not np.array_equal(p1.u1.values, p3.u1.values)
-    assert p1.defect() <= 1e-12
 
 
 # ---------------------------------------------------------------------------
