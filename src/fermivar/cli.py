@@ -258,8 +258,8 @@ def cmd_astar(raw: dict, args) -> int:
     digest = config_digest(raw)
 
     try:
-        a2_hat, pair = minimize_quotient_rank2(grid, cfg)
-        a1_hat, orb1 = minimize_quotient_rank1(grid, cfg)
+        a2_hat, pair, stop2, scan = minimize_quotient_rank2(grid, cfg)
+        a1_hat, orb1, stop1 = minimize_quotient_rank1(grid, cfg)
     except SolverError as exc:
         return _emit_error(EXIT_SOLVER, "solver", f"threshold estimation failed: {exc}")
 
@@ -288,6 +288,8 @@ def cmd_astar(raw: dict, args) -> int:
         "rank2_continuum_quad_error": float(bound["quad_error"]),
         "ordering_continuum": bool(bound["value"] < oracle.a1_star),
         "separation_rel_continuum": float(bound["rel_below_rank1"]),
+        "stop_reasons": {"rank2": stop2, "rank1": stop1},
+        "rank2_scan": scan,
         "grid": {"n": grid.n_per_axis, "half_width": grid.half_width},
         "seed": cfg.seed,
         "config_digest": digest,

@@ -330,23 +330,34 @@ def dilation_generator(field: ScalarField) -> ScalarField:
     g = field.grid
     h = g.spacing
     n = g.n_per_axis
-    v = mask_boundary(field.values)
-    p = np.pad(v, 2)
-    ax = g.axis()
+    # The result's boundary planes are zero, so only its core is computed.
+    # The core's stencil reaches two nodes out, where the masked boundary
+    # plane and the plane beyond the box both read as zero: the interior
+    # sits in a buffer with two zero planes on each side.
+    p = np.zeros((n + 2,) * 3)
+    p[2:n, 2:n, 2:n] = field.values[1:-1, 1:-1, 1:-1]
+    ax = g.axis()[1:-1]
 
-    def shifted(d, k):  # v at x + k*h along axis d, zero beyond the box
-        idx = [slice(2, n + 2)] * 3
-        idx[d] = slice(2 + k, n + 2 + k)
+    def shifted(d, k):  # v at x + k*h along axis d over the core
+        idx = [slice(2, n)] * 3
+        idx[d] = slice(2 + k, n + k)
         return p[tuple(idx)]
 
-    out = 1.5 * v
+    out = np.zeros((n, n, n))
+    core = out[1:-1, 1:-1, 1:-1]
+    np.multiply(shifted(0, 0), 1.5, out=core)
+    df, tmp = np.empty_like(core), np.empty_like(core)
     for d in range(3):
-        df = (8.0 * (shifted(d, 1) - shifted(d, -1))
-              - (shifted(d, 2) - shifted(d, -2))) / (12.0 * h)
+        np.subtract(shifted(d, 1), shifted(d, -1), out=df)
+        df *= 8.0
+        np.subtract(shifted(d, 2), shifted(d, -2), out=tmp)
+        df -= tmp
+        df /= 12.0 * h
         shape = [1, 1, 1]
-        shape[d] = n
-        out += ax.reshape(shape) * df
-    return ScalarField(g, mask_boundary(out))
+        shape[d] = n - 2
+        df *= ax.reshape(shape)
+        core += df
+    return ScalarField(g, out)
 
 
 def second_moment(field_sq: ScalarField, center: np.ndarray | None = None) -> float:

@@ -87,9 +87,9 @@ class UnderResolvedError(SolverError):
 # the residual *with* the dilation components included — the same quantity
 # the eigenresidual report measures.  The minimizers return the cleanest
 # iterate seen (smallest full residual passing the node-mass guard) and
-# stop once the residual has sat this far above that record for this many
-# consecutive iterations.
-_SLIDE_FACTOR = 4.0
+# stop once no iterate has set a new record for this many iterations: the
+# record they would return can no longer change, whether the run is
+# sliding, creeping on a plateau, or taking rounding-level Armijo steps.
 _SLIDE_PATIENCE = 40
 
 # Curvature pairs kept by the ground-state L-BFGS descent.
@@ -830,7 +830,7 @@ def _pin_orbitals(us, widths) -> tuple[ScalarField, ...]:
 
 def minimize_quotient_rank2(
     grid: BoxGrid, cfg: SolverConfig
-) -> tuple[float, OrbitalPair]:
+) -> tuple[float, OrbitalPair, str, list[dict]]:
     """Discrete two-orbital concentration threshold on this grid.
 
     The continuum quotient is dilation invariant, but the lattice is not:
@@ -850,6 +850,11 @@ def minimize_quotient_rank2(
     is the polished minimum of the best-scoring scanned slice that survives
     the polish, rotated to the eigenbasis of its own mean-field operator.
     The discrete value depends on the node count alone, not the box scale.
+
+    Returns the value, the pair, the polish's stop reason (see
+    :func:`_quotient_descent`) and the scan log: one entry per scanned
+    ratio in scan order, ``{"ratio", "q"}`` with the coarse value or
+    ``{"ratio", "rejected"}`` with the reason the slice collapsed.
     """
     target_w = _pinned_width(grid, cfg)
     floor = _COLLAPSE_WIDTH_NODES * grid.spacing
@@ -863,11 +868,15 @@ def minimize_quotient_rank2(
 
     def scan(r):
         """Coarse slice at ratio r from the Gaussian seed; None if it collapsed."""
+        if any(math.isclose(r, e["ratio"]) for e in log if "rejected" in e):
+            return None  # an edge step back onto a slice already rejected
         try:
-            us, qc = slice_min(gaussian_pair(grid, sigma0), r, coarse)
-        except UnderResolvedError:
+            us, qc, _ = slice_min(gaussian_pair(grid, sigma0), r, coarse)
+        except UnderResolvedError as exc:
+            log.append({"ratio": r, "rejected": str(exc)})
             return None
         scanned[r] = (qc, us)
+        log.append({"ratio": r, "q": qc})
         return qc
 
     # Outer scan over the orbital width ratio.  Every slice starts fresh from
@@ -878,6 +887,7 @@ def minimize_quotient_rank2(
     # itself when the minimum lands on an edge.
     step_r = 2.0 ** (1.0 / 6.0)
     scanned = {}
+    log = []
     best_r = None
     k_lo = 0
     while k_lo > -2 and step_r ** (k_lo - 1) * target_w >= floor:
@@ -925,7 +935,7 @@ def minimize_quotient_rank2(
     # instead.  Only a polished, guard-passing pair is returned.
     for r in sorted(scanned, key=lambda rr: scanned[rr][0]):
         try:
-            pair, q = slice_min(scanned[r][1], r, cfg)
+            pair, q, reason = slice_min(scanned[r][1], r, cfg)
         except UnderResolvedError:
             continue
         break
@@ -936,7 +946,7 @@ def minimize_quotient_rank2(
 
     zero = grid.zeros()
     rotated, _, _ = _rotate_to_multiplier_basis(OrbitalPair(*pair), zero, q)
-    return quotient_value(rotated), rotated
+    return quotient_value(rotated), rotated, reason, log
 
 
 def _drop_modes(x, modes):
@@ -960,11 +970,15 @@ def _quotient_descent(us, grid, cfg, widths):
 
     Returns the frame with the smallest full stationarity residual
     (gradient norm before the dilation modes are removed) among those
-    passing the node-mass guard, and its quotient, not the last one: past
-    the stall shoulder the quotient keeps creeping down along a
+    passing the node-mass guard, its quotient, and the stop reason, not the
+    last iterate: past the stall the quotient keeps creeping down along a
     node-concentration channel that looks convergent to the slice-restricted
     gradient while the full residual grows, so the final iterate is the
-    least trustworthy of the run.
+    least trustworthy of the run.  The run stops on ``"tolerance"`` (sliced
+    gradient below ``grad_tol``), ``"stall"`` (no new record for
+    ``_SLIDE_PATIENCE`` iterations), ``"line_search"`` (Armijo failed) or
+    ``"max_iters"``.  A run that stalls after the guard struck once, or that
+    the guard strikes twice, raises :class:`UnderResolvedError`.
     """
     k = len(widths)
     prec = None
@@ -972,21 +986,21 @@ def _quotient_descent(us, grid, cfg, widths):
     us = _pin_orbitals(us, widths)
     q = quotient_value(us)
     step = cfg.step_init
-    strikes = 0
+    struck = None
     best = None
-    slide_run = 0
+    last_record = 0
+    reason = "max_iters"
     floor = _COLLAPSE_WIDTH_NODES * grid.spacing
     for it in range(1, cfg.max_iters + 1):
         if it % _REFRESH_EVERY == 0:
             ws = [_orbital_width(u) for u in us]
             spiky = _max_node_mass(grid, *us) > cfg.spike_guard
             if spiky or min(ws) < floor:
-                strikes += 1
-                if strikes >= 2:
-                    raise UnderResolvedError(
-                        "quotient iterate left the resolvable regime (widths "
-                        + "/".join(f"{w:.3g}" for w in ws) + f", spiky={spiky})"
-                    )
+                why = ("quotient iterate left the resolvable regime (widths "
+                       + "/".join(f"{w:.3g}" for w in ws) + f", spiky={spiky})")
+                if struck is not None:
+                    raise UnderResolvedError(why)
+                struck = why
             if any(abs(w / wt - 1.0) > 0.02 for w, wt in zip(ws, widths)):
                 us = _pin_orbitals(us, widths)
                 q = quotient_value(us)
@@ -1016,14 +1030,15 @@ def _quotient_descent(us, grid, cfg, widths):
         if ((best is None or full < best[0])
                 and _max_node_mass(grid, *us) <= cfg.spike_guard):
             best = (full, us, q)
+            last_record = it
         if gn <= cfg.grad_tol:
+            reason = "tolerance"
             break
-        if best is not None and full > _SLIDE_FACTOR * best[0]:
-            slide_run += 1
-            if slide_run >= _SLIDE_PATIENCE:
-                break
-        else:
-            slide_run = 0
+        if it - last_record >= _SLIDE_PATIENCE:
+            if struck is not None:
+                raise UnderResolvedError(f"{struck} and stalled at iteration {it}")
+            reason = "stall"
+            break
         d = _drop_modes(project_tangent_frame(us, tuple(
             ScalarField(grid, -_pad(prec.apply_core(_core(f.values)))) for f in t
         )), modes)
@@ -1040,6 +1055,7 @@ def _quotient_descent(us, grid, cfg, widths):
                 break
             tau *= _BACKTRACK
         if not accepted:
+            reason = "line_search"
             break
         us, q = cand, qc
         step = min(cfg.step_init, tau / _BACKTRACK)
@@ -1047,7 +1063,7 @@ def _quotient_descent(us, grid, cfg, widths):
         _, us, q = best
     if _max_node_mass(grid, *us) > cfg.spike_guard:
         raise UnderResolvedError("quotient descent ended on a lattice spike")
-    return us, q
+    return us, q, reason
 
 
 def quotient_multiplier_residuals(pair: OrbitalPair):
@@ -1060,21 +1076,22 @@ def quotient_multiplier_residuals(pair: OrbitalPair):
 
 def minimize_quotient_rank1(
     grid: BoxGrid, cfg: SolverConfig
-) -> tuple[float, ScalarField]:
+) -> tuple[float, ScalarField, str]:
     """Single-orbital concentration threshold (the shooting cross-check).
 
     The k = 1 case of the pinned-slice descent behind
     :func:`minimize_quotient_rank2`, run once from the pinned s-like
     Gaussian of :func:`gaussian_pair`; an iterate that leaves the resolvable
     regime raises :class:`UnderResolvedError`.  The returned orbital has a
-    positive dominant lobe.
+    positive dominant lobe; the descent's stop reason comes last.
     """
     target_w = _pinned_width(grid, cfg)
     g, _ = _gaussian(grid, target_w / math.sqrt(3.0))
-    (u,), _ = _quotient_descent((_unit_orbital(grid, g),), grid, cfg, (target_w,))
+    (u,), _, reason = _quotient_descent(
+        (_unit_orbital(grid, g),), grid, cfg, (target_w,))
     if u.values.ravel()[int(np.argmax(np.abs(u.values)))] < 0:
         u = ScalarField(grid, -u.values)
-    return quotient_value_rank1(u), u
+    return quotient_value_rank1(u), u, reason
 
 
 # Composite Gauss-Legendre rule of the separated-pair quadrature: order per

@@ -15,6 +15,7 @@ from fermivar.asymptotics import (
     DecayRates,
     PeakTieWarning,
     ProfileExtract,
+    ResolutionWarning,
     SweepFormatError,
     SweepRecord,
     WindowError,
@@ -185,7 +186,9 @@ def test_rescale_extract_mass_and_multiplier_scaling():
     src = BoxGrid(48, 3.0)
     pair = sp_pair(src, 0.35)
     ref = BoxGrid(40, 4.0)
-    ex = rescale_extract(pair, 0.5, (0.0, 0.0, 0.0), ref, mu1=-8.0, mu2=-4.0)
+    # eps spans 3.9 source spacings, below the promised 8: the call warns
+    with pytest.warns(ResolutionWarning):
+        ex = rescale_extract(pair, 0.5, (0.0, 0.0, 0.0), ref, mu1=-8.0, mu2=-4.0)
     assert abs(ex.raw_mass - 2.0) < 1e-4
     assert ex.lambda1 == pytest.approx(0.25 * -8.0)
     assert ex.lambda2 == pytest.approx(0.25 * -4.0)

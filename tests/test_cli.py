@@ -1,10 +1,15 @@
 """Command line interface: config validation, error paths, artifacts."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fermivar
 import fermivar.cli as fcli
 
 from conftest import SMALL_ASTAR_CONFIG, load_json
@@ -47,6 +52,19 @@ def run(argv, capsys):
 def stderr_error(err):
     payload = json.loads(err.strip().splitlines()[-1])
     return payload["error"]
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # `python -m fermivar` is the console script: same JSON diagnostic, same code
+    src = str(Path(fermivar.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "fermivar", "astar", "--config",
+         str(tmp_path / "nope.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == fcli.EXIT_CONFIG
+    assert stderr_error(run.stderr)["kind"] == "config"
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +266,22 @@ def test_astar_artifacts_are_complete(small_astar_run):
     assert art["oracle_a1"] == pytest.approx(9.578297, rel=1e-5)
     state = load_json(small_astar_run / "astar_state.json")
     assert state["config_digest"] == art["config_digest"]
+
+
+def test_astar_reports_stop_reasons_and_scan(small_astar_run):
+    art = load_json(small_astar_run / "astar.json")
+    reasons = {"tolerance", "stall", "line_search", "max_iters"}
+    assert set(art["stop_reasons"]) == {"rank1", "rank2"}
+    assert set(art["stop_reasons"].values()) <= reasons
+    scan = art["rank2_scan"]
+    assert scan, "the rank-2 scan logged no slice"
+    for entry in scan:
+        assert set(entry) in ({"ratio", "q"}, {"ratio", "rejected"}), entry
+        assert entry["ratio"] > 0
+    # each ratio is scanned once, and some slice survived to be polished
+    ratios = [e["ratio"] for e in scan]
+    assert len(set(ratios)) == len(ratios)
+    assert any("q" in e for e in scan)
 
 
 def test_astar_reports_continuum_bound_quality(small_astar_run):

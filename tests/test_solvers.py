@@ -12,9 +12,11 @@ import pytest
 import fermivar
 from fermivar.grid import BoxGrid, ScalarField, inner, integrate, norm
 from fermivar.model import TrapPotential, Well, potential_field
+from fermivar import solvers
 from fermivar.solvers import (
     SolverConfig,
     TensorPreconditioner,
+    _quotient_descent,
     _separated_pair_quotients,
     UnderResolvedError,
     continuation_sweep,
@@ -278,7 +280,7 @@ def test_quotient_invariances():
 def test_rank1_minimizer_matches_shooting_threshold():
     g = BoxGrid(48, 2.2)
     cfg = SolverConfig(seed=7, pin_fraction=0.3, max_iters=250)
-    q, u = minimize_quotient_rank1(g, cfg)
+    q, u, _ = minimize_quotient_rank1(g, cfg)
     # the continuum threshold is 9.578297 (radial shooting); the lattice
     # stencil under-counts kinetic energy so the estimate lands just below
     assert q == pytest.approx(9.578297, rel=0.01)
@@ -286,7 +288,7 @@ def test_rank1_minimizer_matches_shooting_threshold():
     assert abs(integrate(ScalarField(g, u.values**2)) - 1.0) < 1e-10
     assert u.values.max() > 0  # sign convention: positive core
     # deterministic
-    q2, u2 = minimize_quotient_rank1(g, cfg)
+    q2, u2, _ = minimize_quotient_rank1(g, cfg)
     assert q2 == q and np.array_equal(u.values, u2.values)
 
 
@@ -294,6 +296,44 @@ def test_rank1_minimizer_rejects_unresolvable_pin():
     g = BoxGrid(40, 2.2)  # pin 0.2*2.2 = 0.44 < 6 spacings = 0.677
     with pytest.raises(UnderResolvedError):
         minimize_quotient_rank1(g, SolverConfig(seed=1))
+
+
+def _count_iterations(monkeypatch):
+    """Count quotient-descent iterations: one gradient evaluation each."""
+    calls = []
+    grad = solvers._gradient_fields
+
+    def counted(*args):
+        calls.append(None)
+        return grad(*args)
+
+    monkeypatch.setattr(solvers, "_gradient_fields", counted)
+    return calls
+
+
+def test_rank1_descent_stops_at_its_stall(monkeypatch):
+    # the last new residual record falls at iteration 19; running on to
+    # max_iters reaches the same frame, value 9.636903923974643
+    calls = _count_iterations(monkeypatch)
+    g = BoxGrid(32, 2.2)
+    q, _, reason = minimize_quotient_rank1(
+        g, SolverConfig(pin_fraction=0.4, max_iters=250))
+    assert reason == "stall"
+    assert len(calls) < 250
+    assert q == pytest.approx(9.636903923974643, rel=1e-12)
+
+
+def test_quotient_slice_that_struck_the_guard_and_stalls_is_rejected(monkeypatch):
+    # the equal-width slice of the n=32, pin 0.4 threshold scan: the guard
+    # strikes at iteration 25 and the residual record stops improving, so the
+    # slice is rejected at its stall rather than at a second strike
+    calls = _count_iterations(monkeypatch)
+    g = BoxGrid(32, 2.2)
+    cfg = SolverConfig(pin_fraction=0.4, grad_tol=1e-4, max_iters=60)
+    w = cfg.pin_fraction * g.half_width
+    with pytest.raises(UnderResolvedError, match="stalled at iteration"):
+        _quotient_descent(gaussian_pair(g, w / 2.0), g, cfg, (w, w))
+    assert 25 < len(calls) < 50
 
 
 def test_quotient_multiplier_residuals_structure():
