@@ -57,11 +57,6 @@ class GNConstants(NamedTuple):
     a1_star: float
 
 
-def _rhs(r: float, w: float, dw: float) -> tuple[float, float]:
-    # w'' = -(2/r) w' + w - |w|^{4/3} w
-    return dw, -(2.0 / r) * dw + w - abs(w) ** (4.0 / 3.0) * w
-
-
 def _series_start(w0: float, r: float) -> tuple[float, float]:
     """Taylor expansion about the regular singular point r = 0.
 
@@ -87,20 +82,29 @@ def _integrate(w0: float, dr: float, r_max: float, keep: bool = False):
     if keep:
         ws[0] = w0
         ws[1] = w
-    w_min_seen = w0
+    # The right-hand side w'' = -(2/r) w' + w - |w|^{4/3} w is written out
+    # at each stage (the slopes of w are the stage values of w').
+    half, sixth, p = dr / 2, dr / 6, 4.0 / 3.0
     for k in range(1, nsteps):
-        k1w, k1v = _rhs(r, w, dw)
-        k2w, k2v = _rhs(r + dr / 2, w + dr / 2 * k1w, dw + dr / 2 * k1v)
-        k3w, k3v = _rhs(r + dr / 2, w + dr / 2 * k2w, dw + dr / 2 * k2v)
-        k4w, k4v = _rhs(r + dr, w + dr * k3w, dw + dr * k3v)
-        w = w + dr / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
-        dw = dw + dr / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        k1w = dw
+        k1v = -(2.0 / r) * dw + w - abs(w) ** p * w
+        rm = r + half
+        w2 = w + half * k1w
+        k2w = dw + half * k1v
+        k2v = -(2.0 / rm) * k2w + w2 - abs(w2) ** p * w2
+        w3 = w + half * k2w
+        k3w = dw + half * k2v
+        k3v = -(2.0 / rm) * k3w + w3 - abs(w3) ** p * w3
+        w4 = w + dr * k3w
+        k4w = dw + dr * k3v
+        k4v = -(2.0 / (r + dr)) * k4w + w4 - abs(w4) ** p * w4
+        w = w + sixth * (k1w + 2 * k2w + 2 * k3w + k4w)
+        dw = dw + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
         r = (k + 1) * dr
         if keep:
             ws[k + 1] = w
         if w <= 0.0:
             return "cross", r, (None if not keep else ws[: k + 2])
-        w_min_seen = min(w_min_seen, w)
         if dw > 0.0 and w < 0.5 * w0:
             return "turn", r, (None if not keep else ws[: k + 2])
     return "decay", r, ws

@@ -85,12 +85,14 @@ class UnderResolvedError(SolverError):
 # residual grows by orders of magnitude.  The slide is invisible to the
 # slice-restricted gradient (it can keep shrinking), so the record tracks
 # the residual *with* the dilation components included — the same quantity
-# the eigenresidual report measures.  The minimizers return the cleanest
-# iterate seen (smallest full residual passing the node-mass guard) and
+# the eigenresidual report measures.  Every iterate must pass the node-mass
+# and width guard (the first that fails rejects the slice), so the
+# minimizers return the cleanest iterate seen (smallest full residual) and
 # stop once no iterate has set a new record for this many iterations: the
 # record they would return can no longer change, whether the run is
 # sliding, creeping on a plateau, or taking rounding-level Armijo steps.
-_SLIDE_PATIENCE = 40
+# The widest gap between two records measured is 20 iterations (n = 96).
+_SLIDE_PATIENCE = 25
 
 # Curvature pairs kept by the ground-state L-BFGS descent.
 _LBFGS_MEMORY = 8
@@ -107,7 +109,7 @@ _PRECOND_SHIFT = 1.0
 _EIG_ROUNDS = 6
 
 # Iterations between preconditioner rebuilds in both descents; the quotient
-# descent checks and re-pins its orbital widths on the same beat.
+# descent re-pins drifted orbital widths on the same beat.
 _REFRESH_EVERY = 25
 
 # Narrowest radial width, in grid spacings, a quotient iterate may take.
@@ -830,7 +832,7 @@ def _pin_orbitals(us, widths) -> tuple[ScalarField, ...]:
 
 def minimize_quotient_rank2(
     grid: BoxGrid, cfg: SolverConfig
-) -> tuple[float, OrbitalPair, str, list[dict]]:
+) -> tuple[float, OrbitalPair, list[dict], list[dict]]:
     """Discrete two-orbital concentration threshold on this grid.
 
     The continuum quotient is dilation invariant, but the lattice is not:
@@ -851,10 +853,13 @@ def minimize_quotient_rank2(
     the polish, rotated to the eigenbasis of its own mean-field operator.
     The discrete value depends on the node count alone, not the box scale.
 
-    Returns the value, the pair, the polish's stop reason (see
-    :func:`_quotient_descent`) and the scan log: one entry per scanned
-    ratio in scan order, ``{"ratio", "q"}`` with the coarse value or
-    ``{"ratio", "rejected"}`` with the reason the slice collapsed.
+    Returns the value, the pair, the scan log and the polish log.  The scan
+    log has one entry per scanned ratio in scan order: ``{"ratio", "q",
+    "stop", "iterations"}`` with the coarse value and its descent's stop
+    reason (see :func:`_quotient_descent`) and iteration count, or
+    ``{"ratio", "rejected"}`` with the reason the slice collapsed.  The
+    polish log has one entry per polish attempt in the same form; its last
+    entry is the polish that produced the returned pair.
     """
     target_w = _pinned_width(grid, cfg)
     floor = _COLLAPSE_WIDTH_NODES * grid.spacing
@@ -871,12 +876,12 @@ def minimize_quotient_rank2(
         if any(math.isclose(r, e["ratio"]) for e in log if "rejected" in e):
             return None  # an edge step back onto a slice already rejected
         try:
-            us, qc, _ = slice_min(gaussian_pair(grid, sigma0), r, coarse)
+            us, qc, stop, its = slice_min(gaussian_pair(grid, sigma0), r, coarse)
         except UnderResolvedError as exc:
             log.append({"ratio": r, "rejected": str(exc)})
             return None
         scanned[r] = (qc, us)
-        log.append({"ratio": r, "q": qc})
+        log.append({"ratio": r, "q": qc, "stop": stop, "iterations": its})
         return qc
 
     # Outer scan over the orbital width ratio.  Every slice starts fresh from
@@ -933,11 +938,14 @@ def minimize_quotient_rank2(
     # quietly creeping toward node-scale structure during the short scan pass
     # dies under the guard here, and the next-best scanned ratio is polished
     # instead.  Only a polished, guard-passing pair is returned.
+    polish = []
     for r in sorted(scanned, key=lambda rr: scanned[rr][0]):
         try:
-            pair, q, reason = slice_min(scanned[r][1], r, cfg)
-        except UnderResolvedError:
+            pair, q, stop, its = slice_min(scanned[r][1], r, cfg)
+        except UnderResolvedError as exc:
+            polish.append({"ratio": r, "rejected": str(exc)})
             continue
+        polish.append({"ratio": r, "q": q, "stop": stop, "iterations": its})
         break
     else:
         raise UnderResolvedError(
@@ -946,7 +954,7 @@ def minimize_quotient_rank2(
 
     zero = grid.zeros()
     rotated, _, _ = _rotate_to_multiplier_basis(OrbitalPair(*pair), zero, q)
-    return quotient_value(rotated), rotated, reason, log
+    return quotient_value(rotated), rotated, log, polish
 
 
 def _drop_modes(x, modes):
@@ -963,22 +971,25 @@ def _quotient_descent(us, grid, cfg, widths):
     ``us`` holds k orbitals (k = 2 for the pair quotient, k = 1 for the
     single-orbital one) and ``widths`` their pinned radial widths.  Each
     orbital's dilation generator is removed from the gradient and the search
-    direction, widths are re-pinned whenever they drift, and the node-mass
-    guard rejects runs that still find a spike+halo path (those beat every
-    smooth profile on the lattice while the continuum assigns them a far
-    larger quotient, so they carry no threshold information).
+    direction, and widths that drift are re-pinned every ``_REFRESH_EVERY``
+    iterations.  A guard checks every iterate: the first whose largest
+    node mass exceeds ``spike_guard`` or whose narrower width falls below
+    ``_COLLAPSE_WIDTH_NODES`` spacings raises :class:`UnderResolvedError`
+    naming its iteration.  Such runs have found a spike+halo path (those
+    beat every smooth profile on the lattice while the continuum assigns
+    them a far larger quotient, so they carry no threshold information),
+    and a slice that turns spiky does not recover.
 
     Returns the frame with the smallest full stationarity residual
-    (gradient norm before the dilation modes are removed) among those
-    passing the node-mass guard, its quotient, and the stop reason, not the
-    last iterate: past the stall the quotient keeps creeping down along a
-    node-concentration channel that looks convergent to the slice-restricted
-    gradient while the full residual grows, so the final iterate is the
-    least trustworthy of the run.  The run stops on ``"tolerance"`` (sliced
-    gradient below ``grad_tol``), ``"stall"`` (no new record for
-    ``_SLIDE_PATIENCE`` iterations), ``"line_search"`` (Armijo failed) or
-    ``"max_iters"``.  A run that stalls after the guard struck once, or that
-    the guard strikes twice, raises :class:`UnderResolvedError`.
+    (gradient norm before the dilation modes are removed), its quotient,
+    the stop reason and the number of iterations (gradient evaluations)
+    run -- not the last iterate: past the stall the quotient keeps creeping
+    down along a node-concentration channel that looks convergent to the
+    slice-restricted gradient while the full residual grows, so the final
+    iterate is the least trustworthy of the run.  The run stops on
+    ``"tolerance"`` (sliced gradient below ``grad_tol``), ``"stall"`` (no
+    new record for ``_SLIDE_PATIENCE`` iterations), ``"line_search"``
+    (Armijo failed) or ``"max_iters"``.
     """
     k = len(widths)
     prec = None
@@ -986,25 +997,22 @@ def _quotient_descent(us, grid, cfg, widths):
     us = _pin_orbitals(us, widths)
     q = quotient_value(us)
     step = cfg.step_init
-    struck = None
     best = None
     last_record = 0
     reason = "max_iters"
     floor = _COLLAPSE_WIDTH_NODES * grid.spacing
     for it in range(1, cfg.max_iters + 1):
-        if it % _REFRESH_EVERY == 0:
-            ws = [_orbital_width(u) for u in us]
-            spiky = _max_node_mass(grid, *us) > cfg.spike_guard
-            if spiky or min(ws) < floor:
-                why = ("quotient iterate left the resolvable regime (widths "
-                       + "/".join(f"{w:.3g}" for w in ws) + f", spiky={spiky})")
-                if struck is not None:
-                    raise UnderResolvedError(why)
-                struck = why
-            if any(abs(w / wt - 1.0) > 0.02 for w, wt in zip(ws, widths)):
-                us = _pin_orbitals(us, widths)
-                q = quotient_value(us)
-                step = cfg.step_init
+        if it % _REFRESH_EVERY == 0 and any(
+                abs(_orbital_width(u) / wt - 1.0) > 0.02 for u, wt in zip(us, widths)):
+            us = _pin_orbitals(us, widths)
+            q = quotient_value(us)
+            step = cfg.step_init
+        ws = [_orbital_width(u) for u in us]
+        spiky = _max_node_mass(grid, *us) > cfg.spike_guard
+        if spiky or min(ws) < floor:
+            raise UnderResolvedError(
+                f"quotient iterate left the resolvable regime at iteration {it} "
+                "(widths " + "/".join(f"{w:.3g}" for w in ws) + f", spiky={spiky})")
         rho = density(us)
         if prec is None or it % _REFRESH_EVERY == 0:
             prec = TensorPreconditioner(
@@ -1027,16 +1035,13 @@ def _quotient_descent(us, grid, cfg, widths):
         full = math.sqrt(_frame_dot(t, t))
         t = _drop_modes(t, modes)
         gn = math.sqrt(_frame_dot(t, t))
-        if ((best is None or full < best[0])
-                and _max_node_mass(grid, *us) <= cfg.spike_guard):
+        if best is None or full < best[0]:
             best = (full, us, q)
             last_record = it
         if gn <= cfg.grad_tol:
             reason = "tolerance"
             break
         if it - last_record >= _SLIDE_PATIENCE:
-            if struck is not None:
-                raise UnderResolvedError(f"{struck} and stalled at iteration {it}")
             reason = "stall"
             break
         d = _drop_modes(project_tangent_frame(us, tuple(
@@ -1059,11 +1064,8 @@ def _quotient_descent(us, grid, cfg, widths):
             break
         us, q = cand, qc
         step = min(cfg.step_init, tau / _BACKTRACK)
-    if best is not None:
-        _, us, q = best
-    if _max_node_mass(grid, *us) > cfg.spike_guard:
-        raise UnderResolvedError("quotient descent ended on a lattice spike")
-    return us, q, reason
+    _, us, q = best
+    return us, q, reason, it
 
 
 def quotient_multiplier_residuals(pair: OrbitalPair):
@@ -1076,22 +1078,23 @@ def quotient_multiplier_residuals(pair: OrbitalPair):
 
 def minimize_quotient_rank1(
     grid: BoxGrid, cfg: SolverConfig
-) -> tuple[float, ScalarField, str]:
+) -> tuple[float, ScalarField, str, int]:
     """Single-orbital concentration threshold (the shooting cross-check).
 
     The k = 1 case of the pinned-slice descent behind
     :func:`minimize_quotient_rank2`, run once from the pinned s-like
     Gaussian of :func:`gaussian_pair`; an iterate that leaves the resolvable
     regime raises :class:`UnderResolvedError`.  The returned orbital has a
-    positive dominant lobe; the descent's stop reason comes last.
+    positive dominant lobe; the descent's stop reason and iteration count
+    come last.
     """
     target_w = _pinned_width(grid, cfg)
     g, _ = _gaussian(grid, target_w / math.sqrt(3.0))
-    (u,), _, reason = _quotient_descent(
+    (u,), _, reason, its = _quotient_descent(
         (_unit_orbital(grid, g),), grid, cfg, (target_w,))
     if u.values.ravel()[int(np.argmax(np.abs(u.values)))] < 0:
         u = ScalarField(grid, -u.values)
-    return quotient_value_rank1(u), u, reason
+    return quotient_value_rank1(u), u, reason, its
 
 
 # Composite Gauss-Legendre rule of the separated-pair quadrature: order per

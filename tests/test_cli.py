@@ -273,15 +273,29 @@ def test_astar_reports_stop_reasons_and_scan(small_astar_run):
     reasons = {"tolerance", "stall", "line_search", "max_iters"}
     assert set(art["stop_reasons"]) == {"rank1", "rank2"}
     assert set(art["stop_reasons"].values()) <= reasons
-    scan = art["rank2_scan"]
+    assert set(art["iterations"]) == {"rank1", "rank2"}
+    assert all(1 <= i <= 250 for i in art["iterations"].values())
+    scan, polish = art["rank2_scan"], art["rank2_polish"]
     assert scan, "the rank-2 scan logged no slice"
-    for entry in scan:
-        assert set(entry) in ({"ratio", "q"}, {"ratio", "rejected"}), entry
+    for entry in scan + polish:
+        assert set(entry) in ({"ratio", "q", "stop", "iterations"},
+                              {"ratio", "rejected"}), entry
         assert entry["ratio"] > 0
+        if "stop" in entry:
+            assert entry["stop"] in reasons
+            assert 1 <= entry["iterations"] <= 250
     # each ratio is scanned once, and some slice survived to be polished
     ratios = [e["ratio"] for e in scan]
     assert len(set(ratios)) == len(ratios)
     assert any("q" in e for e in scan)
+    # the polish tries surviving slices until one passes; the last produced
+    # the reported pair and its counts
+    assert all("rejected" in e for e in polish[:-1])
+    last = polish[-1]
+    assert {e["ratio"] for e in polish} <= {e["ratio"] for e in scan if "q" in e}
+    assert art["stop_reasons"]["rank2"] == last["stop"]
+    assert art["iterations"]["rank2"] == last["iterations"]
+    assert last["q"] == pytest.approx(art["a2_hat"], rel=1e-10)
 
 
 def test_astar_reports_continuum_bound_quality(small_astar_run):

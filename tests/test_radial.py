@@ -7,6 +7,8 @@ import pytest
 
 from fermivar.radial import (
     BracketError,
+    _integrate,
+    _series_start,
     gn_constants,
     shoot_soliton,
     shooting_report,
@@ -86,3 +88,47 @@ def test_virial_residuals_at_roundoff():
     res = shooting_report(PROFILE)["residuals"]
     assert res["kinetic_fraction"] < 1e-10
     assert res["sum_identity"] < 1e-10
+
+
+def _rhs(r, w, dw):
+    # w'' = -(2/r) w' + w - |w|^{4/3} w
+    return dw, -(2.0 / r) * dw + w - abs(w) ** (4.0 / 3.0) * w
+
+
+def _reference_integrate(w0, dr, r_max, keep):
+    """Textbook RK4 through a right-hand-side function, same stop rules."""
+    nsteps = int(round(r_max / dr))
+    w, dw = _series_start(w0, dr)
+    r = dr
+    ws = [w0, w]
+    for k in range(1, nsteps):
+        k1w, k1v = _rhs(r, w, dw)
+        k2w, k2v = _rhs(r + dr / 2, w + dr / 2 * k1w, dw + dr / 2 * k1v)
+        k3w, k3v = _rhs(r + dr / 2, w + dr / 2 * k2w, dw + dr / 2 * k2v)
+        k4w, k4v = _rhs(r + dr, w + dr * k3w, dw + dr * k3v)
+        w = w + dr / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
+        dw = dw + dr / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        r = (k + 1) * dr
+        ws.append(w)
+        if w <= 0.0:
+            return "cross", r, np.array(ws) if keep else None
+        if dw > 0.0 and w < 0.5 * w0:
+            return "turn", r, np.array(ws) if keep else None
+    return "decay", r, np.array(ws) if keep else None
+
+
+@pytest.mark.parametrize("w0, keep, kind", [
+    (10.0, False, "cross"),
+    (2.5, True, "turn"),
+    (PROFILE.w0, True, None),
+])
+def test_integrate_matches_reference_rk4_bit_for_bit(w0, keep, kind):
+    got = _integrate(w0, PROFILE.dr, PROFILE.r_max, keep=keep)
+    ref = _reference_integrate(w0, PROFILE.dr, PROFILE.r_max, keep)
+    if kind is not None:
+        assert got[0] == kind
+    assert got[:2] == ref[:2]
+    if keep:
+        assert got[2].tobytes() == ref[2].tobytes()
+    else:
+        assert got[2] is None

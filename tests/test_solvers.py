@@ -24,6 +24,7 @@ from fermivar.solvers import (
     lowest_eigenpairs,
     minimize_ground_state,
     minimize_quotient_rank1,
+    minimize_quotient_rank2,
     pair_width,
     quotient_multiplier_residuals,
     quotient_value,
@@ -280,7 +281,7 @@ def test_quotient_invariances():
 def test_rank1_minimizer_matches_shooting_threshold():
     g = BoxGrid(48, 2.2)
     cfg = SolverConfig(seed=7, pin_fraction=0.3, max_iters=250)
-    q, u, _ = minimize_quotient_rank1(g, cfg)
+    q, u, _, _ = minimize_quotient_rank1(g, cfg)
     # the continuum threshold is 9.578297 (radial shooting); the lattice
     # stencil under-counts kinetic energy so the estimate lands just below
     assert q == pytest.approx(9.578297, rel=0.01)
@@ -288,7 +289,7 @@ def test_rank1_minimizer_matches_shooting_threshold():
     assert abs(integrate(ScalarField(g, u.values**2)) - 1.0) < 1e-10
     assert u.values.max() > 0  # sign convention: positive core
     # deterministic
-    q2, u2, _ = minimize_quotient_rank1(g, cfg)
+    q2, u2, _, _ = minimize_quotient_rank1(g, cfg)
     assert q2 == q and np.array_equal(u.values, u2.values)
 
 
@@ -312,28 +313,43 @@ def _count_iterations(monkeypatch):
 
 
 def test_rank1_descent_stops_at_its_stall(monkeypatch):
-    # the last new residual record falls at iteration 19; running on to
-    # max_iters reaches the same frame, value 9.636903923974643
+    # the last new residual record falls at iteration 19 and the descent
+    # stops 25 iterations later; running on to max_iters reaches the same
+    # frame, value 9.636903923974643
     calls = _count_iterations(monkeypatch)
     g = BoxGrid(32, 2.2)
-    q, _, reason = minimize_quotient_rank1(
+    q, _, reason, iterations = minimize_quotient_rank1(
         g, SolverConfig(pin_fraction=0.4, max_iters=250))
     assert reason == "stall"
-    assert len(calls) < 250
+    assert iterations == len(calls) <= 50
     assert q == pytest.approx(9.636903923974643, rel=1e-12)
 
 
-def test_quotient_slice_that_struck_the_guard_and_stalls_is_rejected(monkeypatch):
-    # the equal-width slice of the n=32, pin 0.4 threshold scan: the guard
-    # strikes at iteration 25 and the residual record stops improving, so the
-    # slice is rejected at its stall rather than at a second strike
+def test_rank2_threshold_search_iteration_count(monkeypatch):
+    # the n=32, pin 0.4 threshold config: three scanned slices collapse
+    # early, the rest stall, and the polish returns the same record as a
+    # run to max_iters
+    calls = _count_iterations(monkeypatch)
+    g = BoxGrid(32, 2.2)
+    q, _, scan, polish = minimize_quotient_rank2(
+        g, SolverConfig(pin_fraction=0.4, max_iters=250))
+    assert len(calls) <= 130
+    assert [e["ratio"] for e in scan if "rejected" in e] == pytest.approx(
+        [1.0, 2 ** (1 / 6), 2 ** (1 / 3)])
+    assert len(polish) == 1 and polish[0]["stop"] == "stall"
+    assert q == pytest.approx(9.890449593282888, rel=1e-12)
+
+
+def test_quotient_slice_is_rejected_at_its_first_guard_failure(monkeypatch):
+    # the equal-width slice of the n=32, pin 0.4 threshold scan turns spiky
+    # at its third iterate and is rejected there, before a third gradient
     calls = _count_iterations(monkeypatch)
     g = BoxGrid(32, 2.2)
     cfg = SolverConfig(pin_fraction=0.4, grad_tol=1e-4, max_iters=60)
     w = cfg.pin_fraction * g.half_width
-    with pytest.raises(UnderResolvedError, match="stalled at iteration"):
+    with pytest.raises(UnderResolvedError, match=r"at iteration 3 \(.*spiky=True"):
         _quotient_descent(gaussian_pair(g, w / 2.0), g, cfg, (w, w))
-    assert 25 < len(calls) < 50
+    assert len(calls) <= 2
 
 
 def test_quotient_multiplier_residuals_structure():
