@@ -190,24 +190,16 @@ def norm(f: ScalarField) -> float:
 def laplacian_apply(field: ScalarField) -> ScalarField:
     """Apply the negated 7-point Laplacian -lap_h under Dirichlet zero.
 
-    The operator is the interior stencil padded with zeros: boundary values of
-    the input are read as zero and the output boundary planes are zero.  With
-    the uniform interior quadrature weight this makes the operator exactly
-    symmetric: inner(-lap f, g) == inner(f, -lap g) up to roundoff for all
-    fields.
+    The operator is :func:`neg_laplacian_core` on the interior, padded with
+    zeros: boundary values of the input are read as zero and the output
+    boundary planes are zero.  With the uniform interior quadrature weight
+    this makes the operator exactly symmetric: inner(-lap f, g) ==
+    inner(f, -lap g) up to roundoff for all fields.
     """
     g = field.grid
-    h2 = g.spacing ** 2
-    m = mask_boundary(field.values)
-    out = np.zeros_like(m)
-    core = 6.0 * m[1:-1, 1:-1, 1:-1]
-    core -= m[:-2, 1:-1, 1:-1]
-    core -= m[2:, 1:-1, 1:-1]
-    core -= m[1:-1, :-2, 1:-1]
-    core -= m[1:-1, 2:, 1:-1]
-    core -= m[1:-1, 1:-1, :-2]
-    core -= m[1:-1, 1:-1, 2:]
-    out[1:-1, 1:-1, 1:-1] = core / h2
+    out = np.zeros(g.shape)
+    out[1:-1, 1:-1, 1:-1] = neg_laplacian_core(
+        field.values[1:-1, 1:-1, 1:-1], g.spacing)
     return ScalarField(g, out)
 
 
@@ -217,8 +209,7 @@ def neg_laplacian_core(core: np.ndarray, h: float) -> np.ndarray:
     The first three axes are the interior nodes; any trailing axes index
     independent fields, so a block of fields is one call.  Neighbours
     beyond the interior are the Dirichlet zeros, so each node subtracts only
-    the neighbours it has, in the same order as :func:`laplacian_apply`:
-    the interior of ``laplacian_apply`` is reproduced bit for bit.
+    the neighbours it has.
     """
     out = 6.0 * core
     out[1:] -= core[:-1]

@@ -115,18 +115,34 @@ _REFRESH_EVERY = 25
 # Narrowest radial width, in grid spacings, a quotient iterate may take.
 _COLLAPSE_WIDTH_NODES = 6.0
 
+# Largest single-node mass share an orbital may carry before the iterate
+# counts as under-resolved.  This value admits cores spanning >~ 7.4
+# spacings -- the per-node counterpart of the sweep rule that flags
+# records with eps/h < 8.  At the default pinned width of (n-1)/10
+# spacings, smooth profiles sit near 1e-3 for n >= 90 while node-scale
+# cores stay above 5e-3 at any n; coarser grids would need a larger value.
+_SPIKE_GUARD = 2.5e-3
+
+# First trial step of a fresh L-BFGS memory and of a (re-)pinned quotient
+# slice.
+_STEP_INIT = 0.25
+
+# LOBPCG residual tolerance of the cold start and of the converged-solve
+# certificate.
+_EIG_TOL = 1e-7
+
+# SCF polish: initial density mixing, outer-iteration cap and the L1
+# self-consistency defect it stops at.
+_SCF_MIXING = 0.5
+_SCF_MAX_OUTER = 90
+_SCF_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 500
     grad_tol: float = 1e-6
-    step_init: float = 0.25
-    scf_mixing: float = 0.5
-    scf_toggle: bool = True
     seed: int = 2024
-    scf_max_outer: int = 90
-    scf_tol: float = 1e-8  # L1 self-consistency defect
-    eig_tol: float = 1e-7
     # Pinned width of a quotient minimizer as a fraction of the box
     # half-width.  The quotient is dilation-invariant, so any pin scale is
     # equally valid in exact arithmetic; on the grid the kinetic stencil
@@ -134,27 +150,14 @@ class SolverConfig:
     # estimate will be compared against (for continuation runs, the width of
     # the deepest resolved records).
     pin_fraction: float = 0.2
-    # Largest single-node mass share an orbital may carry before the iterate
-    # counts as under-resolved.  The default admits cores spanning >~ 7.4
-    # spacings -- the per-node counterpart of the sweep rule that flags
-    # records with eps/h < 8.  At the default pinned width of (n-1)/10
-    # spacings, smooth profiles sit near 1e-3 for n >= 90 while node-scale
-    # cores stay above 5e-3 at any n; coarser grids need a larger value.
-    spike_guard: float = 2.5e-3
 
     def __post_init__(self):
-        if not (0.0 < self.scf_mixing <= 1.0):
-            raise ValueError(f"scf_mixing must be in (0, 1], got {self.scf_mixing}")
-        if self.max_iters < 1 or self.scf_max_outer < 1:
-            raise ValueError("max_iters and scf_max_outer must be at least 1")
-        for name in ("grad_tol", "step_init", "eig_tol", "scf_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be at least 1")
+        if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
+            raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit in uint64")
-        if not (0.0 < self.spike_guard <= 1.0):
-            raise ValueError("spike_guard must be a mass fraction in (0, 1]")
         if not (0.0 < self.pin_fraction <= 0.45):
             raise ValueError("pin_fraction must lie in (0, 0.45]")
 
@@ -465,11 +468,8 @@ def _descent_phase(
     V: ScalarField,
     cfg: SolverConfig,
     *,
-    max_iters: int,
-    step_init: float,
     history: list,
-    it0: int = 0,
-    breach_floor: float | None = None,
+    breach_floor: float,
 ):
     """Preconditioned Riemannian L-BFGS with Armijo backtracking.
 
@@ -477,12 +477,11 @@ def _descent_phase(
     :func:`_horizontal`) with the tensor preconditioner as the initial
     inverse Hessian and the last ``_LBFGS_MEMORY`` curvature pairs, each
     projected onto the tangent space of the iterate it is formed at.  The
-    curvature pairs are
-    what let the descent follow soft modes, such as the orientation of a
-    p-like orbital in a nearly isotropic trap, which plain preconditioned
-    descent crawls along.  The first step of a fresh memory is
-    ``step_init``; later trial steps start at 1.  A direction that is not
-    a descent direction clears the memory.
+    curvature pairs are what let the descent follow soft modes, such as the
+    orientation of a p-like orbital in a nearly isotropic trap, which plain
+    preconditioned descent crawls along.  The first step of a fresh memory
+    is ``_STEP_INIT``; later trial steps start at 1.  A direction that is
+    not a descent direction clears the memory.
 
     Returns (pair, stop reason, max_defect).  The stop reason is
     ``"tolerance"`` (gradient norm at ``cfg.grad_tol``), ``"line_search"``
@@ -504,7 +503,7 @@ def _descent_phase(
         return _horizontal(pair, *(
             ScalarField(grid, _pad(prec.apply_core(_core(f.values)))) for f in x))
 
-    for it in range(1, max_iters + 1):
+    for it in range(1, cfg.max_iters + 1):
         rho = density(pair)
         if it % _REFRESH_EVERY == 1:
             prec = TensorPreconditioner(
@@ -513,8 +512,8 @@ def _descent_phase(
         g1, g2 = _gradient_fields(pair, rho, V, a)
         t = project_tangent(pair, g1, g2)
         grad_norm = math.sqrt(_frame_dot(t, t))
-        history.append((it0 + it, E, grad_norm))
-        if breach_floor is not None and E < breach_floor:
+        history.append((it, E, grad_norm))
+        if E < breach_floor:
             breached = True
             post_breach += 1
             if post_breach >= 12 or E < breach_floor - 1e3 * (1 + abs(breach_floor)):
@@ -556,7 +555,7 @@ def _descent_phase(
                 d = tuple(ScalarField(grid, -f.values) for f in t)
                 slope = -grad_norm ** 2
         accepted = False
-        step = 1.0 if memory else step_init
+        step = 1.0 if memory else _STEP_INIT
         for _ in range(40):
             cand = retract(pair, d[0], d[1], step)
             Ec = energy(cand, a, V).energy
@@ -630,29 +629,27 @@ def scf_refine(
     """Self-consistent-field polish with adaptive linear density mixing.
 
     Freezes rho, solves the lowest eigen block of H[rho], rebuilds the
-    density and mixes.  Mixing grows toward 1 while the defect shrinks
-    steadily and halves on an energy oscillation; repeated oscillation falls
-    back to a short careful descent and retries.  Stalls (no defect progress
-    over six outers) exit with the best iterate rather than spinning.
-    Returns (pair, outer iterations, final defect, history).
+    density and mixes.  Mixing starts at ``_SCF_MIXING`` and grows toward 1
+    while the defect shrinks steadily.  The loop stops at ``_SCF_TOL``,
+    after ``_SCF_MAX_OUTER`` outers, or on a stall (no defect progress over
+    six outers).  Returns (last pair, outer iterations, final defect,
+    history).
     """
     if history is None:
         history = []
     rho_mix = density(pair)
     warm = [pair.u1, pair.u2]
-    beta = cfg.scf_mixing
-    energies: list[float] = []
+    beta = _SCF_MIXING
     defect = math.inf
     best_defect = math.inf
     stall = 0
-    fallbacks = 0
     outer = 0
-    while outer < cfg.scf_max_outer:
+    while outer < _SCF_MAX_OUTER:
         outer += 1
         # eigensolve only as tightly as the current self-consistency defect
         # warrants, with a floor that keeps the final residuals certifiable
         etol = 0.05 * defect if math.isfinite(defect) else 1e-5
-        etol = min(max(etol, 0.1 * cfg.scf_tol, 1e-10), 1e-5, cfg.eig_tol * 100)
+        etol = min(max(etol, 0.1 * _SCF_TOL), 100 * _EIG_TOL)
         eig = lowest_eigenpairs(rho_mix, V, a, 4, etol, cfg, warm=warm)
         cand = _occupied_from_eigs(eig, pair)
         rho_new = density(cand)
@@ -660,10 +657,9 @@ def scf_refine(
             ScalarField(rho_new.grid, np.abs(rho_new.values - rho_mix.values))
         )
         E = energy(cand, a, V).energy
-        energies.append(E)
         history.append((it0 + outer, E, defect))
         pair, warm = cand, list(eig.fields)
-        if defect <= cfg.scf_tol:
+        if defect <= _SCF_TOL:
             break
         if defect < 0.9 * best_defect:
             best_defect, stall = defect, 0
@@ -672,25 +668,6 @@ def scf_refine(
             stall += 1
             if stall >= 6:
                 break
-        if len(energies) >= 4:
-            e = energies[-4:]
-            up_down = (e[1] > e[0]) != (e[2] > e[1]) and (e[2] > e[1]) != (e[3] > e[2])
-            wobble = abs(e[3] - e[2]) > 1e-12 * (1.0 + abs(e[3]))
-            if up_down and wobble:
-                beta = max(0.05, cfg.scf_mixing / 2.0 ** (fallbacks + 1))
-                energies.clear()
-                fallbacks += 1
-                if fallbacks >= 3:
-                    # descend a little and restart the loop once
-                    pair, _, _ = _descent_phase(
-                        pair, a, V, cfg,
-                        max_iters=40, step_init=cfg.step_init / 4.0,
-                        history=history, it0=it0 + outer,
-                    )
-                    rho_mix = density(pair)
-                    warm = [pair.u1, pair.u2]
-                    fallbacks = 0
-                    continue
         rho_mix = ScalarField(
             rho_mix.grid,
             (1.0 - beta) * rho_mix.values + beta * rho_new.values,
@@ -707,11 +684,11 @@ def minimize_ground_state(
 ) -> SolveResult:
     """Trapped two-orbital ground state at coupling a.
 
-    L-BFGS descent phase, then an SCF polish if cfg.scf_toggle and the
-    descent stopped short of grad_tol (iteration cap or line search) or on a
-    stationary point that fails the aufbau check, final rotation to the
-    multiplier eigenbasis with certified eigenresiduals.  ``converged``
-    needs small eigenresiduals and the aufbau property: the occupied
+    L-BFGS descent phase, then an SCF polish if the descent stopped short
+    of grad_tol (iteration cap or line search) or on a stationary point
+    that fails the aufbau check, final rotation to the multiplier
+    eigenbasis with certified eigenresiduals.  ``converged`` needs small
+    eigenresiduals and the aufbau property: the occupied
     multipliers are the two lowest levels of the pair's own mean-field
     operator.  An energy dive through zero flags ``threshold_breach`` — the
     subcritical energy is provably nonnegative, so crossing zero means a is
@@ -723,7 +700,7 @@ def minimize_ground_state(
         pair = warm_start.copy()
     else:
         zero = grid.zeros()
-        eig = lowest_eigenpairs(zero, V, 0.0, 2, max(cfg.eig_tol, 1e-8), cfg)
+        eig = lowest_eigenpairs(zero, V, 0.0, 2, _EIG_TOL, cfg)
         pair = loewdin(eig.fields[0], eig.fields[1])
 
     history: list[tuple[int, float, float]] = []
@@ -731,9 +708,7 @@ def minimize_ground_state(
     breach_floor = -1e-6 * max(1.0, abs(E0))
 
     pair, reason, max_defect = _descent_phase(
-        pair, a, V, cfg,
-        max_iters=cfg.max_iters, step_init=cfg.step_init,
-        history=history, breach_floor=breach_floor,
+        pair, a, V, cfg, history=history, breach_floor=breach_floor,
     )
 
     scf_outer = 0
@@ -747,7 +722,7 @@ def minimize_ground_state(
             max_pair_defect=max_defect, width=pair_width(pair),
         )
 
-    polish = cfg.scf_toggle and reason != "tolerance"
+    polish = reason != "tolerance"
     while True:
         if polish:
             pair, scf_outer, scf_defect, history = scf_refine(
@@ -757,7 +732,7 @@ def minimize_ground_state(
         rotated, (mu1, mu2), (res1, res2) = _rotate_to_multiplier_basis(pair, V, a)
         # degeneracy gap of the mean-field operator above the occupied shell
         gap_eig = lowest_eigenpairs(
-            density(rotated), V, a, 3, max(cfg.eig_tol, 1e-6), cfg,
+            density(rotated), V, a, 3, 1e-6, cfg,
             warm=[rotated.u1, rotated.u2],
         )
         # Aufbau: a minimizer occupies the two lowest levels of its own
@@ -766,7 +741,7 @@ def minimize_ground_state(
         # not a minimum; the SCF, which occupies the lowest levels, takes
         # over from there.
         aufbau = gap_eig.values[1] >= mu2 - 1e-6 * (1.0 + abs(mu2))
-        if aufbau or polish or not cfg.scf_toggle:
+        if aufbau or polish:
             break
         polish = True
     max_defect = max(max_defect, rotated.defect())
@@ -776,8 +751,8 @@ def minimize_ground_state(
     res_tol = 10.0 * cfg.grad_tol
     converged = (
         aufbau
-        and max(res1, res2) <= max(res_tol, 50 * cfg.eig_tol)
-        and (scf_defect is None or scf_defect <= 100 * cfg.scf_tol)
+        and max(res1, res2) <= max(res_tol, 50 * _EIG_TOL)
+        and (scf_defect is None or scf_defect <= 100 * _SCF_TOL)
     )
     return SolveResult(
         pair=rotated, diag=diag, converged=converged, iters=len(history),
@@ -844,8 +819,10 @@ def minimize_quotient_rank2(
     held fixed and both per-orbital dilation generators projected out of
     the search direction -- and the one genuine internal parameter this
     freezes, the width ratio of the two orbitals, is recovered by an outer
-    scan of slices, each started from the same pinned Gaussian s+p pair of
-    :func:`gaussian_pair`.  Slices whose descent still finds a kurtotic
+    scan of slices at the fixed ratios 2^(k/6), k = k_lo..4, with k_lo
+    down to -2 as far as the collapse floor allows (a minimum on an edge
+    is not followed past it).  Each slice starts from the same pinned
+    Gaussian s+p pair of :func:`gaussian_pair`.  Slices whose descent still finds a kurtotic
     core+shoulder shape (pinned widths, node-scale center) are rejected by
     the node-mass guard rather than reported: such shapes slide indefinitely
     on the lattice and carry no threshold information.  The reported value
@@ -871,68 +848,27 @@ def minimize_quotient_rank2(
     def slice_min(start, ratio, config):
         return _quotient_descent(start, grid, config, (target_w, ratio * target_w))
 
-    def scan(r):
-        """Coarse slice at ratio r from the Gaussian seed; None if it collapsed."""
-        if any(math.isclose(r, e["ratio"]) for e in log if "rejected" in e):
-            return None  # an edge step back onto a slice already rejected
-        try:
-            us, qc, stop, its = slice_min(gaussian_pair(grid, sigma0), r, coarse)
-        except UnderResolvedError as exc:
-            log.append({"ratio": r, "rejected": str(exc)})
-            return None
-        scanned[r] = (qc, us)
-        log.append({"ratio": r, "q": qc, "stop": stop, "iterations": its})
-        return qc
-
     # Outer scan over the orbital width ratio.  Every slice starts fresh from
     # the pinned Gaussian s+p seed: warm-starting a slice from its neighbor
     # lets one kurtosis-contaminated iterate poison the rest of the chain,
-    # while fresh slices fail one at a time and are simply skipped.  The
-    # node-bearing orbital usually prefers ratio >= 1; the scan extends
-    # itself when the minimum lands on an edge.
+    # while fresh slices fail one at a time and are simply skipped.
     step_r = 2.0 ** (1.0 / 6.0)
     scanned = {}
     log = []
-    best_r = None
     k_lo = 0
     while k_lo > -2 and step_r ** (k_lo - 1) * target_w >= floor:
         k_lo -= 1
     for k in range(k_lo, 5):
         r = step_r ** k
-        qc = scan(r)
-        if qc is not None and (best_r is None or qc < scanned[best_r][0]):
-            best_r = r
-    if best_r is None:
+        try:
+            us, qc, stop, its = slice_min(gaussian_pair(grid, sigma0), r, coarse)
+        except UnderResolvedError as exc:
+            log.append({"ratio": r, "rejected": str(exc)})
+            continue
+        scanned[r] = (qc, us)
+        log.append({"ratio": r, "q": qc, "stop": stop, "iterations": its})
+    if not scanned:
         raise UnderResolvedError("every quotient start collapsed on this grid")
-    for _ in range(3):
-        rs = sorted(scanned)
-        i = rs.index(best_r)
-        if i == 0 and best_r / step_r >= floor / target_w:
-            r = best_r / step_r
-        elif i == len(rs) - 1:
-            r = best_r * step_r
-        else:
-            break
-        qc = scan(r)
-        if qc is None or qc >= scanned[best_r][0]:
-            break
-        best_r = r
-    # parabolic refinement of the ratio through the bracketing triple
-    rs = sorted(scanned)
-    i = rs.index(best_r)
-    if 0 < i < len(rs) - 1:
-        x0, x1, x2 = (math.log(r) for r in rs[i - 1:i + 2])
-        y0, y1, y2 = (scanned[r][0] for r in rs[i - 1:i + 2])
-        den = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-        if den > 0:
-            xv = x1 - 0.5 * (
-                (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
-            ) / den
-            rv = math.exp(xv)
-            if min(abs(rv / r - 1.0) for r in rs) > 0.01:
-                qc = scan(rv)
-                if qc is not None and qc < scanned[best_r][0]:
-                    best_r = rv
 
     # Full-tolerance polish of the best scanned slice.  A slice that was
     # quietly creeping toward node-scale structure during the short scan pass
@@ -973,7 +909,7 @@ def _quotient_descent(us, grid, cfg, widths):
     orbital's dilation generator is removed from the gradient and the search
     direction, and widths that drift are re-pinned every ``_REFRESH_EVERY``
     iterations.  A guard checks every iterate: the first whose largest
-    node mass exceeds ``spike_guard`` or whose narrower width falls below
+    node mass exceeds ``_SPIKE_GUARD`` or whose narrower width falls below
     ``_COLLAPSE_WIDTH_NODES`` spacings raises :class:`UnderResolvedError`
     naming its iteration.  Such runs have found a spike+halo path (those
     beat every smooth profile on the lattice while the continuum assigns
@@ -996,7 +932,7 @@ def _quotient_descent(us, grid, cfg, widths):
     zero = grid.zeros()
     us = _pin_orbitals(us, widths)
     q = quotient_value(us)
-    step = cfg.step_init
+    step = _STEP_INIT
     best = None
     last_record = 0
     reason = "max_iters"
@@ -1006,9 +942,9 @@ def _quotient_descent(us, grid, cfg, widths):
                 abs(_orbital_width(u) / wt - 1.0) > 0.02 for u, wt in zip(us, widths)):
             us = _pin_orbitals(us, widths)
             q = quotient_value(us)
-            step = cfg.step_init
+            step = _STEP_INIT
         ws = [_orbital_width(u) for u in us]
-        spiky = _max_node_mass(grid, *us) > cfg.spike_guard
+        spiky = _max_node_mass(grid, *us) > _SPIKE_GUARD
         if spiky or min(ws) < floor:
             raise UnderResolvedError(
                 f"quotient iterate left the resolvable regime at iteration {it} "
@@ -1063,7 +999,7 @@ def _quotient_descent(us, grid, cfg, widths):
             reason = "line_search"
             break
         us, q = cand, qc
-        step = min(cfg.step_init, tau / _BACKTRACK)
+        step = min(_STEP_INIT, tau / _BACKTRACK)
     _, us, q = best
     return us, q, reason, it
 

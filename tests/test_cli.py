@@ -100,6 +100,7 @@ def test_invalid_json(tmp_path, capsys):
     ({"trap.wells": [{"center": [3.0, 0.0, 0.0], "power": 2.0}]}, None,
      "/trap/wells/0/center"),
     ({"solver": {"multistart": 3}}, None, "/solver"),  # a removed knob
+    ({"solver": {"scf_mixing": 0.5}}, None, "/solver"),  # now a constant
 ])
 def test_schema_rejections(tmp_path, capsys, patch, drop, pointer):
     cp = write_config(tmp_path, patch=patch, drop=drop)
@@ -154,14 +155,12 @@ def test_report_write_is_atomic(tmp_path):
 def test_solver_numbers_take_their_field_types(tmp_path):
     # the schema admits 5.0 as an integer; range() and SeedSequence do not
     cp = write_config(tmp_path, patch={"solver": {
-        "max_iters": 5.0, "seed": 3.0, "scf_max_outer": 7, "grad_tol": 1,
-        "scf_toggle": False}})
+        "max_iters": 5.0, "seed": 3.0, "grad_tol": 1, "pin_fraction": 0.25}})
     cfg = fcli.build_solver(fcli.load_config(cp), None)
     assert type(cfg.max_iters) is int and cfg.max_iters == 5
     assert type(cfg.seed) is int and cfg.seed == 3
-    assert type(cfg.scf_max_outer) is int
     assert type(cfg.grad_tol) is float and cfg.grad_tol == 1.0
-    assert cfg.scf_toggle is False
+    assert type(cfg.pin_fraction) is float and cfg.pin_fraction == 0.25
 
 
 def test_version_matches_pyproject():
@@ -256,8 +255,9 @@ def test_astar_artifacts_are_complete(small_astar_run):
     for key in ("a2_hat", "a1_hat", "oracle_a1", "oracle_rel_dev_a1",
                 "el_residuals", "multipliers_rank2", "multiplier_rank1",
                 "ordering_ok", "separation_rel", "rank2_continuum_upper",
-                "separation_rel_continuum", "grid", "seed", "config_digest"):
+                "separation_rel_continuum", "grid", "config_digest"):
         assert key in art, key
+    assert "seed" not in art  # astar draws no random numbers
     assert art["grid"] == {"n": 48, "half_width": 2.2}
     assert art["format_version"] == 1
     # the stored estimates live below the continuum thresholds
@@ -309,3 +309,23 @@ def test_astar_reports_continuum_bound_quality(small_astar_run):
     err = art["rank2_continuum_quad_error"]
     assert 0.0 <= err < 1e-3 * art["separation_rel_continuum"] * art["oracle_a1"]
     assert art["ordering_continuum"] is True
+
+
+def test_astar_output_does_not_depend_on_the_seed(tmp_path, capsys):
+    # astar draws no random numbers: a seed set by flag or in the config
+    # changes neither the artifacts nor their config digest
+    outputs = []
+    for tag, solver, flags in (("default", {}, []),
+                               ("seed7", {"seed": 7}, ["--seed", "7"])):
+        cfg = {**BASE_CONFIG, "grid": {"n": 32, "half_width": 2.2},
+               "solver": {"pin_fraction": 0.4, "max_iters": 250, **solver},
+               "output_dir": str(tmp_path / tag)}
+        cp = tmp_path / f"{tag}.json"
+        cp.write_text(json.dumps(cfg))
+        rc, _, _ = run(["astar", "--config", str(cp), *flags], capsys)
+        assert rc == fcli.EXIT_OK
+        outdir = tmp_path / tag
+        outputs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
+    assert set(outputs[0]) == {"astar.json", "astar_state.json", "astar_u1.snap",
+                               "astar_u2.snap", "astar_rank1.snap"}
+    assert outputs[0] == outputs[1]
