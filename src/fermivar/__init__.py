@@ -73,7 +73,6 @@ from .solvers import (
     minimize_quotient_rank1,
     minimize_quotient_rank2,
     quotient_value,
-    quotient_value_rank1,
     scf_refine,
 )
 from .radial import (

@@ -1,27 +1,22 @@
 """Variational solvers for the two-orbital ground state and the thresholds.
 
-Two families of problems share the machinery here:
+Both minimizations run on orthonormal frames through one preconditioned
+Riemannian L-BFGS loop, :func:`optim.riemannian_lbfgs`; this module holds
+the two problems it is handed:
 
-* trapped minimization at fixed coupling a: descend the energy over
-  orthonormal pairs (preconditioned Riemannian L-BFGS with Loewdin
-  retraction and Armijo backtracking); only a descent that ends short of
-  its tolerance is polished with a self-consistent-field loop that solves
-  the two lowest eigenpairs of the frozen mean-field operator and mixes
-  densities linearly;
-
-* the concentration quotients: minimize T/P over orthonormal k-frames, by
-  one pinned-slice descent for k = 2 (pairs) and k = 1 (unit fields), each
-  started from pinned Gaussians only, so no random numbers enter.  The
-  continuum quotient is dilation invariant, but the discrete one degrades at
+* the trapped energy at fixed coupling a over orthonormal pairs; only a
+  descent that ends short of its tolerance is polished with a
+  self-consistent-field loop on the frozen mean-field operator;
+* the concentration quotient T/P over k-frames (k = 2 pairs, k = 1 unit
+  fields), on slices pinned at fixed orbital widths and started from
+  Gaussians, so no random numbers enter.  The discrete quotient degrades at
   the grid scale (a lattice spike scores T/P = 6 regardless of h), so
-  iterates are periodically dilated back to a reference width — collapse
-  past that guard is an under-resolution error, not a minimum.
+  collapse past the node-mass guard is an under-resolution error.
 
 Eigenpairs come from LOBPCG preconditioned with the inverse of a separable
 surrogate of the mean-field operator (:class:`TensorPreconditioner`).
 Residuals are recomputed and certified after every solve.
 """
-
 from __future__ import annotations
 
 import math
@@ -68,6 +63,7 @@ from .model import (
 )
 
 from . import asymptotics as _asy
+from .optim import frame_dot, riemannian_lbfgs
 from .radial import gn_constants, profile_spline, shoot_soliton
 
 
@@ -79,28 +75,17 @@ class UnderResolvedError(SolverError):
     """The iterate collapsed below the resolvable width of the grid."""
 
 
-# Quotient descents on a finite lattice stall near the smooth optimum and
-# then *keep going*: past the stall the iterate trades smoothness for node
-# concentration, so the quotient keeps inching down while the stationarity
-# residual grows by orders of magnitude.  The slide is invisible to the
-# slice-restricted gradient (it can keep shrinking), so the record tracks
-# the residual *with* the dilation components included — the same quantity
-# the eigenresidual report measures.  Every iterate must pass the node-mass
-# and width guard (the first that fails rejects the slice), so the
-# minimizers return the cleanest iterate seen (smallest full residual) and
-# stop once no iterate has set a new record for this many iterations: the
-# record they would return can no longer change, whether the run is
-# sliding, creeping on a plateau, or taking rounding-level Armijo steps.
-# The widest gap between two records measured is 20 iterations (n = 96).
-_SLIDE_PATIENCE = 25
+# A quotient descent returns its record, the iterate with the smallest full
+# residual (dilation components included, as the eigenresidual report
+# measures it), and stops once no iterate has set a new record for this many
+# iterations.  Past its stall the quotient keeps inching down along a node-
+# concentration channel while that residual grows, so the record can no
+# longer change.  The widest gap between two records measured is 20
+# iterations (n = 96).
+_STALL_PATIENCE = 25
 
 # Curvature pairs kept by the ground-state L-BFGS descent.
 _LBFGS_MEMORY = 8
-
-# Armijo sufficient-decrease constant and step factor of the backtracking
-# line search in both descents.
-_ARMIJO_C = 1e-4
-_BACKTRACK = 0.5
 
 # Shift of the tensor preconditioner's separable surrogate operator.
 _PRECOND_SHIFT = 1.0
@@ -122,10 +107,6 @@ _COLLAPSE_WIDTH_NODES = 6.0
 # spacings, smooth profiles sit near 1e-3 for n >= 90 while node-scale
 # cores stay above 5e-3 at any n; coarser grids would need a larger value.
 _SPIKE_GUARD = 2.5e-3
-
-# First trial step of a fresh L-BFGS memory and of a (re-)pinned quotient
-# slice.
-_STEP_INIT = 0.25
 
 # LOBPCG residual tolerance of the cold start and of the converged-solve
 # certificate.
@@ -179,7 +160,7 @@ class SolveResult:
     iters: int
     residuals: tuple[float, float]
     history: list[tuple[int, float, float]]  # (iteration, energy, grad norm)
-    # why the descent stopped (see _descent_phase), "+scf" when the SCF
+    # why the descent stopped (see optim.riemannian_lbfgs), "+scf" when the SCF
     # polish ran after it
     stop_reason: str
     threshold_breach: bool = False
@@ -270,6 +251,11 @@ def _pad(core: np.ndarray) -> np.ndarray:
     out = np.zeros((n, n, n))
     out[1:-1, 1:-1, 1:-1] = core
     return out
+
+
+def _apply_prec(prec: TensorPreconditioner, frame):
+    """The preconditioner on the interior nodes of every field of a frame."""
+    return tuple(ScalarField(f.grid, _pad(prec.apply_core(_core(f.values)))) for f in frame)
 
 
 def lowest_eigenpairs(
@@ -372,32 +358,22 @@ def _gradient_fields(frame, rho, V, a):
                  for u in frame)
 
 
-def _frame_dot(x, y) -> float:
-    """Frame inner product sum_i <x_i, y_i>."""
-    return sum(inner(xi, yi) for xi, yi in zip(x, y))
-
-
-def _fix_signs(pair: OrbitalPair) -> OrbitalPair:
+def _positive_lobe(u: ScalarField) -> ScalarField:
     """Deterministic sign convention: the dominant lobe is positive.
 
     The reference node is the first (C-order) node attaining max |u|; its
-    value is made positive.  For the nodeless orbital this is plain
-    positivity, for the p-like orbital it pins one lobe.
+    value is made positive.  For a nodeless orbital this is plain
+    positivity, for a p-like orbital it pins one lobe.
     """
-    out = []
-    for u in (pair.u1, pair.u2):
-        flat = np.abs(u.values).ravel()
-        i = int(np.argmax(flat))
-        v = u.values.ravel()[i]
-        out.append(ScalarField(u.grid, -u.values if v < 0 else u.values.copy()))
-    return OrbitalPair(out[0], out[1])
+    v = u.values.ravel()[int(np.argmax(np.abs(u.values)))]
+    return ScalarField(u.grid, -u.values if v < 0 else u.values.copy())
 
 
 def _rotate_to_multiplier_basis(pair, V, a):
     (mu1, mu2), R, (hu1, hu2) = multipliers(pair, V, a)
     u1 = ScalarField(pair.grid, pair.u1.values * R[0, 0] + pair.u2.values * R[1, 0])
     u2 = ScalarField(pair.grid, pair.u1.values * R[0, 1] + pair.u2.values * R[1, 1])
-    rotated = _fix_signs(OrbitalPair(u1, u2))
+    rotated = OrbitalPair(_positive_lobe(u1), _positive_lobe(u2))
     rho = density(rotated)
     r1 = hamiltonian_apply(rho, V, a, rotated.u1)
     r2 = hamiltonian_apply(rho, V, a, rotated.u2)
@@ -446,133 +422,51 @@ def gaussian_pair(
 # ---------------------------------------------------------------------------
 
 
-def _horizontal(pair: OrbitalPair, d1: ScalarField, d2: ScalarField):
-    """Remove every component of (d1, d2) along span(u1, u2).
+class _GroundStateDescent:
+    """The trapped energy at coupling a as a :func:`riemannian_lbfgs` problem.
 
-    The energy depends on the pair only through rho, which is invariant
-    under rotations of the frame, so the in-span rotation that
-    :func:`project_tangent` keeps is a flat direction; dropping it leaves
-    the horizontal (Grassmann) tangent vector.
+    Directions live in the horizontal (Grassmann) tangent space: E depends
+    on the pair only through rho, so the in-span rotation that
+    :func:`project_tangent` keeps is flat and :meth:`project` removes every
+    in-span component.  H_0 is the tensor preconditioner, rebuilt every
+    ``_REFRESH_EVERY`` iterations.  Once the energy is below
+    ``breach_floor`` the run goes on for twelve iterations, so the history
+    records the dive (or until it is 1e3 (1 + |floor|) below), and then
+    stops on ``"breach"``.
     """
-    u = (pair.u1, pair.u2)
-    out = []
-    for d in (d1, d2):
-        c1, c2 = inner(u[0], d), inner(u[1], d)
-        out.append(ScalarField(pair.grid, d.values - c1 * u[0].values - c2 * u[1].values))
-    return out[0], out[1]
 
+    def __init__(self, a: float, V: ScalarField, breach_floor: float):
+        self.a, self.V, self.floor = a, V, breach_floor
+        self.post_breach, self.max_defect = 0, 0.0
 
-def _descent_phase(
-    pair: OrbitalPair,
-    a: float,
-    V: ScalarField,
-    cfg: SolverConfig,
-    *,
-    history: list,
-    breach_floor: float,
-):
-    """Preconditioned Riemannian L-BFGS with Armijo backtracking.
+    def move(self, pair, d, step):
+        cand = retract(pair, d[0], d[1], step)
+        return cand, energy(cand, self.a, self.V).energy
 
-    Works on the horizontal tangent space of the pair (see
-    :func:`_horizontal`) with the tensor preconditioner as the initial
-    inverse Hessian and the last ``_LBFGS_MEMORY`` curvature pairs, each
-    projected onto the tangent space of the iterate it is formed at.  The
-    curvature pairs are what let the descent follow soft modes, such as the
-    orientation of a p-like orbital in a nearly isotropic trap, which plain
-    preconditioned descent crawls along.  The first step of a fresh memory
-    is ``_STEP_INIT``; later trial steps start at 1.  A direction that is
-    not a descent direction clears the memory.
+    def gradient(self, pair, rho=None):
+        rho = density(pair) if rho is None else rho
+        return project_tangent(pair, *_gradient_fields(pair, rho, self.V, self.a))
 
-    Returns (pair, stop reason, max_defect).  The stop reason is
-    ``"tolerance"`` (gradient norm at ``cfg.grad_tol``), ``"line_search"``
-    (no Armijo step in 40 halvings: the energy no longer resolves the
-    step), ``"max_iters"`` or ``"breach"`` (the energy fell through
-    ``breach_floor``; this one overrides the others).
-    """
-    grid = pair.grid
-    prec = None
-    E = energy(pair, a, V).energy
-    max_defect = pair.defect()
-    breached = False
-    reason = "max_iters"
-    post_breach = 0
-    memory: list[tuple[tuple, tuple, float]] = []  # (s, y, 1/<s, y>)
-    last = None  # (step vector, tangent gradient) of the previous iterate
+    def project(self, v):
+        u1, u2 = self.pair
+        return tuple(ScalarField(d.grid, d.values - inner(u1, d) * u1.values
+                                 - inner(u2, d) * u2.values) for d in v)
 
-    def apply_prec(x):
-        return _horizontal(pair, *(
-            ScalarField(grid, _pad(prec.apply_core(_core(f.values)))) for f in x))
+    def precondition(self, v):
+        return self.project(_apply_prec(self.prec, v))
 
-    for it in range(1, cfg.max_iters + 1):
+    def examine(self, it, pair, E):
+        self.pair = pair
+        self.max_defect = max(self.max_defect, pair.defect())
         rho = density(pair)
         if it % _REFRESH_EVERY == 1:
-            prec = TensorPreconditioner(
-                grid, _core(effective_potential(rho, V, a)), _PRECOND_SHIFT,
+            self.prec = TensorPreconditioner(
+                pair.grid, _core(effective_potential(rho, self.V, self.a)), _PRECOND_SHIFT,
             )
-        g1, g2 = _gradient_fields(pair, rho, V, a)
-        t = project_tangent(pair, g1, g2)
-        grad_norm = math.sqrt(_frame_dot(t, t))
-        history.append((it, E, grad_norm))
-        if E < breach_floor:
-            breached = True
-            post_breach += 1
-            if post_breach >= 12 or E < breach_floor - 1e3 * (1 + abs(breach_floor)):
-                break
-        if grad_norm <= cfg.grad_tol and not breached:
-            reason = "tolerance"
-            break
-        if last is not None:
-            step_vec, t_prev = (_horizontal(pair, *x) for x in last)
-            y = tuple(ScalarField(grid, t[i].values - t_prev[i].values) for i in range(2))
-            sy = _frame_dot(step_vec, y)
-            if sy > 1e-12 * math.sqrt(_frame_dot(step_vec, step_vec) * _frame_dot(y, y)):
-                memory.append((step_vec, y, 1.0 / sy))
-                del memory[:-_LBFGS_MEMORY]
-        # two-loop recursion: r = H_k t with H_0 the preconditioner
-        q = t
-        alphas = []
-        for sv, yv, r in reversed(memory):
-            al = r * _frame_dot(sv, q)
-            alphas.append(al)
-            q = tuple(ScalarField(grid, q[i].values - al * yv[i].values) for i in range(2))
-        z = apply_prec(q)
-        if memory:
-            sv, yv, r = memory[-1]
-            hy = apply_prec(yv)
-            z = tuple(ScalarField(grid, z[i].values / (r * _frame_dot(yv, hy)))
-                      for i in range(2))
-        for (sv, yv, r), al in zip(memory, reversed(alphas)):
-            be = r * _frame_dot(yv, z)
-            z = tuple(ScalarField(grid, z[i].values + (al - be) * sv[i].values)
-                      for i in range(2))
-        d = tuple(ScalarField(grid, -f.values) for f in _horizontal(pair, *z))
-        slope = _frame_dot(t, d)
-        if slope >= 0.0:  # curvature memory lost descent: start afresh
-            memory.clear()
-            d = tuple(ScalarField(grid, -f.values) for f in apply_prec(t))
-            slope = _frame_dot(t, d)
-            if slope >= 0.0:
-                d = tuple(ScalarField(grid, -f.values) for f in t)
-                slope = -grad_norm ** 2
-        accepted = False
-        step = 1.0 if memory else _STEP_INIT
-        for _ in range(40):
-            cand = retract(pair, d[0], d[1], step)
-            Ec = energy(cand, a, V).energy
-            if Ec <= E + _ARMIJO_C * step * slope:
-                accepted = True
-                break
-            step *= _BACKTRACK
-        if not accepted:
-            reason = "line_search"
-            break
-        last = (tuple(ScalarField(grid, step * f.values) for f in d), t)
-        pair = cand
-        E = Ec
-        max_defect = max(max_defect, pair.defect())
-    if breached:
-        reason = "breach"
-    return pair, reason, max_defect
+        self.post_breach += E < self.floor
+        deep = E < self.floor - 1e3 * (1 + abs(self.floor))
+        stop = "breach" if self.post_breach >= 12 or deep else None
+        return pair, E, self.gradient(pair, rho), stop, False
 
 
 def _occupied_from_eigs(eig: EigResult, ref: OrbitalPair) -> OrbitalPair:
@@ -684,13 +578,14 @@ def minimize_ground_state(
 ) -> SolveResult:
     """Trapped two-orbital ground state at coupling a.
 
-    L-BFGS descent phase, then an SCF polish if the descent stopped short
-    of grad_tol (iteration cap or line search) or on a stationary point
-    that fails the aufbau check, final rotation to the multiplier
-    eigenbasis with certified eigenresiduals.  ``converged`` needs small
-    eigenresiduals and the aufbau property: the occupied
-    multipliers are the two lowest levels of the pair's own mean-field
-    operator.  An energy dive through zero flags ``threshold_breach`` — the
+    Riemannian L-BFGS descent (:class:`_GroundStateDescent`), then an SCF
+    polish only if the descent stopped short of grad_tol (``max_iters``,
+    or ``line_search`` when neither the Armijo nor the derivative test
+    takes a step) or on a stationary point that fails the aufbau check,
+    final rotation to the multiplier eigenbasis with certified
+    eigenresiduals.  ``converged`` needs small eigenresiduals and the
+    aufbau property: the occupied multipliers are the two lowest levels of
+    the pair's own mean-field operator.  An energy dive through zero flags ``threshold_breach`` — the
     subcritical energy is provably nonnegative, so crossing zero means a is
     past the discrete threshold (the descent is left to run a few more
     steps so the history records the dive).
@@ -707,18 +602,21 @@ def minimize_ground_state(
     E0 = energy(pair, a, V).energy
     breach_floor = -1e-6 * max(1.0, abs(E0))
 
-    pair, reason, max_defect = _descent_phase(
-        pair, a, V, cfg, history=history, breach_floor=breach_floor,
+    descent = _GroundStateDescent(a, V, breach_floor)
+    pair, _, reason, _ = riemannian_lbfgs(
+        descent, pair, E0, memory=_LBFGS_MEMORY, max_iters=cfg.max_iters,
+        grad_tol=cfg.grad_tol, log=history,
     )
+    max_defect = max(descent.max_defect, pair.defect())
 
     scf_outer = 0
     scf_defect = None
-    if reason == "breach":
+    if descent.post_breach:  # whatever stop followed the dive
         diag = diagnose(pair, a, V, trap)
         return SolveResult(
             pair=pair, diag=diag, converged=False, iters=len(history),
             residuals=(math.inf, math.inf), history=history,
-            stop_reason=reason, threshold_breach=True,
+            stop_reason="breach", threshold_breach=True,
             max_pair_defect=max_defect, width=pair_width(pair),
         )
 
@@ -769,11 +667,6 @@ def minimize_ground_state(
 # ---------------------------------------------------------------------------
 
 
-def quotient_value_rank1(u: ScalarField) -> float:
-    """Rank-1 quotient T m^{2/3} / int u^{10/3} (k = 1 :func:`quotient_value`)."""
-    return quotient_value((u,))
-
-
 def _max_node_mass(grid: BoxGrid, *fields: ScalarField) -> float:
     """Largest share of a unit orbital's mass held by one grid node."""
     h3 = grid.spacing ** 3
@@ -813,22 +706,17 @@ def minimize_quotient_rank2(
     The continuum quotient is dilation invariant, but the lattice is not:
     the discrete kinetic term undercounts sharp cores, so unconstrained
     descent funnels into node-scale spikes.  A single overall width pin
-    does not help here, because one orbital can concentrate at full mass
-    while the other spreads to keep any global moment fixed.  The descent
-    therefore runs on a doubly pinned slice -- each orbital's radial width
-    held fixed and both per-orbital dilation generators projected out of
-    the search direction -- and the one genuine internal parameter this
-    freezes, the width ratio of the two orbitals, is recovered by an outer
-    scan of slices at the fixed ratios 2^(k/6), k = k_lo..4, with k_lo
-    down to -2 as far as the collapse floor allows (a minimum on an edge
-    is not followed past it).  Each slice starts from the same pinned
-    Gaussian s+p pair of :func:`gaussian_pair`.  Slices whose descent still finds a kurtotic
-    core+shoulder shape (pinned widths, node-scale center) are rejected by
-    the node-mass guard rather than reported: such shapes slide indefinitely
-    on the lattice and carry no threshold information.  The reported value
-    is the polished minimum of the best-scoring scanned slice that survives
-    the polish, rotated to the eigenbasis of its own mean-field operator.
-    The discrete value depends on the node count alone, not the box scale.
+    does not help, because one orbital can concentrate at full mass while
+    the other spreads.  The descent therefore runs on a doubly pinned slice
+    (:class:`_QuotientSlice`), and the one internal parameter this freezes,
+    the width ratio of the two orbitals, is recovered by an outer scan of
+    slices at the ratios 2^(k/6), k = k_lo..4, with k_lo down to -2 as far
+    as the collapse floor allows.  Each slice starts from the same pinned
+    Gaussian s+p pair of :func:`gaussian_pair`; slices that turn spiky are
+    rejected by the node-mass guard.  The reported value is the polished
+    minimum of the best-scoring scanned slice that survives the polish,
+    rotated to the eigenbasis of its own mean-field operator.  The discrete
+    value depends on the node count alone, not the box scale.
 
     Returns the value, the pair, the scan log and the polish log.  The scan
     log has one entry per scanned ratio in scan order: ``{"ratio", "q",
@@ -845,8 +733,16 @@ def minimize_quotient_rank2(
         cfg, grad_tol=max(cfg.grad_tol, 1e-4), max_iters=min(cfg.max_iters, 60)
     )
 
-    def slice_min(start, ratio, config):
-        return _quotient_descent(start, grid, config, (target_w, ratio * target_w))
+    def attempt(start, ratio, config, log):
+        """The slice's record frame and value, logged; None if rejected."""
+        try:
+            us, q, stop, its = _quotient_descent(
+                start, grid, config, (target_w, ratio * target_w))
+        except UnderResolvedError as exc:
+            log.append({"ratio": ratio, "rejected": str(exc)})
+            return None
+        log.append({"ratio": ratio, "q": q, "stop": stop, "iterations": its})
+        return q, us
 
     # Outer scan over the orbital width ratio.  Every slice starts fresh from
     # the pinned Gaussian s+p seed: warm-starting a slice from its neighbor
@@ -860,13 +756,9 @@ def minimize_quotient_rank2(
         k_lo -= 1
     for k in range(k_lo, 5):
         r = step_r ** k
-        try:
-            us, qc, stop, its = slice_min(gaussian_pair(grid, sigma0), r, coarse)
-        except UnderResolvedError as exc:
-            log.append({"ratio": r, "rejected": str(exc)})
-            continue
-        scanned[r] = (qc, us)
-        log.append({"ratio": r, "q": qc, "stop": stop, "iterations": its})
+        found = attempt(gaussian_pair(grid, sigma0), r, coarse, log)
+        if found is not None:
+            scanned[r] = found
     if not scanned:
         raise UnderResolvedError("every quotient start collapsed on this grid")
 
@@ -876,13 +768,10 @@ def minimize_quotient_rank2(
     # instead.  Only a polished, guard-passing pair is returned.
     polish = []
     for r in sorted(scanned, key=lambda rr: scanned[rr][0]):
-        try:
-            pair, q, stop, its = slice_min(scanned[r][1], r, cfg)
-        except UnderResolvedError as exc:
-            polish.append({"ratio": r, "rejected": str(exc)})
-            continue
-        polish.append({"ratio": r, "q": q, "stop": stop, "iterations": its})
-        break
+        found = attempt(scanned[r][1], r, cfg, polish)
+        if found is not None:
+            q, pair = found
+            break
     else:
         raise UnderResolvedError(
             "no quotient slice admitted a resolved minimizer on this grid"
@@ -896,111 +785,102 @@ def minimize_quotient_rank2(
 def _drop_modes(x, modes):
     """Remove from a frame direction its components along orthonormal modes."""
     for b in modes:
-        c = _frame_dot(x, b)
+        c = frame_dot(x, b)
         x = tuple(ScalarField(xi.grid, xi.values - c * bi.values) for xi, bi in zip(x, b))
     return x
 
 
-def _quotient_descent(us, grid, cfg, widths):
-    """Projected descent of the quotient over k-frames on the pinned slice.
+class _QuotientSlice:
+    """The quotient on a pinned slice as a :func:`riemannian_lbfgs` problem.
 
-    ``us`` holds k orbitals (k = 2 for the pair quotient, k = 1 for the
-    single-orbital one) and ``widths`` their pinned radial widths.  Each
-    orbital's dilation generator is removed from the gradient and the search
-    direction, and widths that drift are re-pinned every ``_REFRESH_EVERY``
-    iterations.  A guard checks every iterate: the first whose largest
-    node mass exceeds ``_SPIKE_GUARD`` or whose narrower width falls below
+    The dilation generator of each orbital is removed from the gradient and
+    the search direction, and widths that drifted are re-pinned every
+    ``_REFRESH_EVERY`` iterations, which restarts the descent.  ``best``
+    holds the record: (full residual, frame, quotient).  A guard checks
+    every iterate before its gradient: the first whose largest node mass
+    exceeds ``_SPIKE_GUARD`` or whose narrower width falls below
     ``_COLLAPSE_WIDTH_NODES`` spacings raises :class:`UnderResolvedError`
-    naming its iteration.  Such runs have found a spike+halo path (those
-    beat every smooth profile on the lattice while the continuum assigns
-    them a far larger quotient, so they carry no threshold information),
-    and a slice that turns spiky does not recover.
-
-    Returns the frame with the smallest full stationarity residual
-    (gradient norm before the dilation modes are removed), its quotient,
-    the stop reason and the number of iterations (gradient evaluations)
-    run -- not the last iterate: past the stall the quotient keeps creeping
-    down along a node-concentration channel that looks convergent to the
-    slice-restricted gradient while the full residual grows, so the final
-    iterate is the least trustworthy of the run.  The run stops on
-    ``"tolerance"`` (sliced gradient below ``grad_tol``), ``"stall"`` (no
-    new record for ``_SLIDE_PATIENCE`` iterations), ``"line_search"``
-    (Armijo failed) or ``"max_iters"``.
+    naming its iteration.  Such runs have found a spike+halo path, which
+    beats every smooth profile on the lattice while the continuum assigns
+    it a far larger quotient, and a slice that turns spiky does not recover.
     """
-    k = len(widths)
-    prec = None
-    zero = grid.zeros()
-    us = _pin_orbitals(us, widths)
-    q = quotient_value(us)
-    step = _STEP_INIT
-    best = None
-    last_record = 0
-    reason = "max_iters"
-    floor = _COLLAPSE_WIDTH_NODES * grid.spacing
-    for it in range(1, cfg.max_iters + 1):
-        if it % _REFRESH_EVERY == 0 and any(
-                abs(_orbital_width(u) / wt - 1.0) > 0.02 for u, wt in zip(us, widths)):
-            us = _pin_orbitals(us, widths)
+
+    def __init__(self, grid: BoxGrid, widths):
+        self.widths, self.zero, self.prec = widths, grid.zeros(), None
+        self.floor = _COLLAPSE_WIDTH_NODES * grid.spacing
+        self.best, self.last_record = None, 0
+
+    def move(self, us, d, step):
+        cand = retract_frame(us, d, step)
+        return cand, quotient_value(cand)
+
+    def gradient(self, us, rho=None, q=None):
+        # tangent part of grad q = (2/P) * (-lap u_i - (5q/3) rho^{2/3} u_i)
+        rho = density(us) if rho is None else rho
+        q = quotient_value(us) if q is None else q
+        P = p_integral(rho)
+        return project_tangent_frame(us, tuple(
+            ScalarField(f.grid, f.values / P) for f in _gradient_fields(us, rho, self.zero, q)))
+
+    def project(self, v):
+        return _drop_modes(project_tangent_frame(self.us, v), self.modes)
+
+    def precondition(self, v):
+        return _apply_prec(self.prec, v)
+
+    def examine(self, it, us, q):
+        k, zero = len(us), self.zero
+        restart = it % _REFRESH_EVERY == 0 and any(
+            abs(_orbital_width(u) / wt - 1.0) > 0.02 for u, wt in zip(us, self.widths))
+        if restart:
+            us = _pin_orbitals(us, self.widths)
             q = quotient_value(us)
-            step = _STEP_INIT
         ws = [_orbital_width(u) for u in us]
-        spiky = _max_node_mass(grid, *us) > _SPIKE_GUARD
-        if spiky or min(ws) < floor:
+        spiky = _max_node_mass(zero.grid, *us) > _SPIKE_GUARD
+        if spiky or min(ws) < self.floor:
             raise UnderResolvedError(
                 f"quotient iterate left the resolvable regime at iteration {it} "
                 "(widths " + "/".join(f"{w:.3g}" for w in ws) + f", spiky={spiky})")
         rho = density(us)
-        if prec is None or it % _REFRESH_EVERY == 0:
-            prec = TensorPreconditioner(
-                grid, _core(effective_potential(rho, zero, q)), _PRECOND_SHIFT,
+        if self.prec is None or it % _REFRESH_EVERY == 0:
+            self.prec = TensorPreconditioner(
+                zero.grid, _core(effective_potential(rho, zero, q)), _PRECOND_SHIFT,
             )
-        P = p_integral(rho)
-        # grad q = (2/P) * (-lap u_i - (5q/3) rho^{2/3} u_i)
-        g = tuple(ScalarField(grid, f.values / P)
-                  for f in _gradient_fields(us, rho, zero, q))
         # one dilation mode per orbital, in the tangent space, orthonormalized
-        modes = []
+        self.us, self.modes = us, []
         for i in range(k):
             m = _drop_modes(project_tangent_frame(us, tuple(
-                dilation_generator(us[j]) if j == i else zero for j in range(k))), modes)
-            nn = math.sqrt(_frame_dot(m, m))
+                dilation_generator(us[j]) if j == i else zero for j in range(k))), self.modes)
+            nn = math.sqrt(frame_dot(m, m))
             if nn > 1e-12:
-                modes.append(tuple(ScalarField(grid, f.values / nn) for f in m))
+                self.modes.append(tuple(ScalarField(f.grid, f.values / nn) for f in m))
+        t = self.gradient(us, rho, q)
+        full = math.sqrt(frame_dot(t, t))
+        if self.best is None or full < self.best[0]:
+            self.best, self.last_record = (full, us, q), it
+        stop = "stall" if it - self.last_record >= _STALL_PATIENCE else None
+        return us, q, _drop_modes(t, self.modes), stop, restart
 
-        t = project_tangent_frame(us, g)
-        full = math.sqrt(_frame_dot(t, t))
-        t = _drop_modes(t, modes)
-        gn = math.sqrt(_frame_dot(t, t))
-        if best is None or full < best[0]:
-            best = (full, us, q)
-            last_record = it
-        if gn <= cfg.grad_tol:
-            reason = "tolerance"
-            break
-        if it - last_record >= _SLIDE_PATIENCE:
-            reason = "stall"
-            break
-        d = _drop_modes(project_tangent_frame(us, tuple(
-            ScalarField(grid, -_pad(prec.apply_core(_core(f.values)))) for f in t
-        )), modes)
-        slope = _frame_dot(g, d)
-        if slope >= 0:
-            d, slope = tuple(ScalarField(grid, -f.values) for f in t), -gn * gn
-        accepted = False
-        tau = step
-        for _ in range(40):
-            cand = retract_frame(us, d, tau)
-            qc = quotient_value(cand)
-            if qc <= q + _ARMIJO_C * tau * slope:
-                accepted = True
-                break
-            tau *= _BACKTRACK
-        if not accepted:
-            reason = "line_search"
-            break
-        us, q = cand, qc
-        step = min(_STEP_INIT, tau / _BACKTRACK)
-    _, us, q = best
+
+def _quotient_descent(us, grid, cfg, widths):
+    """Preconditioned descent of the quotient over k-frames on the pinned slice.
+
+    ``us`` holds k orbitals (k = 2 for the pair quotient, k = 1 for the
+    single-orbital one) and ``widths`` their pinned radial widths; the
+    descent is :func:`riemannian_lbfgs` without curvature memory on a
+    :class:`_QuotientSlice`.  Returns the record frame (not the last
+    iterate, see ``_STALL_PATIENCE``), its quotient, the stop reason and the
+    number of iterations (gradient evaluations) run.  The run stops on
+    ``"tolerance"`` (sliced gradient below ``grad_tol``), ``"stall"``,
+    ``"line_search"`` or ``"max_iters"``.
+    """
+    us = _pin_orbitals(us, widths)
+    problem = _QuotientSlice(grid, widths)
+    _, _, reason, it = riemannian_lbfgs(
+        problem, us, quotient_value(us), memory=0, max_iters=cfg.max_iters,
+        grad_tol=cfg.grad_tol,
+    )
+    _, us, q = problem.best
     return us, q, reason, it
 
 
@@ -1028,9 +908,8 @@ def minimize_quotient_rank1(
     g, _ = _gaussian(grid, target_w / math.sqrt(3.0))
     (u,), _, reason, its = _quotient_descent(
         (_unit_orbital(grid, g),), grid, cfg, (target_w,))
-    if u.values.ravel()[int(np.argmax(np.abs(u.values)))] < 0:
-        u = ScalarField(grid, -u.values)
-    return quotient_value_rank1(u), u, reason, its
+    u = _positive_lobe(u)
+    return quotient_value((u,)), u, reason, its
 
 
 # Composite Gauss-Legendre rule of the separated-pair quadrature: order per

@@ -28,7 +28,6 @@ from fermivar.solvers import (
     pair_width,
     quotient_multiplier_residuals,
     quotient_value,
-    quotient_value_rank1,
     separated_pair_upper_bound,
 )
 from fermivar.radial import gn_constants, profile_spline, shoot_soliton
@@ -212,6 +211,33 @@ def test_ground_state_descent_history_monotone():
     assert np.all(diffs <= 1e-10)  # Armijo descent never increases E
 
 
+def test_ground_state_trajectory_is_pinned():
+    # the cold n=24 harmonic solve at the default config, iteration for
+    # iteration: a change of the descent's step or stop rules moves it
+    g = BoxGrid(24, 2.2)
+    res = minimize_ground_state(5.0, HARMONIC, g, SolverConfig())
+    assert res.stop_reason == "tolerance"
+    assert res.iters == 74
+    assert res.diag.energy == pytest.approx(5.880145123919772, rel=1e-12)
+
+
+@pytest.mark.parametrize("trap, half_width", [
+    (HARMONIC, 2.2),
+    (TrapPotential(wells=(Well(center=(0.0, 0.0, 0.0), power=4.0),)), 2.5),
+])
+def test_descent_reaches_a_tight_tolerance(trap, half_width):
+    # at grad_tol 1e-8 the energy no longer resolves the descent's steps
+    # (Armijo fails all its halvings near a gradient of 2e-8); the
+    # derivative test of the line search carries the descent to tolerance
+    # without the SCF polish
+    g = BoxGrid(24, half_width)
+    res = minimize_ground_state(5.0, trap, g, SolverConfig(grad_tol=1e-8))
+    assert res.stop_reason == "tolerance"
+    assert res.scf_outer == 0
+    assert res.history[-1][2] <= 1e-8
+    assert res.converged
+
+
 def test_ground_state_is_deterministic():
     g = BoxGrid(28, 5.0)
     cfg = SolverConfig(seed=11, max_iters=60)
@@ -295,8 +321,8 @@ def test_quotient_invariances():
         assert quotient_value(rot) == pytest.approx(q, rel=1e-12)
         # rank-1 quotient is invariant under amplitude scaling
         u = pair.u1
-        q1 = quotient_value_rank1(u)
-        q1s = quotient_value_rank1(ScalarField(g, 3.7 * u.values))
+        q1 = quotient_value((u,))
+        q1s = quotient_value((ScalarField(g, 3.7 * u.values),))
         assert q1s == pytest.approx(q1, rel=1e-12)
 
 
