@@ -49,7 +49,8 @@ def _two_loop(grad, pairs, precondition):
         z = tuple(ScalarField(f.grid, f.values / scale) for f in z)
     for (sv, yv, r), al in zip(pairs, reversed(alphas)):
         be = r * frame_dot(yv, z)
-        z = tuple(ScalarField(f.grid, f.values + (al - be) * s.values) for f, s in zip(z, sv))
+        z = tuple(ScalarField(f.grid, f.values + (al - be) * s.values)
+                  for f, s in zip(z, sv))
     return z
 
 
@@ -61,14 +62,12 @@ def _line_search(problem, x, value, d, slope, first):
     steps retried on the Wolfe test, which compares directional derivatives;
     it gives up at a step too short for its curvature condition.
     """
-    step = first
-    for _ in range(_HALVINGS):
+    steps = [first * _BACKTRACK ** k for k in range(_HALVINGS)]
+    for step in steps:
         cand, vc = problem.move(x, d, step)
         if vc <= value + _ARMIJO_C * step * slope:
             return cand, vc, step
-        step *= _BACKTRACK
-    step = first
-    for _ in range(_HALVINGS):
+    for step in steps:
         cand, vc = problem.move(x, d, step)
         if vc <= value + _WOLFE_SLACK * abs(value):
             dc = frame_dot(problem.gradient(cand), d)
@@ -76,7 +75,6 @@ def _line_search(problem, x, value, d, slope, first):
                 return None
             if dc <= (2.0 * _WOLFE_DELTA - 1.0) * slope:
                 return cand, vc, step
-        step *= _BACKTRACK
     return None
 
 
@@ -108,7 +106,8 @@ def riemannian_lbfgs(problem, x, value, *, memory, max_iters, grad_tol, log=None
             break
         if memory and last is not None:
             sv, g_prev = (problem.project(v) for v in last)
-            yv = tuple(ScalarField(f.grid, f.values - p.values) for f, p in zip(grad, g_prev))
+            yv = tuple(ScalarField(f.grid, f.values - p.values)
+                       for f, p in zip(grad, g_prev))
             sy = frame_dot(sv, yv)
             if sy > 1e-12 * math.sqrt(frame_dot(sv, sv) * frame_dot(yv, yv)):
                 pairs = (pairs + [(sv, yv, 1.0 / sy)])[-memory:]

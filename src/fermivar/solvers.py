@@ -78,10 +78,9 @@ class UnderResolvedError(SolverError):
 # A quotient descent returns its record, the iterate with the smallest full
 # residual (dilation components included, as the eigenresidual report
 # measures it), and stops once no iterate has set a new record for this many
-# iterations.  Past its stall the quotient keeps inching down along a node-
-# concentration channel while that residual grows, so the record can no
-# longer change.  The widest gap between two records measured is 20
-# iterations (n = 96).
+# iterations: past its stall the quotient inches down a node-concentration
+# channel while that residual grows.  The widest gap between two records
+# measured is 20 iterations (n = 96).
 _STALL_PATIENCE = 25
 
 # Curvature pairs kept by the ground-state L-BFGS descent.
@@ -160,8 +159,7 @@ class SolveResult:
     iters: int
     residuals: tuple[float, float]
     history: list[tuple[int, float, float]]  # (iteration, energy, grad norm)
-    # why the descent stopped (see optim.riemannian_lbfgs), "+scf" when the SCF
-    # polish ran after it
+    # why the descent stopped (see optim.riemannian_lbfgs), "+scf" if polished
     stop_reason: str
     threshold_breach: bool = False
     degeneracy_gap: float | None = None
@@ -425,14 +423,12 @@ def gaussian_pair(
 class _GroundStateDescent:
     """The trapped energy at coupling a as a :func:`riemannian_lbfgs` problem.
 
-    Directions live in the horizontal (Grassmann) tangent space: E depends
-    on the pair only through rho, so the in-span rotation that
-    :func:`project_tangent` keeps is flat and :meth:`project` removes every
-    in-span component.  H_0 is the tensor preconditioner, rebuilt every
-    ``_REFRESH_EVERY`` iterations.  Once the energy is below
-    ``breach_floor`` the run goes on for twelve iterations, so the history
-    records the dive (or until it is 1e3 (1 + |floor|) below), and then
-    stops on ``"breach"``.
+    Directions are horizontal (Grassmann): E depends on the pair only
+    through rho, so :meth:`project` also drops the flat in-span rotation
+    that :func:`project_tangent` keeps.  H_0 is the tensor preconditioner,
+    rebuilt every ``_REFRESH_EVERY`` iterations.  The run stops on
+    ``"breach"`` at the twelfth iterate below ``breach_floor``, or at the
+    first 1e3 (1 + |floor|) below it, so the history records the dive.
     """
 
     def __init__(self, a: float, V: ScalarField, breach_floor: float):
@@ -585,10 +581,10 @@ def minimize_ground_state(
     final rotation to the multiplier eigenbasis with certified
     eigenresiduals.  ``converged`` needs small eigenresiduals and the
     aufbau property: the occupied multipliers are the two lowest levels of
-    the pair's own mean-field operator.  An energy dive through zero flags ``threshold_breach`` — the
-    subcritical energy is provably nonnegative, so crossing zero means a is
-    past the discrete threshold (the descent is left to run a few more
-    steps so the history records the dive).
+    the pair's own mean-field operator.  An energy dive through zero flags
+    ``threshold_breach`` — the subcritical energy is provably nonnegative,
+    so crossing zero means a is past the discrete threshold (the descent is
+    left to run a few more steps so the history records the dive).
     """
     V = potential_field(trap, grid)
     if warm_start is not None:
@@ -605,8 +601,7 @@ def minimize_ground_state(
     descent = _GroundStateDescent(a, V, breach_floor)
     pair, _, reason, _ = riemannian_lbfgs(
         descent, pair, E0, memory=_LBFGS_MEMORY, max_iters=cfg.max_iters,
-        grad_tol=cfg.grad_tol, log=history,
-    )
+        grad_tol=cfg.grad_tol, log=history)
     max_defect = max(descent.max_defect, pair.defect())
 
     scf_outer = 0
@@ -674,9 +669,11 @@ def _max_node_mass(grid: BoxGrid, *fields: ScalarField) -> float:
 
 
 def _orbital_width(u: ScalarField) -> float:
-    """Radial second-moment width of a unit-mass orbital."""
-    w2 = second_moment(ScalarField(u.grid, u.values * u.values))
-    return math.sqrt(max(w2, 0.0))
+    """Radial second-moment width of a unit-mass orbital about its centroid."""
+    rho, ax = ScalarField(u.grid, u.values * u.values), u.grid.axis()
+    centroid = [integrate(ScalarField(u.grid, rho.values * ax.reshape(shape)))
+                for shape in ((-1, 1, 1), (1, -1, 1), (1, 1, -1))]
+    return math.sqrt(max(second_moment(rho, centroid), 0.0))
 
 
 def _pinned_width(grid: BoxGrid, cfg: SolverConfig) -> float:
@@ -729,9 +726,7 @@ def minimize_quotient_rank2(
     target_w = _pinned_width(grid, cfg)
     floor = _COLLAPSE_WIDTH_NODES * grid.spacing
     sigma0 = target_w / 2.0
-    coarse = replace(
-        cfg, grad_tol=max(cfg.grad_tol, 1e-4), max_iters=min(cfg.max_iters, 60)
-    )
+    coarse = replace(cfg, grad_tol=max(cfg.grad_tol, 1e-4), max_iters=min(cfg.max_iters, 60))
 
     def attempt(start, ratio, config, log):
         """The slice's record frame and value, logged; None if rejected."""
@@ -777,8 +772,7 @@ def minimize_quotient_rank2(
             "no quotient slice admitted a resolved minimizer on this grid"
         )
 
-    zero = grid.zeros()
-    rotated, _, _ = _rotate_to_multiplier_basis(OrbitalPair(*pair), zero, q)
+    rotated, _, _ = _rotate_to_multiplier_basis(OrbitalPair(*pair), grid.zeros(), q)
     return quotient_value(rotated), rotated, log, polish
 
 
@@ -793,16 +787,15 @@ def _drop_modes(x, modes):
 class _QuotientSlice:
     """The quotient on a pinned slice as a :func:`riemannian_lbfgs` problem.
 
-    The dilation generator of each orbital is removed from the gradient and
-    the search direction, and widths that drifted are re-pinned every
+    Each orbital's dilation generator is removed from the gradient and the
+    search direction; widths that drifted are re-pinned every
     ``_REFRESH_EVERY`` iterations, which restarts the descent.  ``best``
-    holds the record: (full residual, frame, quotient).  A guard checks
-    every iterate before its gradient: the first whose largest node mass
-    exceeds ``_SPIKE_GUARD`` or whose narrower width falls below
-    ``_COLLAPSE_WIDTH_NODES`` spacings raises :class:`UnderResolvedError`
-    naming its iteration.  Such runs have found a spike+halo path, which
-    beats every smooth profile on the lattice while the continuum assigns
-    it a far larger quotient, and a slice that turns spiky does not recover.
+    holds the record (full residual, frame, quotient).  The first iterate
+    whose largest node mass exceeds ``_SPIKE_GUARD`` or whose narrower
+    width falls below ``_COLLAPSE_WIDTH_NODES`` spacings raises
+    :class:`UnderResolvedError`, before its gradient is taken: it has found
+    a spike+halo path, which beats every smooth profile on the lattice but
+    not in the continuum, and a slice that turns spiky does not recover.
     """
 
     def __init__(self, grid: BoxGrid, widths):
@@ -818,9 +811,8 @@ class _QuotientSlice:
         # tangent part of grad q = (2/P) * (-lap u_i - (5q/3) rho^{2/3} u_i)
         rho = density(us) if rho is None else rho
         q = quotient_value(us) if q is None else q
-        P = p_integral(rho)
-        return project_tangent_frame(us, tuple(
-            ScalarField(f.grid, f.values / P) for f in _gradient_fields(us, rho, self.zero, q)))
+        g, P = _gradient_fields(us, rho, self.zero, q), p_integral(rho)
+        return project_tangent_frame(us, tuple(ScalarField(f.grid, f.values / P) for f in g))
 
     def project(self, v):
         return _drop_modes(project_tangent_frame(self.us, v), self.modes)
@@ -847,13 +839,14 @@ class _QuotientSlice:
                 zero.grid, _core(effective_potential(rho, zero, q)), _PRECOND_SHIFT,
             )
         # one dilation mode per orbital, in the tangent space, orthonormalized
-        self.us, self.modes = us, []
+        modes = []
         for i in range(k):
             m = _drop_modes(project_tangent_frame(us, tuple(
-                dilation_generator(us[j]) if j == i else zero for j in range(k))), self.modes)
+                dilation_generator(us[j]) if j == i else zero for j in range(k))), modes)
             nn = math.sqrt(frame_dot(m, m))
             if nn > 1e-12:
-                self.modes.append(tuple(ScalarField(f.grid, f.values / nn) for f in m))
+                modes.append(tuple(ScalarField(f.grid, f.values / nn) for f in m))
+        self.us, self.modes = us, modes
         t = self.gradient(us, rho, q)
         full = math.sqrt(frame_dot(t, t))
         if self.best is None or full < self.best[0]:
@@ -874,12 +867,9 @@ def _quotient_descent(us, grid, cfg, widths):
     ``"tolerance"`` (sliced gradient below ``grad_tol``), ``"stall"``,
     ``"line_search"`` or ``"max_iters"``.
     """
-    us = _pin_orbitals(us, widths)
-    problem = _QuotientSlice(grid, widths)
-    _, _, reason, it = riemannian_lbfgs(
-        problem, us, quotient_value(us), memory=0, max_iters=cfg.max_iters,
-        grad_tol=cfg.grad_tol,
-    )
+    us, problem = _pin_orbitals(us, widths), _QuotientSlice(grid, widths)
+    _, _, reason, it = riemannian_lbfgs(problem, us, quotient_value(us), memory=0,
+                                        max_iters=cfg.max_iters, grad_tol=cfg.grad_tol)
     _, us, q = problem.best
     return us, q, reason, it
 

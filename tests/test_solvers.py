@@ -326,6 +326,19 @@ def test_quotient_invariances():
         assert q1s == pytest.approx(q1, rel=1e-12)
 
 
+def test_orbital_width_is_measured_about_the_centroid():
+    # the width pin measures each orbital about its own centre, so an
+    # off-centre iterate keeps the width of its shape
+    g = BoxGrid(40, 3.0)
+    sigma = 0.3  # per-axis deviation of u^2; its radial width is sqrt(3) sigma
+    centred, _ = solvers._gaussian(g, sigma)
+    shifted, _ = solvers._gaussian(g, sigma, center=(0.3, 0.0, 0.0))
+    w0 = solvers._orbital_width(solvers._unit_orbital(g, centred))
+    w1 = solvers._orbital_width(solvers._unit_orbital(g, shifted))
+    assert w0 == pytest.approx(math.sqrt(3.0) * sigma, rel=1e-9)
+    assert w1 == pytest.approx(w0, rel=1e-10)
+
+
 def test_rank1_minimizer_matches_shooting_threshold():
     g = BoxGrid(48, 2.2)
     cfg = SolverConfig(seed=7, pin_fraction=0.3, max_iters=250)
