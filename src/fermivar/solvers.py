@@ -17,6 +17,7 @@ Eigenpairs come from LOBPCG preconditioned with the inverse of a separable
 surrogate of the mean-field operator (:class:`TensorPreconditioner`).
 Residuals are recomputed and certified after every solve.
 """
+
 from __future__ import annotations
 
 import math
@@ -670,10 +671,10 @@ def _max_node_mass(grid: BoxGrid, *fields: ScalarField) -> float:
 
 def _orbital_width(u: ScalarField) -> float:
     """Radial second-moment width of a unit-mass orbital about its centroid."""
-    rho, ax = ScalarField(u.grid, u.values * u.values), u.grid.axis()
-    centroid = [integrate(ScalarField(u.grid, rho.values * ax.reshape(shape)))
-                for shape in ((-1, 1, 1), (1, -1, 1), (1, 1, -1))]
-    return math.sqrt(max(second_moment(rho, centroid), 0.0))
+    v, w = u.values * u.values, u.grid.quad_weights_1d()
+    pxy, pxz, xw = v @ w, w @ v, u.grid.axis() * w  # z, then y, summed out
+    centroid = ((pxy @ w) @ xw, (w @ pxy) @ xw, (w @ pxz) @ xw)
+    return math.sqrt(max(second_moment(ScalarField(u.grid, v), centroid), 0.0))
 
 
 def _pinned_width(grid: BoxGrid, cfg: SolverConfig) -> float:
@@ -726,7 +727,9 @@ def minimize_quotient_rank2(
     target_w = _pinned_width(grid, cfg)
     floor = _COLLAPSE_WIDTH_NODES * grid.spacing
     sigma0 = target_w / 2.0
-    coarse = replace(cfg, grad_tol=max(cfg.grad_tol, 1e-4), max_iters=min(cfg.max_iters, 60))
+    coarse = replace(
+        cfg, grad_tol=max(cfg.grad_tol, 1e-4), max_iters=min(cfg.max_iters, 60)
+    )
 
     def attempt(start, ratio, config, log):
         """The slice's record frame and value, logged; None if rejected."""
@@ -800,7 +803,6 @@ class _QuotientSlice:
 
     def __init__(self, grid: BoxGrid, widths):
         self.widths, self.zero, self.prec = widths, grid.zeros(), None
-        self.floor = _COLLAPSE_WIDTH_NODES * grid.spacing
         self.best, self.last_record = None, 0
 
     def move(self, us, d, step):
@@ -829,7 +831,7 @@ class _QuotientSlice:
             q = quotient_value(us)
         ws = [_orbital_width(u) for u in us]
         spiky = _max_node_mass(zero.grid, *us) > _SPIKE_GUARD
-        if spiky or min(ws) < self.floor:
+        if spiky or min(ws) < _COLLAPSE_WIDTH_NODES * zero.grid.spacing:
             raise UnderResolvedError(
                 f"quotient iterate left the resolvable regime at iteration {it} "
                 "(widths " + "/".join(f"{w:.3g}" for w in ws) + f", spiky={spiky})")
