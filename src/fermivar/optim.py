@@ -85,11 +85,11 @@ def riemannian_lbfgs(problem, x, value, *, memory, max_iters, grad_tol, log=None
     is preconditioned steepest descent.  The first trial step is 1 while the
     memory holds pairs, else twice the last accepted one, at most (and after
     a restart exactly) ``_STEP_INIT``.  A direction that does not descend
-    clears the memory, then falls back to the negative gradient.  ``log``
-    receives (iteration, value, gradient norm).  Returns (last iterate,
-    value, stop reason, iterations); the reason is ``"tolerance"`` (tested
-    before the problem's own), ``"line_search"``, ``"max_iters"`` or the
-    problem's.
+    clears the memory; without memory the fallback is the negative gradient.
+    ``log`` receives (iteration, value, gradient norm).  Returns (last
+    iterate, value, stop reason, iterations); the reason is ``"tolerance"``
+    (tested before the problem's own), ``"line_search"``, ``"max_iters"`` or
+    the problem's.
     """
     pairs: list[tuple[tuple, tuple, float]] = []  # (s, y, 1/<s, y>)
     last = None  # (accepted step vector, gradient) of the previous iterate
