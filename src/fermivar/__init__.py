@@ -99,7 +99,7 @@ from .asymptotics import (
     read_sweep_csv,
     rescale_extract,
     track_concentration,
-    write_report,
+    write_json,
     write_sweep_csv,
 )
 

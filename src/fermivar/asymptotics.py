@@ -685,9 +685,10 @@ def build_report(
     return report
 
 
-def write_report(report: dict, path) -> None:
+def write_json(doc: dict, path) -> None:
+    """Write a JSON artifact atomically: sorted keys, two-space indent."""
     with atomic_open(path, "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
+        json.dump(doc, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 

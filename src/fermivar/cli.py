@@ -25,7 +25,6 @@ import argparse
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 
@@ -36,14 +35,8 @@ try:
 except ImportError as _exc:  # pragma: no cover - hard dependency
     raise ImportError("the command-line interface requires jsonschema") from _exc
 
-from .grid import BoxGrid, ScalarField, atomic_open, norm, read_snapshot, write_snapshot
-from .model import (
-    TrapPotential,
-    TrapError,
-    Well,
-    density,
-    multipliers,
-)
+from .grid import BoxGrid, read_snapshot, write_snapshot
+from .model import TrapPotential, TrapError, Well, density
 from .frames import OrbitalPair, make_trial_pair
 from .solvers import (
     SolverConfig,
@@ -52,10 +45,8 @@ from .solvers import (
     minimize_ground_state,
     minimize_quotient_rank1,
     minimize_quotient_rank2,
-    quotient_multiplier_residuals,
     separated_pair_upper_bound,
 )
-from .radial import shoot_soliton, gn_constants
 from . import asymptotics as asy
 
 EXIT_OK = 0
@@ -63,8 +54,6 @@ EXIT_CONFIG = 1
 EXIT_SOLVER = 2
 EXIT_BREACH = 3
 EXIT_PARTIAL = 4
-
-FORMAT_VERSION = 1
 
 # reference grids for blow-up profile extraction (y-coordinates)
 PROFILE_REF_N = 48
@@ -98,7 +87,7 @@ RUN_CONFIG_SCHEMA = {
     "required": ["format_version", "grid", "trap", "output_dir"],
     "additionalProperties": False,
     "properties": {
-        "format_version": {"const": FORMAT_VERSION},
+        "format_version": {"const": asy.FORMAT_VERSION},
         "grid": {
             "type": "object",
             "required": ["n", "half_width"],
@@ -241,12 +230,6 @@ def build_solver(raw: dict, seed_override: int | None) -> SolverConfig:
         raise ConfigError(f"invalid solver section: {exc}") from exc
 
 
-def _dump_json(obj: dict, path: str) -> None:
-    with atomic_open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def _emit_error(code: int, kind: str, message: str, **extra) -> int:
     payload = {"error": {"exit_code": code, "kind": kind, "message": message}}
     payload["error"].update(extra)
@@ -267,35 +250,29 @@ def cmd_astar(raw: dict, args) -> int:
     digest = _astar_digest(raw)
 
     try:
-        a2_hat, pair, scan, polish = minimize_quotient_rank2(grid, cfg)
-        a1_hat, orb1, stop1, iters1 = minimize_quotient_rank1(grid, cfg)
+        a2_hat, pair, mus2, res2, scan, polish = minimize_quotient_rank2(grid, cfg)
+        a1_hat, orb1, mu1, res1, stop1, iters1 = minimize_quotient_rank1(grid, cfg)
     except SolverError as exc:
         return _emit_error(EXIT_SOLVER, "solver", f"threshold estimation failed: {exc}")
-
-    _, _, (m1, m2), (r1, r2) = quotient_multiplier_residuals(pair)
-    # single-orbital stationarity: multiplier and eigenresidual at a1_hat
-    (mu_1,), _, (hu,) = multipliers((orb1,), grid.zeros(), a1_hat)
-    res_1 = norm(ScalarField(grid, hu.values - mu_1 * orb1.values))
-    profile = shoot_soliton()
-    oracle = gn_constants(profile)
-    bound = separated_pair_upper_bound(profile=profile)
+    bound = separated_pair_upper_bound()
+    oracle_a1 = bound["rank1"]
 
     doc = {
-        "format_version": FORMAT_VERSION,
+        "format_version": asy.FORMAT_VERSION,
         "a2_hat": float(a2_hat),
         "a1_hat": float(a1_hat),
-        "oracle_a1": float(oracle.a1_star),
-        "oracle_rel_dev_a1": float(abs(a1_hat - oracle.a1_star) / oracle.a1_star),
-        "el_residuals": {"rank2": [float(r1), float(r2)], "rank1": res_1},
-        "multipliers_rank2": [float(m1), float(m2)],
-        "multiplier_rank1": mu_1,
+        "oracle_a1": oracle_a1,
+        "oracle_rel_dev_a1": float(abs(a1_hat - oracle_a1) / oracle_a1),
+        "el_residuals": {"rank2": [float(r) for r in res2], "rank1": res1},
+        "multipliers_rank2": [float(m) for m in mus2],
+        "multiplier_rank1": mu1,
         "ordering_ok": bool(a2_hat < a1_hat),
         "separation_rel": float((a1_hat - a2_hat) / a1_hat),
         "rank2_continuum_upper": float(bound["value"]),
         "rank2_continuum_separation": float(bound["separation"]),
         "rank2_continuum_table": bound["table"],
         "rank2_continuum_quad_error": float(bound["quad_error"]),
-        "ordering_continuum": bool(bound["value"] < oracle.a1_star),
+        "ordering_continuum": bool(bound["value"] < oracle_a1),
         "separation_rel_continuum": float(bound["rel_below_rank1"]),
         "stop_reasons": {"rank2": polish[-1]["stop"], "rank1": stop1},
         "iterations": {"rank2": polish[-1]["iterations"], "rank1": iters1},
@@ -304,32 +281,37 @@ def cmd_astar(raw: dict, args) -> int:
         "grid": {"n": grid.n_per_axis, "half_width": grid.half_width},
         "config_digest": digest,
     }
-    _dump_json(doc, os.path.join(outdir, "astar.json"))
+    asy.write_json(doc, os.path.join(outdir, "astar.json"))
     write_snapshot(pair.u1, os.path.join(outdir, "astar_u1.snap"))
     write_snapshot(pair.u2, os.path.join(outdir, "astar_u2.snap"))
     write_snapshot(orb1, os.path.join(outdir, "astar_rank1.snap"))
-    _dump_json(
-        {
-            "format_version": FORMAT_VERSION,
-            "a": float(a2_hat),
-            "config_digest": digest,
-            "fields": ["astar_u1.snap", "astar_u2.snap"],
-        },
-        os.path.join(outdir, "astar_state.json"),
-    )
     with open(os.path.join(outdir, "astar.json")) as fh:
         sys.stdout.write(fh.read())
     return EXIT_OK
 
 
-def _load_astar(outdir: str) -> dict:
+def _load_astar(outdir: str, grid: BoxGrid) -> float:
+    """The stored threshold a2_hat; it must have been computed on ``grid``."""
     path = os.path.join(outdir, "astar.json")
     if not os.path.exists(path):
         raise ConfigError(
             f"{path} not found: run `fermivar astar` first to store the threshold"
         )
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            stored = json.load(fh)
+        a2_hat, stored_grid = float(stored["a2_hat"]), stored["grid"]
+    except (OSError, ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"{path} holds no stored threshold ({exc!r}): "
+                          "run `fermivar astar` again") from exc
+    configured = {"n": grid.n_per_axis, "half_width": grid.half_width}
+    if stored_grid != configured:
+        raise ConfigError(
+            f"{path} holds the threshold of grid {stored_grid}, not of the "
+            f"configured grid {configured}: run `fermivar astar` again",
+            details={"schema_pointer": "/grid"},
+        )
+    return a2_hat
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +331,7 @@ def cmd_solve(raw: dict, args) -> int:
     os.makedirs(outdir, exist_ok=True)
     digest = config_digest(raw)
 
-    stored = _load_astar(outdir)
-    a2_hat = float(stored["a2_hat"])
+    a2_hat = _load_astar(outdir, grid)
     a = float(args.a)
     if a >= a2_hat and not args.allow_supercritical:
         raise ConfigError(
@@ -364,7 +345,7 @@ def cmd_solve(raw: dict, args) -> int:
         return _emit_error(EXIT_SOLVER, "solver", f"solve failed: {exc}")
 
     doc = {
-        "format_version": FORMAT_VERSION,
+        "format_version": asy.FORMAT_VERSION,
         "a": a,
         "a2_hat": a2_hat,
         "converged": bool(res.converged),
@@ -389,7 +370,7 @@ def cmd_solve(raw: dict, args) -> int:
         "seed": cfg.seed,
         "config_digest": digest,
     }
-    _dump_json(doc, os.path.join(outdir, "solve.json"))
+    asy.write_json(doc, os.path.join(outdir, "solve.json"))
 
     if res.threshold_breach:
         # divergence trace retained in solve.json history
@@ -401,16 +382,6 @@ def cmd_solve(raw: dict, args) -> int:
 
     write_snapshot(res.pair.u1, os.path.join(outdir, "solve_u1.snap"))
     write_snapshot(res.pair.u2, os.path.join(outdir, "solve_u2.snap"))
-    _dump_json(
-        {
-            "format_version": FORMAT_VERSION,
-            "a": a,
-            "iteration": res.iters,
-            "config_digest": digest,
-            "fields": ["solve_u1.snap", "solve_u2.snap"],
-        },
-        os.path.join(outdir, "solve_state.json"),
-    )
     print(
         f"solved a={a}: E={res.diag.energy:.6f} converged={res.converged} "
         f"iters={res.iters}",
@@ -465,7 +436,7 @@ def _write_sweep_reports(records, trap, a_hat, extracts, decay_extract,
         records, trap, a_hat, extracts,
         decay_extract=decay_extract, metadata=run_meta,
     )
-    asy.write_report(report, os.path.join(outdir, "report.json"))
+    asy.write_json(report, os.path.join(outdir, "report.json"))
     asy.write_plot_tables(records, a_hat, outdir, decay_extract=decay_extract)
 
 
@@ -501,8 +472,7 @@ def cmd_sweep(raw: dict, args) -> int:
               flush=True)
         return EXIT_OK
 
-    stored = _load_astar(outdir)
-    a_hat = float(stored["a2_hat"])
+    a_hat = _load_astar(outdir, grid)
     run_meta = {"config_digest": digest, "seed": cfg.seed}
     fractions = raw["sweep"]["a_fractions"]
     a_list = [f * a_hat for f in fractions]
@@ -583,7 +553,7 @@ def cmd_sweep(raw: dict, args) -> int:
             decay_meta = _extract_meta(decay_extract, (p1, p2))
 
     meta = {
-        "format_version": FORMAT_VERSION,
+        "format_version": asy.FORMAT_VERSION,
         "a_hat": a_hat,
         "a_list": [float(a) for a in a_list],
         "under_resolved": [bool(r.under_resolved) for r in records],
@@ -594,7 +564,7 @@ def cmd_sweep(raw: dict, args) -> int:
         "decay": decay_meta,
         "run": run_meta,
     }
-    _dump_json(meta, os.path.join(outdir, "meta.json"))
+    asy.write_json(meta, os.path.join(outdir, "meta.json"))
 
     _write_sweep_reports(
         records, trap, a_hat, extracts, decay_extract, outdir, run_meta

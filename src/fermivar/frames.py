@@ -28,7 +28,6 @@ from .grid import (
     ScalarField,
     inner,
     integrate,
-    mask_boundary,
     resample_scaled,
 )
 

@@ -32,8 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import map_coordinates
 
-BOUNDARY_DIRICHLET = "dirichlet_zero"
-
 SNAPSHOT_MAGIC = b"FVF1"
 
 
@@ -55,15 +53,12 @@ class BoxGrid:
 
     n_per_axis: int
     half_width: float
-    boundary: str = BOUNDARY_DIRICHLET
 
     def __post_init__(self):
         if self.n_per_axis < 8:
             raise GridError(f"n_per_axis must be >= 8, got {self.n_per_axis}")
         if not (self.half_width > 0.0 and np.isfinite(self.half_width)):
             raise GridError(f"half_width must be positive, got {self.half_width}")
-        if self.boundary != BOUNDARY_DIRICHLET:
-            raise GridError(f"unsupported boundary {self.boundary!r}")
         # built once: every quadrature reads it (read-only, shared by callers)
         w = np.full(self.n_per_axis, self.spacing)
         w[0] *= 0.5

@@ -11,8 +11,8 @@ trace identity  mu1 + mu2 = E - (2a/3) P,  which holds *exactly* for the 2x2
 Rayleigh multipliers at any pair (the trace is rotation invariant), so it is
 a free consistency check on every solver record.
 
-Traps are finite products  V(x) = g(x) * prod_m |x - x_m|^{p_m}  with a
-positive bounded prefactor g.  The flatness data derived from the wells:
+Traps are finite products  V(x) = g * prod_m |x - x_m|^{p_m}  with a
+positive constant prefactor g.  The flatness data derived from the wells:
 
     p       = max_m p_m
     alpha_m = lim_{x->x_m} V(x)/|x-x_m|^p   (+inf when p_m < p)
@@ -25,14 +25,13 @@ Infinite alpha_m is represented by ``math.inf``, never by a large float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import (
     BoxGrid,
     ScalarField,
-    GridError,
     integrate,
     inner,
     kinetic_energy,
@@ -72,7 +71,7 @@ class TrapMetadata:
 @dataclass(frozen=True)
 class TrapPotential:
     wells: tuple[Well, ...]
-    prefactor: float | ScalarField = 1.0
+    prefactor: float = 1.0
 
     def __post_init__(self):
         if not self.wells:
@@ -82,35 +81,10 @@ class TrapPotential:
             for j in range(i + 1, len(centers)):
                 if np.linalg.norm(centers[i] - centers[j]) == 0.0:
                     raise TrapError(f"wells {i} and {j} share a center")
-        if isinstance(self.prefactor, ScalarField):
-            vmin = float(self.prefactor.values.min())
-            vmax = float(self.prefactor.values.max())
-            if not (vmin > 0.0 and np.isfinite(vmax)):
-                raise TrapError(
-                    f"prefactor field must be positive and bounded, range "
-                    f"[{vmin}, {vmax}]"
-                )
-        else:
-            if not (self.prefactor > 0.0 and math.isfinite(self.prefactor)):
-                raise TrapError(f"prefactor must be positive, got {self.prefactor}")
+        if not (self.prefactor > 0.0 and math.isfinite(self.prefactor)):
+            raise TrapError(f"prefactor must be positive, got {self.prefactor}")
 
     # ----- derived flatness data ------------------------------------------
-
-    def prefactor_at(self, x: np.ndarray) -> float:
-        if isinstance(self.prefactor, ScalarField):
-            from scipy.ndimage import map_coordinates
-
-            g = self.prefactor.grid
-            idx = (np.asarray(x) + g.half_width) / g.spacing
-            return float(
-                map_coordinates(
-                    self.prefactor.values,
-                    idx.reshape(3, 1),
-                    order=3,
-                    mode="nearest",
-                )[0]
-            )
-        return float(self.prefactor)
 
     def metadata(self) -> TrapMetadata:
         p = max(w.power for w in self.wells)
@@ -120,7 +94,7 @@ class TrapPotential:
             if w.power < p:
                 alphas.append(math.inf)
                 continue
-            a = self.prefactor_at(np.asarray(w.center))
+            a = float(self.prefactor)
             for k, other in enumerate(self.wells):
                 if k == m:
                     continue
@@ -147,12 +121,7 @@ def potential_field(trap: TrapPotential, grid: BoxGrid) -> ScalarField:
         if max(abs(c) for c in w.center) > L:
             raise TrapError(f"well center {w.center} outside box [-{L}, {L}]^3")
     X, Y, Z = grid.meshgrid()
-    if isinstance(trap.prefactor, ScalarField):
-        if trap.prefactor.grid != grid:
-            raise GridError("prefactor field lives on a different grid")
-        V = trap.prefactor.values.copy()
-    else:
-        V = np.full(grid.shape, float(trap.prefactor))
+    V = np.full(grid.shape, float(trap.prefactor))
     for w in trap.wells:
         r2 = (X - w.center[0]) ** 2 + (Y - w.center[1]) ** 2 + (Z - w.center[2]) ** 2
         V = V * r2 ** (w.power / 2.0)
@@ -250,8 +219,6 @@ def concentration_energies(
     Above the threshold (a > T0/P0 achievable) the tau^2 term drives E to
     -infinity; below it, E grows without bound.
     """
-    if isinstance(trap.prefactor, ScalarField):
-        raise TrapError("concentration energies need a scalar trap prefactor")
     x0 = np.asarray(x0, dtype=float)
     grid = pair.grid
     rho = density(pair)
@@ -320,11 +287,11 @@ def sum_rule_residual(diag: Diagnostics) -> float:
 def virial_residual(diag: Diagnostics, trap: TrapPotential) -> float | None:
     """Relative defect of 2(T - aP) = p W for a single homogeneous well.
 
-    Only meaningful for one well with a constant prefactor (the dilation
-    x -> tau x about the well center is then an exact symmetry of the
-    continuum problem); returns None otherwise.
+    Only meaningful for one well (the dilation x -> tau x about the well
+    center is then an exact symmetry of the continuum problem); returns None
+    otherwise.
     """
-    if len(trap.wells) != 1 or isinstance(trap.prefactor, ScalarField):
+    if len(trap.wells) != 1:
         return None
     p = trap.wells[0].power
     lhs = 2.0 * (diag.kinetic - diag.a * diag.p_norm)

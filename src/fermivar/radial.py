@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import exp1
 
 
 class BracketError(RuntimeError):

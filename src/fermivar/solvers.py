@@ -368,17 +368,28 @@ def _positive_lobe(u: ScalarField) -> ScalarField:
     return ScalarField(u.grid, -u.values if v < 0 else u.values.copy())
 
 
-def _rotate_to_multiplier_basis(pair, V, a):
-    (mu1, mu2), R, (hu1, hu2) = multipliers(pair, V, a)
-    u1 = ScalarField(pair.grid, pair.u1.values * R[0, 0] + pair.u2.values * R[1, 0])
-    u2 = ScalarField(pair.grid, pair.u1.values * R[0, 1] + pair.u2.values * R[1, 1])
-    rotated = OrbitalPair(_positive_lobe(u1), _positive_lobe(u2))
+def _rotate_to_multiplier_basis(frame, V, a):
+    """The stationarity finish of every minimizer, for a k-frame.
+
+    Rotates the frame to the eigenbasis of <u_i, H u_j>, H = -lap + V -
+    (5a/3) rho^{2/3}, makes each dominant lobe positive
+    (:func:`_positive_lobe`) and certifies the result.  Returns the rotated
+    fields, their multipliers mu_1 <= .. <= mu_k and the eigenresiduals
+    ||H u_i - mu_i u_i|| of the rotated frame.
+    """
+    us = tuple(frame)
+    mus, R, _ = multipliers(us, V, a)
+    rotated = []
+    for i in range(len(us)):
+        v = us[0].values * R[0, i]
+        for j in range(1, len(us)):
+            v += us[j].values * R[j, i]
+        rotated.append(_positive_lobe(ScalarField(us[0].grid, v)))
     rho = density(rotated)
-    r1 = hamiltonian_apply(rho, V, a, rotated.u1)
-    r2 = hamiltonian_apply(rho, V, a, rotated.u2)
-    res1 = norm(ScalarField(pair.grid, r1.values - mu1 * rotated.u1.values))
-    res2 = norm(ScalarField(pair.grid, r2.values - mu2 * rotated.u2.values))
-    return rotated, (mu1, mu2), (res1, res2)
+    residuals = tuple(
+        norm(ScalarField(u.grid, hamiltonian_apply(rho, V, a, u).values - mu * u.values))
+        for u, mu in zip(rotated, mus))
+    return tuple(rotated), mus, residuals
 
 
 def pair_width(pair: OrbitalPair) -> float:
@@ -623,7 +634,8 @@ def minimize_ground_state(
                 pair, a, V, cfg, history=history, it0=len(history)
             )
             max_defect = max(max_defect, pair.defect())
-        rotated, (mu1, mu2), (res1, res2) = _rotate_to_multiplier_basis(pair, V, a)
+        frame, (_, mu2), residuals = _rotate_to_multiplier_basis(pair, V, a)
+        rotated = OrbitalPair(*frame)
         # degeneracy gap of the mean-field operator above the occupied shell
         gap_eig = lowest_eigenpairs(
             density(rotated), V, a, 3, 1e-6, cfg,
@@ -645,12 +657,12 @@ def minimize_ground_state(
     res_tol = 10.0 * cfg.grad_tol
     converged = (
         aufbau
-        and max(res1, res2) <= max(res_tol, 50 * _EIG_TOL)
+        and max(residuals) <= max(res_tol, 50 * _EIG_TOL)
         and (scf_defect is None or scf_defect <= 100 * _SCF_TOL)
     )
     return SolveResult(
         pair=rotated, diag=diag, converged=converged, iters=len(history),
-        residuals=(res1, res2), history=history,
+        residuals=residuals, history=history,
         stop_reason=reason + "+scf" if polish else reason, degeneracy_gap=gap,
         scf_outer=scf_outer, scf_defect=scf_defect,
         max_pair_defect=max_defect, width=pair_width(rotated),
@@ -698,7 +710,7 @@ def _pin_orbitals(us, widths) -> tuple[ScalarField, ...]:
 
 def minimize_quotient_rank2(
     grid: BoxGrid, cfg: SolverConfig
-) -> tuple[float, OrbitalPair, list[dict], list[dict]]:
+) -> tuple[float, OrbitalPair, tuple[float, float], tuple[float, float], list[dict], list[dict]]:
     """Discrete two-orbital concentration threshold on this grid.
 
     The continuum quotient is dilation invariant, but the lattice is not:
@@ -713,16 +725,17 @@ def minimize_quotient_rank2(
     Gaussian s+p pair of :func:`gaussian_pair`; slices that turn spiky are
     rejected by the node-mass guard.  The reported value is the polished
     minimum of the best-scoring scanned slice that survives the polish,
-    rotated to the eigenbasis of its own mean-field operator.  The discrete
-    value depends on the node count alone, not the box scale.
+    finished by :func:`_rotate_to_multiplier_basis` at the polish's value.
+    The discrete value depends on the node count alone, not the box scale.
 
-    Returns the value, the pair, the scan log and the polish log.  The scan
-    log has one entry per scanned ratio in scan order: ``{"ratio", "q",
-    "stop", "iterations"}`` with the coarse value and its descent's stop
-    reason (see :func:`_quotient_descent`) and iteration count, or
-    ``{"ratio", "rejected"}`` with the reason the slice collapsed.  The
-    polish log has one entry per polish attempt in the same form; its last
-    entry is the polish that produced the returned pair.
+    Returns the value, the pair, its multipliers and eigenresiduals, the
+    scan log and the polish log.  The scan log has one entry per scanned
+    ratio in scan order: ``{"ratio", "q", "stop", "iterations"}`` with the
+    coarse value and its descent's stop reason (see
+    :func:`_quotient_descent`) and iteration count, or ``{"ratio",
+    "rejected"}`` with the reason the slice collapsed.  The polish log has
+    one entry per polish attempt in the same form; its last entry is the
+    polish that produced the returned pair.
     """
     target_w = _pinned_width(grid, cfg)
     floor = _COLLAPSE_WIDTH_NODES * grid.spacing
@@ -775,8 +788,8 @@ def minimize_quotient_rank2(
             "no quotient slice admitted a resolved minimizer on this grid"
         )
 
-    rotated, _, _ = _rotate_to_multiplier_basis(OrbitalPair(*pair), grid.zeros(), q)
-    return quotient_value(rotated), rotated, log, polish
+    frame, mus, residuals = _rotate_to_multiplier_basis(pair, grid.zeros(), q)
+    return quotient_value(frame), OrbitalPair(*frame), mus, residuals, log, polish
 
 
 def _drop_modes(x, modes):
@@ -876,32 +889,25 @@ def _quotient_descent(us, grid, cfg, widths):
     return us, q, reason, it
 
 
-def quotient_multiplier_residuals(pair: OrbitalPair):
-    """Multipliers and eigenresiduals of the quotient stationarity system."""
-    q = quotient_value(pair)
-    zero = pair.grid.zeros()
-    rotated, (m1, m2), (r1, r2) = _rotate_to_multiplier_basis(pair, zero, q)
-    return rotated, q, (m1, m2), (r1, r2)
-
-
 def minimize_quotient_rank1(
     grid: BoxGrid, cfg: SolverConfig
-) -> tuple[float, ScalarField, str, int]:
+) -> tuple[float, ScalarField, float, float, str, int]:
     """Single-orbital concentration threshold (the shooting cross-check).
 
     The k = 1 case of the pinned-slice descent behind
     :func:`minimize_quotient_rank2`, run once from the pinned s-like
     Gaussian of :func:`gaussian_pair`; an iterate that leaves the resolvable
-    regime raises :class:`UnderResolvedError`.  The returned orbital has a
-    positive dominant lobe; the descent's stop reason and iteration count
-    come last.
+    regime raises :class:`UnderResolvedError`.  Returns the value, the
+    orbital (finished by :func:`_rotate_to_multiplier_basis`, so its
+    dominant lobe is positive), its multiplier and eigenresidual, then the
+    descent's stop reason and iteration count.
     """
     target_w = _pinned_width(grid, cfg)
     g, _ = _gaussian(grid, target_w / math.sqrt(3.0))
-    (u,), _, reason, its = _quotient_descent(
+    us, q, reason, its = _quotient_descent(
         (_unit_orbital(grid, g),), grid, cfg, (target_w,))
-    u = _positive_lobe(u)
-    return quotient_value((u,)), u, reason, its
+    (u,), (mu,), (residual,) = _rotate_to_multiplier_basis(us, grid.zeros(), q)
+    return quotient_value((u,)), u, mu, residual, reason, its
 
 
 # Composite Gauss-Legendre rule of the separated-pair quadrature: order per
@@ -987,8 +993,9 @@ def separated_pair_upper_bound(
     competitor, its continuum quotient upper-bounds the true threshold.
 
     Returns a dict with the bound (``value``), the separation attaining it,
-    its relative depth below the rank-1 constant, the per-separation
-    table, and ``quad_error``, |value - value at half the panels|.
+    its relative depth below the rank-1 constant, that constant
+    (``rank1``), the per-separation table, and ``quad_error``, |value -
+    value at half the panels|.
     Deterministic; no RNG involved.
     """
     if profile is None:

@@ -31,8 +31,8 @@ from fermivar.asymptotics import (
     shell_decay_rate,
     track_concentration,
     usable_records,
+    write_json,
     write_plot_tables,
-    write_report,
     write_sweep_csv,
 )
 from fermivar.frames import OrbitalPair, loewdin
@@ -444,10 +444,10 @@ def test_build_report_structure_and_planted_laws(tmp_path):
     assert rep["run"] == {"seed": 0}
 
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
-    write_report(rep, p1)
+    write_json(rep, p1)
     rep2 = build_report(recs, HARMONIC, 9.5, extracts, decay_extract=decay,
                         metadata={"seed": 0})
-    write_report(rep2, p2)
+    write_json(rep2, p2)
     assert p1.read_bytes() == p2.read_bytes()  # bitwise reproducible
     assert json.loads(p1.read_text())["a_hat"] == 9.5
 

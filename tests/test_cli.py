@@ -132,24 +132,15 @@ def test_config_digest_ignores_output_dir_and_key_order():
 
 
 def test_json_artifact_write_is_atomic(tmp_path):
+    # astar.json, solve.json, meta.json and report.json share this writer
+    from fermivar.asymptotics import write_json
     path = tmp_path / "artifact.json"
-    fcli._dump_json({"a": 1.0}, str(path))
+    write_json({"a": 1.0}, str(path))
     before = path.read_bytes()
     with pytest.raises(TypeError):  # fails after part of the JSON is written
-        fcli._dump_json({"a": 2.0, "b": object()}, str(path))
+        write_json({"a": 2.0, "b": object()}, str(path))
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
-
-
-def test_report_write_is_atomic(tmp_path):
-    from fermivar.asymptotics import write_report
-    path = tmp_path / "report.json"
-    write_report({"verdict": "pass"}, str(path))
-    before = path.read_bytes()
-    with pytest.raises(TypeError):  # fails after part of the JSON is written
-        write_report({"a": 2.0, "b": object()}, str(path))
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 def test_solver_numbers_take_their_field_types(tmp_path):
@@ -227,14 +218,13 @@ def test_refit_only_requires_prior_sweep(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 
 
-def _clone_astar_dir(small_astar_run, tmp_path):
+def _clone_astar_dir(small_astar_run, tmp_path, **patch):
     outdir = tmp_path / "out"
     outdir.mkdir()
-    for name in ("astar.json", "astar_state.json", "astar_u1.snap",
-                 "astar_u2.snap", "astar_rank1.snap"):
+    for name in ("astar.json", "astar_u1.snap", "astar_u2.snap", "astar_rank1.snap"):
         shutil.copy(small_astar_run / name, outdir / name)
     cfg = json.loads(json.dumps(SMALL_ASTAR_CONFIG))
-    cfg["output_dir"] = str(outdir)
+    cfg.update(patch, output_dir=str(outdir))
     cp = tmp_path / "config.json"
     cp.write_text(json.dumps(cfg))
     return str(cp), outdir
@@ -248,6 +238,30 @@ def test_solve_rejects_supercritical_without_flag(
         ["solve", "--config", cp, "--a", repr(1.05 * a_hat)], capsys)
     assert rc == fcli.EXIT_CONFIG
     assert "--allow-supercritical" in stderr_error(err)["message"]
+
+
+@pytest.mark.parametrize("argv", [["solve", "--a", "5.0"], ["sweep"]])
+def test_threshold_of_another_grid_is_refused(small_astar_run, tmp_path, capsys, argv):
+    # astar.json holds the n=48 threshold; an n=40 config must not use it
+    cp, _ = _clone_astar_dir(small_astar_run, tmp_path,
+                             grid={"n": 40, "half_width": 2.2},
+                             sweep={"a_fractions": [0.5, 0.6]})
+    rc, _, err = run([argv[0], "--config", cp, *argv[1:]], capsys)
+    assert rc == fcli.EXIT_CONFIG
+    e = stderr_error(err)
+    assert e["kind"] == "config" and e["schema_pointer"] == "/grid"
+    assert "'n': 48" in e["message"] and "'n': 40" in e["message"]
+
+
+@pytest.mark.parametrize("stored", ["{not json", '{"a2_hat": 9.5}',
+                                    '{"grid": {"n": 16, "half_width": 2.0}}'])
+def test_malformed_stored_threshold_is_a_config_error(tmp_path, capsys, stored):
+    cp = write_config(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "astar.json").write_text(stored)
+    rc, _, err = run(["solve", "--config", cp, "--a", "5.0"], capsys)
+    assert rc == fcli.EXIT_CONFIG
+    assert "no stored threshold" in stderr_error(err)["message"]
 
 
 def test_astar_artifacts_are_complete(small_astar_run):
@@ -264,8 +278,6 @@ def test_astar_artifacts_are_complete(small_astar_run):
     assert 9.0 < art["a2_hat"] < art["oracle_a1"]
     assert 9.0 < art["a1_hat"] < art["oracle_a1"]
     assert art["oracle_a1"] == pytest.approx(9.578297, rel=1e-5)
-    state = load_json(small_astar_run / "astar_state.json")
-    assert state["config_digest"] == art["config_digest"]
 
 
 def test_astar_reports_stop_reasons_and_scan(small_astar_run):
@@ -326,6 +338,6 @@ def test_astar_output_does_not_depend_on_the_seed(tmp_path, capsys):
         assert rc == fcli.EXIT_OK
         outdir = tmp_path / tag
         outputs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
-    assert set(outputs[0]) == {"astar.json", "astar_state.json", "astar_u1.snap",
-                               "astar_u2.snap", "astar_rank1.snap"}
+    assert set(outputs[0]) == {"astar.json", "astar_u1.snap", "astar_u2.snap",
+                               "astar_rank1.snap"}
     assert outputs[0] == outputs[1]

@@ -10,8 +10,16 @@ import numpy as np
 import pytest
 
 import fermivar
+from fermivar.frames import OrbitalPair
 from fermivar.grid import BoxGrid, ScalarField, inner, integrate, norm
-from fermivar.model import TrapPotential, Well, potential_field
+from fermivar.model import (
+    TrapPotential,
+    Well,
+    density,
+    hamiltonian_apply,
+    multipliers,
+    potential_field,
+)
 from fermivar import solvers
 from fermivar.solvers import (
     SolverConfig,
@@ -26,7 +34,6 @@ from fermivar.solvers import (
     minimize_quotient_rank1,
     minimize_quotient_rank2,
     pair_width,
-    quotient_multiplier_residuals,
     quotient_value,
     separated_pair_upper_bound,
 )
@@ -313,7 +320,6 @@ def test_quotient_invariances():
         # invariant under rotation of the occupied frame
         th = rng.uniform(0, 2 * math.pi)
         c, s = math.cos(th), math.sin(th)
-        from fermivar.frames import OrbitalPair
         rot = OrbitalPair(
             ScalarField(g, c * pair.u1.values + s * pair.u2.values),
             ScalarField(g, -s * pair.u1.values + c * pair.u2.values),
@@ -342,7 +348,7 @@ def test_orbital_width_is_measured_about_the_centroid():
 def test_rank1_minimizer_matches_shooting_threshold():
     g = BoxGrid(48, 2.2)
     cfg = SolverConfig(seed=7, pin_fraction=0.3, max_iters=250)
-    q, u, _, _ = minimize_quotient_rank1(g, cfg)
+    q, u, *_ = minimize_quotient_rank1(g, cfg)
     # the continuum threshold is 9.578297 (radial shooting); the lattice
     # stencil under-counts kinetic energy so the estimate lands just below
     assert q == pytest.approx(9.578297, rel=0.01)
@@ -350,7 +356,7 @@ def test_rank1_minimizer_matches_shooting_threshold():
     assert abs(integrate(ScalarField(g, u.values**2)) - 1.0) < 1e-10
     assert u.values.max() > 0  # sign convention: positive core
     # deterministic
-    q2, u2, _, _ = minimize_quotient_rank1(g, cfg)
+    q2, u2, *_ = minimize_quotient_rank1(g, cfg)
     assert q2 == q and np.array_equal(u.values, u2.values)
 
 
@@ -379,7 +385,7 @@ def test_rank1_descent_stops_at_its_stall(monkeypatch):
     # frame, value 9.636903923974643
     calls = _count_iterations(monkeypatch)
     g = BoxGrid(32, 2.2)
-    q, _, reason, iterations = minimize_quotient_rank1(
+    q, _, _, _, reason, iterations = minimize_quotient_rank1(
         g, SolverConfig(pin_fraction=0.4, max_iters=250))
     assert reason == "stall"
     assert iterations == len(calls) <= 50
@@ -392,7 +398,7 @@ def test_rank2_threshold_search_iteration_count(monkeypatch):
     # run to max_iters
     calls = _count_iterations(monkeypatch)
     g = BoxGrid(32, 2.2)
-    q, _, scan, polish = minimize_quotient_rank2(
+    q, _, _, _, scan, polish = minimize_quotient_rank2(
         g, SolverConfig(pin_fraction=0.4, max_iters=250))
     assert len(calls) <= 130
     assert [e["ratio"] for e in scan if "rejected" in e] == pytest.approx(
@@ -414,16 +420,33 @@ def test_quotient_slice_is_rejected_at_its_first_guard_failure(monkeypatch):
 
 
 def test_quotient_multiplier_residuals_structure():
+    # the stationarity finish of the minimizers on a k = 2 quotient frame
     g = BoxGrid(40, 2.2)
     pair = gaussian_pair(g, 0.35)
-    rotated, q, (m1, m2), (r1, r2) = quotient_multiplier_residuals(pair)
-    assert q == pytest.approx(quotient_value(pair), rel=1e-12)
+    q = quotient_value(pair)
+    rotated, (m1, m2), (r1, r2) = solvers._rotate_to_multiplier_basis(pair, g.zeros(), q)
+    rotated = OrbitalPair(*rotated)
+    assert quotient_value(rotated) == pytest.approx(q, rel=1e-12)
     assert m1 <= m2
     assert r1 >= 0 and r2 >= 0
     assert rotated.defect() <= 1e-10
     # multipliers of the quotient system: mu_i = <u_i, H_q u_i> with
     # H_q = -lap - (5q/3) rho^{2/3}; both negative for a bound profile
     assert m1 < 0 and m2 < 0
+
+
+def test_rank1_minimizer_reports_its_stationarity():
+    # the k = 1 finish: the returned multiplier and eigenresidual are those
+    # of the returned orbital at the returned value
+    g = BoxGrid(32, 2.2)
+    q, u, mu, residual, _, _ = minimize_quotient_rank1(
+        g, SolverConfig(pin_fraction=0.4, max_iters=250))
+    zero = g.zeros()
+    (mu_ref,), _, _ = multipliers((u,), zero, q)
+    hu = hamiltonian_apply(density((u,)), zero, q, u)
+    direct = norm(ScalarField(g, hu.values - mu_ref * u.values))
+    assert mu == pytest.approx(mu_ref, rel=1e-12)
+    assert residual == pytest.approx(direct, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
