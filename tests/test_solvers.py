@@ -424,8 +424,8 @@ def test_quotient_multiplier_residuals_structure():
     g = BoxGrid(40, 2.2)
     pair = gaussian_pair(g, 0.35)
     q = quotient_value(pair)
-    rotated, (m1, m2), (r1, r2) = solvers._rotate_to_multiplier_basis(pair, g.zeros(), q)
-    rotated = OrbitalPair(*rotated)
+    frame, (m1, m2), (r1, r2) = solvers._rotate_to_multiplier_basis(pair, g.zeros(), q)
+    rotated = OrbitalPair(*frame)
     assert quotient_value(rotated) == pytest.approx(q, rel=1e-12)
     assert m1 <= m2
     assert r1 >= 0 and r2 >= 0
