@@ -143,6 +143,18 @@ def test_json_artifact_write_is_atomic(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
 
 
+def test_report_write_is_atomic(tmp_path):
+    # report.json is written by the same writer as the other artifacts
+    from fermivar.asymptotics import write_json
+    path = tmp_path / "report.json"
+    write_json({"verdict": "pass"}, str(path))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):  # fails after part of the JSON is written
+        write_json({"a": 2.0, "b": object()}, str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
 def test_solver_numbers_take_their_field_types(tmp_path):
     # the schema admits 5.0 as an integer; range() and SeedSequence do not
     cp = write_config(tmp_path, patch={"solver": {
