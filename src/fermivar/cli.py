@@ -415,6 +415,24 @@ def _extract_meta(ex: asy.ProfileExtract, paths: tuple[str, str]) -> dict:
     }
 
 
+def _extract(pair, rec, ref: BoxGrid, paths: tuple[str, str], outdir: str):
+    """Profile extraction of one sweep record: (extract, meta.json entry).
+
+    A rescale window that leaves the source box skips the extraction; the
+    entry then records the message under ``skipped`` and the extract is
+    None.
+    """
+    try:
+        ex = asy.rescale_extract(
+            pair, rec.eps, np.asarray(rec.peak), ref, mu1=rec.mu1, mu2=rec.mu2
+        )
+    except asy.WindowError as exc:
+        return None, {"eps": rec.eps, "center": list(rec.peak), "skipped": str(exc)}
+    for u, path in zip(ex.rescaled_pair, paths):
+        write_snapshot(u, os.path.join(outdir, path))
+    return ex, _extract_meta(ex, paths)
+
+
 def _extract_from_meta(meta: dict, outdir: str) -> asy.ProfileExtract:
     u1 = read_snapshot(os.path.join(outdir, meta["u1"]))
     u2 = read_snapshot(os.path.join(outdir, meta["u2"]))
@@ -431,13 +449,18 @@ def _extract_from_meta(meta: dict, outdir: str) -> asy.ProfileExtract:
 
 
 def _write_sweep_reports(records, trap, a_hat, extracts, decay_extract,
-                         outdir, run_meta) -> None:
-    report = asy.build_report(
-        records, trap, a_hat, extracts,
-        decay_extract=decay_extract, metadata=run_meta,
-    )
+                         outdir, run_meta) -> str | None:
+    """report.json and the plot tables; the reason if no report can be built."""
+    try:
+        report = asy.build_report(
+            records, trap, a_hat, extracts,
+            decay_extract=decay_extract, metadata=run_meta,
+        )
+    except ValueError as exc:  # too few usable records, a failed decay fit
+        return str(exc)
     asy.write_json(report, os.path.join(outdir, "report.json"))
     asy.write_plot_tables(records, a_hat, outdir, decay_extract=decay_extract)
+    return None
 
 
 def cmd_sweep(raw: dict, args) -> int:
@@ -460,14 +483,19 @@ def cmd_sweep(raw: dict, args) -> int:
             os.path.join(outdir, "records.csv"),
             under_resolved=meta["under_resolved"],
         )
-        extracts = [_extract_from_meta(m, outdir) for m in meta["extracts"]]
+        extracts = [_extract_from_meta(m, outdir) for m in meta["extracts"]
+                    if "skipped" not in m]
+        decay = meta["decay"]
         decay_extract = (
-            _extract_from_meta(meta["decay"], outdir) if meta["decay"] else None
+            _extract_from_meta(decay, outdir)
+            if decay and "skipped" not in decay else None
         )
-        _write_sweep_reports(
+        failed = _write_sweep_reports(
             records, trap, float(meta["a_hat"]), extracts, decay_extract,
             outdir, meta["run"],
         )
+        if failed:
+            return _emit_error(EXIT_PARTIAL, "partial", f"report not built: {failed}")
         print("refit complete: report.json rebuilt from stored artifacts",
               flush=True)
         return EXIT_OK
@@ -525,16 +553,11 @@ def cmd_sweep(raw: dict, args) -> int:
         if hw >= 0.5:
             ref = BoxGrid(PROFILE_REF_N, hw)
             for i, (rec, pair) in enumerate(usable):
-                center = np.asarray(rec.peak)
-                ex = asy.rescale_extract(
-                    pair, rec.eps, center, ref, mu1=rec.mu1, mu2=rec.mu2
-                )
-                p1 = f"extract_{i:02d}_u1.snap"
-                p2 = f"extract_{i:02d}_u2.snap"
-                write_snapshot(ex.rescaled_pair.u1, os.path.join(outdir, p1))
-                write_snapshot(ex.rescaled_pair.u2, os.path.join(outdir, p2))
-                extracts.append(ex)
-                extract_meta.append(_extract_meta(ex, (p1, p2)))
+                paths = (f"extract_{i:02d}_u1.snap", f"extract_{i:02d}_u2.snap")
+                ex, entry = _extract(pair, rec, ref, paths, outdir)
+                extract_meta.append(entry)
+                if ex is not None:
+                    extracts.append(ex)
 
     decay_extract = None
     decay_meta = None
@@ -542,15 +565,10 @@ def cmd_sweep(raw: dict, args) -> int:
         rec, pair = usable[-1]
         hw = _profile_window(grid, trap, rec.eps, DECAY_REF_HALF_WIDTH)
         if hw >= 1.0:
-            ref = BoxGrid(DECAY_REF_N, hw)
-            center = np.asarray(rec.peak)
-            decay_extract = asy.rescale_extract(
-                pair, rec.eps, center, ref, mu1=rec.mu1, mu2=rec.mu2
+            decay_extract, decay_meta = _extract(
+                pair, rec, BoxGrid(DECAY_REF_N, hw),
+                ("decay_u1.snap", "decay_u2.snap"), outdir,
             )
-            p1, p2 = "decay_u1.snap", "decay_u2.snap"
-            write_snapshot(decay_extract.rescaled_pair.u1, os.path.join(outdir, p1))
-            write_snapshot(decay_extract.rescaled_pair.u2, os.path.join(outdir, p2))
-            decay_meta = _extract_meta(decay_extract, (p1, p2))
 
     meta = {
         "format_version": asy.FORMAT_VERSION,
@@ -566,18 +584,21 @@ def cmd_sweep(raw: dict, args) -> int:
     }
     asy.write_json(meta, os.path.join(outdir, "meta.json"))
 
-    _write_sweep_reports(
+    failed = _write_sweep_reports(
         records, trap, a_hat, extracts, decay_extract, outdir, run_meta
     )
 
-    partial = outcome.aborted_at is not None or any(
-        not r.converged for r in records
-    )
-    if partial:
+    problems = []
+    if outcome.aborted_at is not None or any(not r.converged for r in records):
+        problems.append(f"sweep incomplete (aborted_at={outcome.aborted_at})")
+    problems += [f"profile extraction skipped: {m['skipped']}"
+                 for m in extract_meta + [decay_meta] if m and "skipped" in m]
+    if failed:
+        problems.append(f"report not built: {failed}")
+    if problems:
         return _emit_error(
             EXIT_PARTIAL, "partial",
-            f"sweep incomplete (aborted_at={outcome.aborted_at}); "
-            "partial artifacts retained",
+            "; ".join(problems) + "; partial artifacts retained",
         )
     print(f"sweep complete: {len(records)} records -> report.json", flush=True)
     return EXIT_OK

@@ -309,11 +309,14 @@ def diagnose(
     a: float,
     V: ScalarField,
     trap: TrapPotential | None = None,
+    mus: tuple[float, float] | None = None,
 ) -> Diagnostics:
-    """Full diagnostics: energy parts, multipliers, trace identity, virial."""
+    """Full diagnostics: energy parts, multipliers, trace identity, virial.
+
+    ``mus`` are the pair's multipliers if the caller has computed them.
+    """
     diag = energy(pair, a, V)
-    (mu1, mu2), _, _ = multipliers(pair, V, a)
-    diag.mu1, diag.mu2 = mu1, mu2
+    diag.mu1, diag.mu2 = multipliers(pair, V, a)[0] if mus is None else mus
     diag.sum_rule_residual = sum_rule_residual(diag)
     if trap is not None:
         diag.virial_residual = virial_residual(diag, trap)

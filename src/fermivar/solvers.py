@@ -6,7 +6,13 @@ the two problems it is handed:
 
 * the trapped energy at fixed coupling a over orthonormal pairs; only a
   descent that ends short of its tolerance is polished with a
-  self-consistent-field loop on the frozen mean-field operator;
+  self-consistent-field loop on the frozen mean-field operator.  A cold
+  solve starts from the two lowest a = 0 levels.  When the second level is
+  degenerate (the p level of a symmetric trap) the eigensolver's basis of
+  it is arbitrary, so the start takes the p orbital along the cube
+  symmetry axis whose pair has the lowest energy at a (the body diagonals
+  on the traps measured); the descent no longer turns it through the
+  lattice's weak cubic anisotropy;
 * the concentration quotient T/P over k-frames (k = 2 pairs, k = 1 unit
   fields), on slices pinned at fixed orbital widths and started from
   Gaussians, so no random numbers enter.  The discrete quotient degrades at
@@ -15,7 +21,8 @@ the two problems it is handed:
 
 Eigenpairs come from LOBPCG preconditioned with the inverse of a separable
 surrogate of the mean-field operator (:class:`TensorPreconditioner`).
-Residuals are recomputed and certified after every solve.
+The residuals of the requested levels are recomputed and certified after
+every solve; the block's guard columns come back uncertified.
 """
 
 from __future__ import annotations
@@ -112,6 +119,20 @@ _SPIKE_GUARD = 2.5e-3
 # certificate.
 _EIG_TOL = 1e-7
 
+# Largest residual of a guard column that may join the degenerate shell
+# the cold start is oriented in (:func:`_oriented_start`).  It only seeds the
+# descent; the guard residuals of the harmonic p shell read 1.2e-7 to
+# 1.3e-6 at n = 24 and 48, above ``_EIG_TOL``, while its Ritz values agree
+# to 1e-13.
+_GUARD_RESIDUAL = 1e-5
+
+# The cube's 13 symmetry axes: four-fold, two-fold, then three-fold.
+_CUBE_AXES = (
+    (1, 0, 0), (0, 1, 0), (0, 0, 1),
+    (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1), (0, 1, 1), (0, 1, -1),
+    (1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1),
+)
+
 # SCF polish: initial density mixing, outer-iteration cap and the L1
 # self-consistency defect it stops at.
 _SCF_MIXING = 0.5
@@ -149,7 +170,12 @@ class EigResult:
     fields: list[ScalarField]
     residuals: np.ndarray
     converged: bool
-    iterations: int = 0
+    iterations: int
+    # Ritz pairs of the block's guard columns, above the k certified ones;
+    # their residuals are reported but do not enter ``converged``
+    guard_values: np.ndarray
+    guard_fields: list[ScalarField]
+    guard_residuals: np.ndarray
 
 
 @dataclass
@@ -268,9 +294,10 @@ def lowest_eigenpairs(
 ) -> EigResult:
     """Certified k lowest eigenpairs of H = -lap + V - (5a/3) rho^{2/3}.
 
-    LOBPCG with the tensor preconditioner, then a Rayleigh-Ritz cleanup of the
-    returned block; residuals ||H v - lam v|| are recomputed in L2 and the
-    result is flagged unconverged if any exceeds tol.
+    LOBPCG with the tensor preconditioner on a block of k + 3, then a
+    Rayleigh-Ritz cleanup of the returned block; residuals ||H v - lam v||
+    are recomputed in L2 and the result is flagged unconverged if any of the
+    k lowest exceeds tol.  The three guard columns come back uncertified.
     """
     if k < 1 or k > 8:
         raise ValueError("k must be in 1..8")
@@ -328,21 +355,22 @@ def lowest_eigenpairs(
         X = Q @ U
         AX = AQ @ U
         R = AX - X * evals[None, :]
-        res = np.linalg.norm(R[:, :k], axis=0)
-        if res.max() <= tol:
+        res = np.linalg.norm(R, axis=0)
+        if res[:k].max() <= tol:
             break
 
-    fields = []
-    for j in range(k):
-        v = _pad(X[:, j].reshape(m, m, m) / math.sqrt(h ** 3))
-        fields.append(ScalarField(grid, v))
+    fields = [ScalarField(grid, _pad(X[:, j].reshape(m, m, m) / math.sqrt(h ** 3)))
+              for j in range(block)]
     # L2 residuals equal algebraic ones under the uniform interior weight
     return EigResult(
         values=np.asarray(evals[:k], dtype=float),
-        fields=fields,
-        residuals=np.asarray(res, dtype=float),
-        converged=bool(res.max() <= tol),
+        fields=fields[:k],
+        residuals=np.asarray(res[:k], dtype=float),
+        converged=bool(res[:k].max() <= tol),
         iterations=total_iter,
+        guard_values=np.asarray(evals[k:], dtype=float),
+        guard_fields=fields[k:],
+        guard_residuals=np.asarray(res[k:], dtype=float),
     )
 
 
@@ -404,6 +432,13 @@ def _density_sigma(rho: ScalarField, center: np.ndarray) -> float:
     if mass <= 0:
         return 0.0
     return math.sqrt(max(second_moment(rho, center) / mass / 3.0, 0.0))
+
+
+def _centroid(grid: BoxGrid, v: np.ndarray) -> tuple[float, float, float]:
+    """Centroid of a unit-mass density on the nodes, from its axis marginals."""
+    w = grid.quad_weights_1d()
+    pxy, pxz, xw = v @ w, w @ v, grid.axis() * w  # z, then y, summed out
+    return ((pxy @ w) @ xw, (w @ pxy) @ xw, (w @ pxz) @ xw)
 
 
 def _gaussian(grid: BoxGrid, sigma: float, center=(0.0, 0.0, 0.0)):
@@ -477,6 +512,12 @@ class _GroundStateDescent:
         return pair, E, self.gradient(pair, rho), stop, False
 
 
+def _level_cluster(vals, i: int) -> list[int]:
+    """Indices of the levels degenerate with level i, i included."""
+    tol = 1e-8 * (1.0 + abs(vals[i]))
+    return [j for j in range(len(vals)) if abs(vals[j] - vals[i]) <= tol]
+
+
 def _occupied_from_eigs(eig: EigResult, ref: OrbitalPair) -> OrbitalPair:
     """Two occupied orbitals from an eigen block, steadied against ref.
 
@@ -487,10 +528,6 @@ def _occupied_from_eigs(eig: EigResult, ref: OrbitalPair) -> OrbitalPair:
     densities get compared.
     """
     vals, fields = eig.values, eig.fields
-
-    def cluster(i: int) -> list[int]:
-        tol = 1e-8 * (1.0 + abs(vals[i]))
-        return [j for j in range(len(vals)) if abs(vals[j] - vals[i]) <= tol]
 
     def project(ref_u, members, orth_to=None):
         acc = np.zeros(ref_u.grid.shape)
@@ -504,7 +541,7 @@ def _occupied_from_eigs(eig: EigResult, ref: OrbitalPair) -> OrbitalPair:
             return None
         return ScalarField(v.grid, v.values / nv)
 
-    c1 = cluster(0)
+    c1 = _level_cluster(vals, 0)
     u1 = project(ref.u1, c1) if len(c1) > 1 else fields[0]
     if u1 is None:
         u1 = fields[0]
@@ -513,7 +550,7 @@ def _occupied_from_eigs(eig: EigResult, ref: OrbitalPair) -> OrbitalPair:
         if u2 is None:
             u2 = fields[1]
     else:
-        c2 = cluster(1)
+        c2 = _level_cluster(vals, 1)
         u2 = project(ref.u2, c2) if len(c2) > 1 else fields[1]
         if u2 is None:
             u2 = fields[1]
@@ -577,6 +614,56 @@ def scf_refine(
     return pair, outer, defect, history
 
 
+def _degenerate_shell(eig: EigResult) -> list[ScalarField]:
+    """Eigenfunctions of the second level if it is degenerate, else [].
+
+    The shell is taken from the certified levels and the guard columns
+    with residual at most ``_GUARD_RESIDUAL``; a second level degenerate
+    with the first counts as no shell.
+    """
+    admitted = eig.guard_residuals <= _GUARD_RESIDUAL
+    vals = np.concatenate([eig.values, eig.guard_values[admitted]])
+    fields = eig.fields + [f for f, ok in zip(eig.guard_fields, admitted) if ok]
+    shell = _level_cluster(vals, 1)
+    return [] if len(shell) < 2 or 0 in shell else [fields[j] for j in shell]
+
+
+def _axis_start(u1: ScalarField, shell: list[ScalarField], n) -> OrbitalPair:
+    """The pair of u1 and (n . (x - xbar)) u1 projected onto the shell.
+
+    xbar is the centroid of u1^2; n . x is formed from the 1-D axis.
+    """
+    grid, x = u1.grid, u1.grid.axis()
+    d = [ni * (x - ci) for ni, ci in zip(n, _centroid(grid, u1.values * u1.values))]
+    t = ScalarField(grid, u1.values * (
+        d[0][:, None, None] + d[1][None, :, None] + d[2][None, None, :]))
+    return loewdin(u1, ScalarField(grid, sum(inner(f, t) * f.values for f in shell)))
+
+
+def _oriented_start(eig: EigResult, a: float, V: ScalarField) -> OrbitalPair:
+    """The cold-start pair from the a = 0 eigen block, oriented for coupling a.
+
+    A non-degenerate second level gives the two lowest eigenfunctions.  In
+    a degenerate shell (the p level of a symmetric trap) the eigensolver's
+    basis is arbitrary, and the descent would spend most of its iterations
+    turning the p orbital through the lattice's weak cubic anisotropy.  The
+    start is instead the :func:`_axis_start` of lowest energy at a over the
+    cube symmetry axes ``_CUBE_AXES``, scanned in order; a later axis
+    displaces the best only when lower by more than 1e-12 relative, so an
+    exact tie keeps the earlier axis.
+    """
+    shell = _degenerate_shell(eig)
+    if not shell:
+        return loewdin(eig.fields[0], eig.fields[1])
+    best, best_E = None, math.inf
+    for n in _CUBE_AXES:
+        cand = _axis_start(eig.fields[0], shell, n)
+        E = energy(cand, a, V).energy
+        if best is None or E < best_E - 1e-12 * abs(best_E):
+            best, best_E = cand, E
+    return best
+
+
 def minimize_ground_state(
     a: float,
     trap: TrapPotential,
@@ -591,20 +678,21 @@ def minimize_ground_state(
     or ``line_search`` when neither the Armijo nor the derivative test
     takes a step) or on a stationary point that fails the aufbau check,
     final rotation to the multiplier eigenbasis with certified
-    eigenresiduals.  ``converged`` needs small eigenresiduals and the
-    aufbau property: the occupied multipliers are the two lowest levels of
-    the pair's own mean-field operator.  An energy dive through zero flags
-    ``threshold_breach`` — the subcritical energy is provably nonnegative,
-    so crossing zero means a is past the discrete threshold (the descent is
-    left to run a few more steps so the history records the dive).
+    eigenresiduals.  A cold solve starts from :func:`_oriented_start`.
+    ``converged`` needs small eigenresiduals and the aufbau property,
+    checked on a certified eigen block: the occupied multipliers are the
+    two lowest levels of the pair's own mean-field operator.  An energy
+    dive through zero flags ``threshold_breach`` — the subcritical energy
+    is provably nonnegative, so crossing zero means a is past the discrete
+    threshold (the descent is left to run a few more steps so the history
+    records the dive).
     """
     V = potential_field(trap, grid)
     if warm_start is not None:
         pair = warm_start.copy()
     else:
-        zero = grid.zeros()
-        eig = lowest_eigenpairs(zero, V, 0.0, 2, _EIG_TOL, cfg)
-        pair = loewdin(eig.fields[0], eig.fields[1])
+        pair = _oriented_start(
+            lowest_eigenpairs(grid.zeros(), V, 0.0, 2, _EIG_TOL, cfg), a, V)
 
     history: list[tuple[int, float, float]] = []
     E0 = energy(pair, a, V).energy
@@ -634,7 +722,7 @@ def minimize_ground_state(
                 pair, a, V, cfg, history=history, it0=len(history)
             )
             max_defect = max(max_defect, pair.defect())
-        frame, (_, mu2), residuals = _rotate_to_multiplier_basis(pair, V, a)
+        frame, mus, residuals = _rotate_to_multiplier_basis(pair, V, a)
         rotated = OrbitalPair(*frame)
         # degeneracy gap of the mean-field operator above the occupied shell
         gap_eig = lowest_eigenpairs(
@@ -646,17 +734,18 @@ def minimize_ground_state(
         # order), so a lower second level marks a stationary point that is
         # not a minimum; the SCF, which occupies the lowest levels, takes
         # over from there.
-        aufbau = gap_eig.values[1] >= mu2 - 1e-6 * (1.0 + abs(mu2))
+        aufbau = gap_eig.values[1] >= mus[1] - 1e-6 * (1.0 + abs(mus[1]))
         if aufbau or polish:
             break
         polish = True
     max_defect = max(max_defect, rotated.defect())
-    diag = diagnose(rotated, a, V, trap)
+    diag = diagnose(rotated, a, V, trap, mus)
     gap = float(gap_eig.values[2] - gap_eig.values[1])
 
     res_tol = 10.0 * cfg.grad_tol
     converged = (
         aufbau
+        and gap_eig.converged
         and max(residuals) <= max(res_tol, 50 * _EIG_TOL)
         and (scf_defect is None or scf_defect <= 100 * _SCF_TOL)
     )
@@ -683,10 +772,8 @@ def _max_node_mass(grid: BoxGrid, *fields: ScalarField) -> float:
 
 def _orbital_width(u: ScalarField) -> float:
     """Radial second-moment width of a unit-mass orbital about its centroid."""
-    v, w = u.values * u.values, u.grid.quad_weights_1d()
-    pxy, pxz, xw = v @ w, w @ v, u.grid.axis() * w  # z, then y, summed out
-    centroid = ((pxy @ w) @ xw, (w @ pxy) @ xw, (w @ pxz) @ xw)
-    return math.sqrt(max(second_moment(ScalarField(u.grid, v), centroid), 0.0))
+    v = u.values * u.values
+    return math.sqrt(max(second_moment(ScalarField(u.grid, v), _centroid(u.grid, v)), 0.0))
 
 
 def _pinned_width(grid: BoxGrid, cfg: SolverConfig) -> float:

@@ -225,6 +225,49 @@ def test_refit_only_requires_prior_sweep(tmp_path, capsys):
     assert "--refit-only needs" in stderr_error(err)["message"]
 
 
+def _sweep_with_stored_threshold(tmp_path, fractions):
+    # n=28 harmonic under a stored a2_hat of 9.5: resolved, converged records
+    # whose s+p density peaks on the p lobe, off the well centre, so every
+    # rescale window about that peak reaches past the box
+    grid = {"n": 28, "half_width": 2.2}
+    cp = write_config(tmp_path, patch={"grid": grid, "sweep.a_fractions": fractions})
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "astar.json").write_text(json.dumps({"a2_hat": 9.5, "grid": grid}))
+    return cp, outdir
+
+
+def test_sweep_skips_an_extraction_outside_the_box(tmp_path, capsys):
+    cp, outdir = _sweep_with_stored_threshold(tmp_path, [0.5, 0.55, 0.6, 0.65])
+    rc, _, err = run(["sweep", "--config", cp], capsys)
+    assert rc == fcli.EXIT_PARTIAL
+    e = stderr_error(err)
+    assert e["kind"] == "partial"
+    assert e["message"].count("profile extraction skipped: rescale window") == 5
+    meta = load_json(outdir / "meta.json")
+    assert len(meta["extracts"]) == 4
+    for entry in meta["extracts"] + [meta["decay"]]:
+        assert "source box ends at 2.2" in entry["skipped"]
+    report = load_json(outdir / "report.json")
+    assert report["n_usable"] == 4
+    assert "profile" not in report and "decay" not in report
+    rc, _, _ = run(["sweep", "--config", cp, "--refit-only"], capsys)
+    assert rc == fcli.EXIT_OK
+    assert load_json(outdir / "report.json") == report
+
+
+def test_sweep_without_a_report_is_partial(tmp_path, capsys):
+    # two usable records are too few to fit: no report.json, no traceback
+    cp, outdir = _sweep_with_stored_threshold(tmp_path, [0.5, 0.6])
+    rc, _, err = run(["sweep", "--config", cp], capsys)
+    assert rc == fcli.EXIT_PARTIAL
+    assert "report not built: need >= 4 usable records, got 2" in stderr_error(err)["message"]
+    assert (outdir / "meta.json").exists() and not (outdir / "report.json").exists()
+    rc, _, err = run(["sweep", "--config", cp, "--refit-only"], capsys)
+    assert rc == fcli.EXIT_PARTIAL
+    assert "report not built" in stderr_error(err)["message"]
+
+
 # ---------------------------------------------------------------------------
 # solve guarded by a real stored threshold (cached small astar run)
 # ---------------------------------------------------------------------------

@@ -4,13 +4,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import fermivar
-from fermivar.frames import OrbitalPair
+from fermivar.frames import OrbitalPair, loewdin
 from fermivar.grid import BoxGrid, ScalarField, inner, integrate, norm
 from fermivar.model import (
     TrapPotential,
@@ -42,6 +43,7 @@ from fermivar.radial import gn_constants, profile_spline, shoot_soliton
 from helpers import exact_harmonic_levels, random_pair
 
 HARMONIC = TrapPotential(wells=(Well(center=(0.0, 0.0, 0.0), power=2.0),))
+QUARTIC = TrapPotential(wells=(Well(center=(0.0, 0.0, 0.0), power=4.0),))
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +226,11 @@ def test_ground_state_trajectory_is_pinned():
     g = BoxGrid(24, 2.2)
     res = minimize_ground_state(5.0, HARMONIC, g, SolverConfig())
     assert res.stop_reason == "tolerance"
-    assert res.iters == 74
+    assert res.iters == 17
     assert res.diag.energy == pytest.approx(5.880145123919772, rel=1e-12)
 
 
-@pytest.mark.parametrize("trap, half_width", [
-    (HARMONIC, 2.2),
-    (TrapPotential(wells=(Well(center=(0.0, 0.0, 0.0), power=4.0),)), 2.5),
-])
+@pytest.mark.parametrize("trap, half_width", [(HARMONIC, 2.2), (QUARTIC, 2.5)])
 def test_descent_reaches_a_tight_tolerance(trap, half_width):
     # at grad_tol 1e-8 the energy no longer resolves the descent's steps
     # (Armijo fails all its halvings near a gradient of 2e-8); the
@@ -294,15 +293,149 @@ def test_scf_polish_converges_after_capped_descent():
     assert res.diag.energy == pytest.approx(10.664488255420956, rel=1e-12)
 
 
+def _unoriented_start(trap, g):
+    """The a = 0 eigenpair in the eigensolver's own p-shell orientation."""
+    eig = lowest_eigenpairs(g.zeros(), potential_field(trap, g), 0.0, 2,
+                            solvers._EIG_TOL, SolverConfig())
+    return eig, loewdin(eig.fields[0], eig.fields[1])
+
+
 def test_scf_polish_reports_a_stalled_polish():
-    # on the symmetric harmonic trap the SCF polish stalls (no defect
-    # progress over six outers); the solve must not call that converged
+    # on the symmetric harmonic trap, started in the eigensolver's own
+    # p-shell orientation, the SCF polish stalls (no defect progress over
+    # six outers); the solve must not call that converged
     g = BoxGrid(24, 2.2)
-    res = minimize_ground_state(6.5, HARMONIC, g, SolverConfig(max_iters=3))
+    _, start = _unoriented_start(HARMONIC, g)
+    res = minimize_ground_state(6.5, HARMONIC, g, SolverConfig(max_iters=3),
+                                warm_start=start)
     assert res.stop_reason == "max_iters+scf"
     assert res.scf_outer == 13
     assert not res.converged
     assert res.scf_defect > 1e-6
+
+
+def test_scf_polish_settles_the_oriented_cold_start():
+    # the same capped descent from the oriented cold start: the polish
+    # contracts linearly to its tolerance and the solve is certified
+    g = BoxGrid(24, 2.2)
+    res = minimize_ground_state(6.5, HARMONIC, g, SolverConfig(max_iters=3))
+    assert res.stop_reason == "max_iters+scf"
+    assert res.scf_outer == 41
+    assert res.scf_defect <= solvers._SCF_TOL
+    assert res.converged
+
+
+def test_unconverged_level_check_is_not_certified(monkeypatch):
+    # the aufbau check and the degeneracy gap read the k = 3 eigen block of
+    # the final pair; a solve whose block is uncertified is not converged
+    g = BoxGrid(24, 2.2)
+    assert minimize_ground_state(5.0, HARMONIC, g, SolverConfig()).converged
+    eigs = solvers.lowest_eigenpairs
+
+    def uncertified_gap(rho, V, a, k, *args, **kw):
+        res = eigs(rho, V, a, k, *args, **kw)
+        return replace(res, converged=False) if k == 3 else res
+
+    monkeypatch.setattr(solvers, "lowest_eigenpairs", uncertified_gap)
+    res = minimize_ground_state(5.0, HARMONIC, g, SolverConfig())
+    assert res.stop_reason == "tolerance"
+    assert not res.converged
+
+
+def test_ground_state_reports_the_finish_multipliers():
+    # solve.json's mu1, mu2 are those of the rotation that produced the pair
+    g = BoxGrid(24, 2.2)
+    res = minimize_ground_state(5.0, HARMONIC, g, SolverConfig())
+    (mu1, mu2), _, _ = multipliers(res.pair, potential_field(HARMONIC, g), 5.0)
+    assert res.diag.mu1 == pytest.approx(mu1, rel=1e-12)
+    assert res.diag.mu2 == pytest.approx(mu2, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# oriented cold start
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("trap, half_width, axis_gap", [
+    (HARMONIC, 2.2, 3.463452875e-3),
+    (QUARTIC, 2.5, 8.377454501e-4),
+])
+def test_oriented_cold_start(trap, half_width, axis_gap):
+    # the p-shell start of lowest energy reaches the minimum that the
+    # eigensolver's own orientation reaches, in at most half the
+    # iterations; a start on a four-fold axis stops on tolerance at a
+    # higher stationary point, certified converged like the minimum
+    g = BoxGrid(24, half_width)
+    cfg = SolverConfig()
+    eig, start = _unoriented_start(trap, g)
+    cold = minimize_ground_state(5.0, trap, g, cfg)
+    ref = minimize_ground_state(5.0, trap, g, cfg, warm_start=start)
+    assert cold.stop_reason == ref.stop_reason == "tolerance"
+    assert cold.converged
+    assert cold.diag.energy == pytest.approx(ref.diag.energy, rel=1e-12)
+    assert 2 * cold.iters <= ref.iters
+    shell = solvers._degenerate_shell(eig)
+    assert len(shell) == 3  # the p level, two of it from the guard columns
+    on_axis = minimize_ground_state(5.0, trap, g, cfg, warm_start=solvers._axis_start(
+        eig.fields[0], shell, (1, 0, 0)))
+    assert on_axis.stop_reason == "tolerance" and on_axis.converged
+    gap = on_axis.diag.energy / cold.diag.energy - 1.0
+    assert gap == pytest.approx(axis_gap, rel=1e-6)
+
+
+def test_nondegenerate_cold_start_is_the_eigenpair():
+    # the double well's second level is simple: its start is the two
+    # lowest eigenfunctions, bit for bit
+    g = BoxGrid(24, 2.5)
+    trap = TrapPotential(wells=(Well(center=(-0.8, 0.0, 0.0), power=2.0),
+                                Well(center=(0.8, 0.0, 0.0), power=4.0)))
+    eig, start = _unoriented_start(trap, g)
+    assert solvers._degenerate_shell(eig) == []
+    pair = solvers._oriented_start(eig, 5.0, potential_field(trap, g))
+    assert np.array_equal(pair.u1.values, start.u1.values)
+    assert np.array_equal(pair.u2.values, start.u2.values)
+
+
+_COLD_START_PROBE = """
+import numpy as np
+from fermivar.grid import BoxGrid, ScalarField, integrate
+from fermivar.model import TrapPotential, Well, potential_field
+from fermivar.solvers import (SolverConfig, _EIG_TOL, _oriented_start,
+                              lowest_eigenpairs, minimize_ground_state)
+for power, half_width in ((2.0, 2.2), (4.0, 2.5)):
+    g = BoxGrid(24, half_width)
+    trap = TrapPotential(wells=(Well(center=(0.0, 0.0, 0.0), power=power),))
+    V = potential_field(trap, g)
+    start = _oriented_start(
+        lowest_eigenpairs(g.zeros(), V, 0.0, 2, _EIG_TOL, SolverConfig()), 5.0, V)
+    x = g.axis()
+    dipole = [integrate(ScalarField(g, start.u1.values * start.u2.values * x.reshape(s)))
+              for s in ((-1, 1, 1), (1, -1, 1), (1, 1, -1))]
+    res = minimize_ground_state(5.0, trap, g, SolverConfig())
+    print(res.stop_reason, res.iters, res.diag.energy.hex(),
+          *(abs(d) / np.linalg.norm(dipole) for d in dipole))
+"""
+
+
+def test_cold_solve_independent_of_blas_threads():
+    # the eigensolver's p-shell basis depends on the BLAS thread count; the
+    # oriented start must not: same stop and count, a three-fold axis
+    src = str(Path(fermivar.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        run = subprocess.run([sys.executable, "-c", _COLD_START_PROBE], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        outs.append([line.split() for line in run.stdout.splitlines()])
+    for one, two in zip(*outs):
+        assert one[0] == two[0] == "tolerance"
+        assert one[1] == two[1]
+        assert float.fromhex(one[2]) == pytest.approx(float.fromhex(two[2]), rel=1e-12)
+        for cos in one[3:] + two[3:]:
+            assert float(cos) == pytest.approx(1 / math.sqrt(3), abs=1e-6)
+    assert len(outs[0]) == len(outs[1]) == 2
 
 
 # ---------------------------------------------------------------------------
