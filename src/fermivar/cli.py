@@ -366,6 +366,8 @@ def cmd_solve(raw: dict, args) -> int:
         "degeneracy_gap": res.degeneracy_gap,
         "width": res.width,
         "eig_values": [float(v) for v in res.eig_values],
+        "cold_eig_iters": res.cold_eig_iters,
+        "level_eig_iters": res.level_eig_iters,
         "history": [[int(i), float(e), float(g)] for i, e, g in res.history],
         "seed": cfg.seed,
         "config_digest": digest,

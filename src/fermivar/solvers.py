@@ -21,8 +21,11 @@ the two problems it is handed:
 
 Eigenpairs come from LOBPCG preconditioned with the inverse of a separable
 surrogate of the mean-field operator (:class:`TensorPreconditioner`).
-The residuals of the requested levels are recomputed and certified after
-every solve; the block's guard columns come back uncertified.
+Each eigensolve starts from what the solve already knows: warm fields, and
+the surrogate's product modes where the surrogate is exact; random columns
+fill the rest.  The residuals of the requested levels are recomputed and
+certified after every solve; the block's guard columns come back
+uncertified.
 """
 
 from __future__ import annotations
@@ -195,6 +198,10 @@ class SolveResult:
     max_pair_defect: float = 0.0
     width: float = 0.0
     eig_values: tuple[float, ...] = ()
+    # LOBPCG iterations of the cold a = 0 start (None if warm-started) and
+    # of the closing level checks
+    cold_eig_iters: int | None = None
+    level_eig_iters: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +216,12 @@ class TensorPreconditioner:
     along the three axis lines through its minimum node (minus twice the
     minimum so the well depth is counted once), capturing both the trap
     growth and the attractive mean-field well where the orbitals live.
-    Exactly separable potentials (e.g. the pure harmonic trap) make the
-    surrogate exact.  Application transforms each axis into the eigenbasis
-    of its 1-D tridiagonal operator, divides by the summed eigenvalues and
-    transforms back: six (m, m) matrix products per field.
+    Exactly separable potentials (e.g. the pure harmonic trap, centred or
+    not, at a = 0) make the surrogate exact; ``exact`` records whether the
+    separable sum equals the diagonal to 1e-12 relative.  Application
+    transforms each axis into the eigenbasis of its 1-D tridiagonal
+    operator, divides by the summed eigenvalues and transforms back: six
+    (m, m) matrix products per field.
     """
 
     def __init__(self, grid: BoxGrid, diag: np.ndarray, shift: float):
@@ -231,6 +240,9 @@ class TensorPreconditioner:
             lam, Q = eigh_tridiagonal(2.0 / (h * h) + v, off)
             self.Q.append(np.ascontiguousarray(Q))
             lams.append(lam)
+        surrogate = (lines[0][:, None, None] + lines[1][None, :, None]
+                     + lines[2][None, None, :] - 2.0 * float(diag[i0]))
+        self.exact = bool(np.abs(surrogate - diag).max() <= 1e-12 * np.abs(diag).max())
         base = shift - 2.0 * float(diag[i0])
         den = (
             lams[0][:, None, None]
@@ -242,6 +254,20 @@ class TensorPreconditioner:
         if dmin <= 0.0:  # keep the surrogate SPD whatever the well depth
             den += 1.0 - dmin
         self.den = den
+
+    def lowest_modes(self, count: int) -> np.ndarray:
+        """The surrogate's ``count`` lowest product modes as (m^3, count) columns.
+
+        Column c is Q1[:, i] (x) Q2[:, j] (x) Q3[:, l] for the c-th (i, j, l)
+        in stable argsort order of the summed 1-D eigenvalues.  When
+        ``exact`` holds they are the operator's lowest eigenvectors.
+        """
+        m = self.den.shape[0]
+        i, j, l = np.unravel_index(
+            np.argsort(self.den, axis=None, kind="stable")[:count], self.den.shape)
+        Q1, Q2, Q3 = self.Q
+        modes = Q1[:, None, None, i] * Q2[None, :, None, j] * Q3[None, None, :, l]
+        return modes.reshape(m ** 3, count)
 
     def apply_core(self, core: np.ndarray) -> np.ndarray:
         """Surrogate inverse of one (m, m, m) field or an (m, m, m, b) block.
@@ -298,6 +324,14 @@ def lowest_eigenpairs(
     Rayleigh-Ritz cleanup of the returned block; residuals ||H v - lam v||
     are recomputed in L2 and the result is flagged unconverged if any of the
     k lowest exceeds tol.  The three guard columns come back uncertified.
+
+    The start block holds the ``warm`` fields first.  Its other columns are
+    filled from what the preconditioner knows: when its separable surrogate
+    is exact (:attr:`TensorPreconditioner.exact`), column j is the j-th
+    lowest product mode, an eigenvector of H, so LOBPCG only certifies it;
+    otherwise they are smoothed Gaussian random columns drawn from
+    ``cfg.seed``.  ``iterations`` counts the LOBPCG iterations actually
+    run (a round of ``maxiter=15`` runs 16), at least one per round.
     """
     if k < 1 or k > 8:
         raise ValueError("k must be in 1..8")
@@ -312,7 +346,13 @@ def lowest_eigenpairs(
         x = X.reshape(m, m, m, -1)
         return (neg_laplacian_core(x, h) + diag[..., None] * x).reshape(X.shape)
 
+    passes = 0
+
     def pmat(X: np.ndarray) -> np.ndarray:
+        # LOBPCG preconditions its active residuals once per iteration; the
+        # count is reset at the start of each round
+        nonlocal passes
+        passes += 1
         return prec.apply_core(X.reshape(m, m, m, -1)).reshape(X.shape)
 
     mdof = m ** 3
@@ -329,7 +369,9 @@ def lowest_eigenpairs(
         for f in warm[:block]:
             X[:, nwarm] = _core(f.values).ravel()
             nwarm += 1
-    if nwarm < block:
+    if nwarm < block and prec.exact:
+        X[:, nwarm:] = prec.lowest_modes(block)[:, nwarm:]
+    elif nwarm < block:
         X[:, nwarm:] = rng.standard_normal((mdof, block - nwarm))
         # smooth the random tail so the first iterations are not wasted
         X[:, nwarm:] = pmat(X[:, nwarm:])
@@ -337,6 +379,7 @@ def lowest_eigenpairs(
 
     total_iter = 0
     for _round in range(_EIG_ROUNDS):
+        passes = 0
         with np.errstate(all="ignore"), warnings.catch_warnings():
             # residuals are recomputed and certified below; the solver's own
             # not-converged-yet warnings are noise between rounds
@@ -345,7 +388,8 @@ def lowest_eigenpairs(
                 A, X, M=M, tol=tol * 0.2, maxiter=15, largest=False,
                 verbosityLevel=0,
             )
-        total_iter += 15
+        # a start already within tol makes no pass but still counts one
+        total_iter += max(1, passes)
         # Rayleigh-Ritz cleanup: orthonormalize, project, rediagonalize
         Q, _ = np.linalg.qr(X)
         AQ = matmat(Q)
@@ -649,8 +693,11 @@ def _oriented_start(eig: EigResult, a: float, V: ScalarField) -> OrbitalPair:
     turning the p orbital through the lattice's weak cubic anisotropy.  The
     start is instead the :func:`_axis_start` of lowest energy at a over the
     cube symmetry axes ``_CUBE_AXES``, scanned in order; a later axis
-    displaces the best only when lower by more than 1e-12 relative, so an
-    exact tie keeps the earlier axis.
+    displaces the best only when lower by more than 1e-8 relative.  Axes
+    equivalent by symmetry tie only to eigensolver noise (up to 7e-11
+    relative at a = 5, n = 24 and 32), while face and body diagonals differ
+    by 6e-5 (quartic) to 1e-3 (harmonic), so the pick is the table's first
+    axis of the lowest class.
     """
     shell = _degenerate_shell(eig)
     if not shell:
@@ -659,7 +706,7 @@ def _oriented_start(eig: EigResult, a: float, V: ScalarField) -> OrbitalPair:
     for n in _CUBE_AXES:
         cand = _axis_start(eig.fields[0], shell, n)
         E = energy(cand, a, V).energy
-        if best is None or E < best_E - 1e-12 * abs(best_E):
+        if best is None or E < best_E - 1e-8 * abs(best_E):
             best, best_E = cand, E
     return best
 
@@ -678,21 +725,28 @@ def minimize_ground_state(
     or ``line_search`` when neither the Armijo nor the derivative test
     takes a step) or on a stationary point that fails the aufbau check,
     final rotation to the multiplier eigenbasis with certified
-    eigenresiduals.  A cold solve starts from :func:`_oriented_start`.
-    ``converged`` needs small eigenresiduals and the aufbau property,
-    checked on a certified eigen block: the occupied multipliers are the
-    two lowest levels of the pair's own mean-field operator.  An energy
+    eigenresiduals.  A cold solve starts from :func:`_oriented_start` of
+    the a = 0 eigen block (exact product modes on a separable trap, see
+    :func:`lowest_eigenpairs`).  ``converged`` needs small eigenresiduals
+    and the aufbau property, checked on a certified eigen block: the
+    occupied multipliers are the two lowest levels of the pair's own
+    mean-field operator.  That level check starts from the rotated pair
+    and, after a cold start, the a = 0 block's three guard eigenvectors;
+    its last column is random.  An energy
     dive through zero flags ``threshold_breach`` — the subcritical energy
     is provably nonnegative, so crossing zero means a is past the discrete
     threshold (the descent is left to run a few more steps so the history
     records the dive).
     """
     V = potential_field(trap, grid)
+    guards: list[ScalarField] = []
+    cold_iters = None
     if warm_start is not None:
         pair = warm_start.copy()
     else:
-        pair = _oriented_start(
-            lowest_eigenpairs(grid.zeros(), V, 0.0, 2, _EIG_TOL, cfg), a, V)
+        eig = lowest_eigenpairs(grid.zeros(), V, 0.0, 2, _EIG_TOL, cfg)
+        pair, guards, cold_iters = _oriented_start(eig, a, V), eig.guard_fields, eig.iterations
+        del eig  # only the guards warm the level check
 
     history: list[tuple[int, float, float]] = []
     E0 = energy(pair, a, V).energy
@@ -713,9 +767,11 @@ def minimize_ground_state(
             residuals=(math.inf, math.inf), history=history,
             stop_reason="breach", threshold_breach=True,
             max_pair_defect=max_defect, width=pair_width(pair),
+            cold_eig_iters=cold_iters,
         )
 
     polish = reason != "tolerance"
+    level_iters = 0
     while True:
         if polish:
             pair, scf_outer, scf_defect, history = scf_refine(
@@ -727,8 +783,9 @@ def minimize_ground_state(
         # degeneracy gap of the mean-field operator above the occupied shell
         gap_eig = lowest_eigenpairs(
             density(rotated), V, a, 3, 1e-6, cfg,
-            warm=[rotated.u1, rotated.u2],
+            warm=[rotated.u1, rotated.u2, *guards],
         )
+        level_iters += gap_eig.iterations
         # Aufbau: a minimizer occupies the two lowest levels of its own
         # mean-field operator (swapping in a lower level lowers E to second
         # order), so a lower second level marks a stationary point that is
@@ -756,6 +813,7 @@ def minimize_ground_state(
         scf_outer=scf_outer, scf_defect=scf_defect,
         max_pair_defect=max_defect, width=pair_width(rotated),
         eig_values=tuple(float(v) for v in gap_eig.values),
+        cold_eig_iters=cold_iters, level_eig_iters=level_iters,
     )
 
 

@@ -210,6 +210,20 @@ def test_solve_requires_stored_threshold(tmp_path, capsys):
     assert "run `fermivar astar` first" in stderr_error(err)["message"]
 
 
+def test_solve_reports_its_eigensolve_iterations(tmp_path, capsys):
+    # solve.json says what the cold a = 0 start and the closing level check
+    # cost; the separable harmonic start is exact, certified in one pass
+    cp = write_config(tmp_path)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "astar.json").write_text(
+        json.dumps({"a2_hat": 9.5, "grid": BASE_CONFIG["grid"]}))
+    rc, _, _ = run(["solve", "--config", cp, "--a", "5.0"], capsys)
+    assert rc == fcli.EXIT_OK
+    doc = load_json(tmp_path / "out" / "solve.json")
+    assert doc["cold_eig_iters"] == 1
+    assert isinstance(doc["level_eig_iters"], int) and doc["level_eig_iters"] >= 1
+
+
 def test_sweep_requires_sweep_section(tmp_path, capsys):
     cp = write_config(tmp_path)
     rc, _, err = run(["sweep", "--config", cp], capsys)
