@@ -49,16 +49,13 @@ from .frames import (
     NearSingularGramError,
     OrbitalPair,
     PairDefectError,
-    TrialPairInfo,
     gram,
     loewdin,
     loewdin_frame,
-    make_trial_pair,
     project_tangent,
     project_tangent_frame,
     retract,
     retract_frame,
-    smoothstep_cutoff,
 )
 from .solvers import (
     EigResult,

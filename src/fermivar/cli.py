@@ -37,7 +37,7 @@ except ImportError as _exc:  # pragma: no cover - hard dependency
 
 from .grid import BoxGrid, read_snapshot, write_snapshot
 from .model import TrapPotential, TrapError, Well, density
-from .frames import OrbitalPair, make_trial_pair
+from .frames import OrbitalPair
 from .solvers import (
     SolverConfig,
     SolverError,
@@ -466,6 +466,11 @@ def _write_sweep_reports(records, trap, a_hat, extracts, decay_extract,
 
 
 def cmd_sweep(raw: dict, args) -> int:
+    """Continuation over ``sweep.a_fractions`` of the stored a2_hat.
+
+    The first point starts cold and oriented, as ``solve`` does; each
+    later point starts from the previous record.
+    """
     if "sweep" not in raw:
         raise ConfigError("sweep requires the config's sweep section")
     grid = build_grid(raw)
@@ -507,21 +512,8 @@ def cmd_sweep(raw: dict, args) -> int:
     fractions = raw["sweep"]["a_fractions"]
     a_list = [f * a_hat for f in fractions]
 
-    warm = None
-    u1p = os.path.join(outdir, "astar_u1.snap")
-    u2p = os.path.join(outdir, "astar_u2.snap")
-    if os.path.exists(u1p) and os.path.exists(u2p):
-        u1, u2 = read_snapshot(u1p), read_snapshot(u2p)
-        if u1.grid == grid:
-            x0 = np.asarray(trap.metadata().flattest[0])
-            warm, _ = make_trial_pair(
-                OrbitalPair(u1, u2), 1.0, x0, target_grid=grid
-            )
-
     try:
-        outcome = continuation_sweep(
-            trap, grid, a_list, cfg, a_hat, warm_start=warm
-        )
+        outcome = continuation_sweep(trap, grid, a_list, cfg, a_hat)
     except SolverError as exc:
         return _emit_error(EXIT_SOLVER, "solver", f"sweep failed: {exc}")
 

@@ -27,8 +27,6 @@ from .grid import (
     BoxGrid,
     ScalarField,
     inner,
-    integrate,
-    resample_scaled,
 )
 
 PAIR_DEFECT_TOL = 1e-6
@@ -153,85 +151,3 @@ def retract(
 ) -> OrbitalPair:
     """Retraction at a pair (k = 2 :func:`retract_frame`)."""
     return OrbitalPair(*retract_frame((pair.u1, pair.u2), (d1, d2), step))
-
-
-# ---------------------------------------------------------------------------
-# concentration trial states
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TrialPairInfo:
-    renorm_1: float
-    renorm_2: float
-    overlap: float  # |<Q1_tau, Q2_tau>| before Loewdin
-    cutoff_loss_1: float  # squared-mass fraction removed by the cutoff
-    cutoff_loss_2: float
-    degraded: bool
-
-
-def smoothstep_cutoff(grid: BoxGrid, x0: np.ndarray, radius: float) -> ScalarField:
-    """Quintic plateau: 1 on |x - x0| <= radius, 0 beyond 2*radius, C^2."""
-    X, Y, Z = grid.meshgrid()
-    r = np.sqrt((X - x0[0]) ** 2 + (Y - x0[1]) ** 2 + (Z - x0[2]) ** 2)
-    t = np.clip((2.0 * radius - r) / radius, 0.0, 1.0)
-    phi = t * t * t * (10.0 + t * (-15.0 + 6.0 * t))
-    return ScalarField(grid, phi)
-
-
-def make_trial_pair(
-    minimizer: OrbitalPair,
-    tau: float,
-    x0,
-    cutoff_radius_fraction: float = 0.4,
-    target_grid: BoxGrid | None = None,
-) -> tuple[OrbitalPair, TrialPairInfo]:
-    """Cutoff-rescaled concentration family around x0.
-
-    Q_i^tau(x) = A_i tau^{3/2} phi(x - x0) Q_i(tau (x - x0)) with a quintic
-    plateau cutoff phi of radius cutoff_radius_fraction * L (full support
-    twice that), each orbital renormalized, the pair then Loewdin-cleaned.
-    For tau large the overlap and the renormalization corrections vanish
-    rapidly; a tau too small for the cutoff flags ``degraded``.
-    """
-    if not (0.0 < cutoff_radius_fraction < 1.0):
-        raise ValueError("cutoff_radius_fraction must lie in (0, 1)")
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    grid = minimizer.grid if target_grid is None else target_grid
-    radius = cutoff_radius_fraction * grid.half_width
-    phi = smoothstep_cutoff(grid, x0, radius)
-
-    raw = []
-    losses = []
-    for u in (minimizer.u1, minimizer.u2):
-        # resample_scaled evaluates u(scale*x + center); u(tau(x - x0)) needs
-        # center = -tau*x0 on the output coordinates.
-        v = tau ** 1.5 * resample_scaled(u, tau, center=-tau * x0, out_grid=target_grid)
-        bare = ScalarField(grid, v)
-        cut = ScalarField(grid, v * phi.values)
-        m_bare = integrate(ScalarField(grid, bare.values ** 2))
-        m_cut = integrate(ScalarField(grid, cut.values ** 2))
-        losses.append(1.0 - m_cut / m_bare if m_bare > 0 else 1.0)
-        raw.append(cut)
-
-    m1 = integrate(ScalarField(grid, raw[0].values ** 2))
-    m2 = integrate(ScalarField(grid, raw[1].values ** 2))
-    if m1 <= 0.0 or m2 <= 0.0:
-        raise ValueError("trial orbitals vanished: tau or cutoff out of range")
-    A1, A2 = 1.0 / np.sqrt(m1), 1.0 / np.sqrt(m2)
-    q1 = ScalarField(grid, raw[0].values * A1)
-    q2 = ScalarField(grid, raw[1].values * A2)
-    overlap = abs(inner(q1, q2))
-    pair = loewdin(q1, q2)
-    degraded = max(losses) > 1e-3
-    info = TrialPairInfo(
-        renorm_1=float(A1),
-        renorm_2=float(A2),
-        overlap=float(overlap),
-        cutoff_loss_1=float(losses[0]),
-        cutoff_loss_2=float(losses[1]),
-        degraded=bool(degraded),
-    )
-    return pair, info

@@ -197,6 +197,7 @@ class SolveResult:
     scf_defect: float | None = None
     max_pair_defect: float = 0.0
     width: float = 0.0
+    # the two certified occupied levels and the next one up, uncertified
     eig_values: tuple[float, ...] = ()
     # LOBPCG iterations of the cold a = 0 start (None if warm-started) and
     # of the closing level checks
@@ -730,9 +731,13 @@ def minimize_ground_state(
     :func:`lowest_eigenpairs`).  ``converged`` needs small eigenresiduals
     and the aufbau property, checked on a certified eigen block: the
     occupied multipliers are the two lowest levels of the pair's own
-    mean-field operator.  That level check starts from the rotated pair
-    and, after a cold start, the a = 0 block's three guard eigenvectors;
-    its last column is random.  An energy
+    mean-field operator.  That level check certifies those two levels
+    only; the third, behind ``degeneracy_gap`` and ``eig_values[2]``, is
+    its first guard Ritz value, uncertified (on the body diagonal of a
+    symmetric trap it is one of a degenerate pair, which a certified
+    boundary would split).  The check starts from the rotated pair and,
+    after a cold start, the a = 0 block's three guard eigenvectors, which
+    fill its block.  An energy
     dive through zero flags ``threshold_breach`` — the subcritical energy
     is provably nonnegative, so crossing zero means a is past the discrete
     threshold (the descent is left to run a few more steps so the history
@@ -780,9 +785,9 @@ def minimize_ground_state(
             max_defect = max(max_defect, pair.defect())
         frame, mus, residuals = _rotate_to_multiplier_basis(pair, V, a)
         rotated = OrbitalPair(*frame)
-        # degeneracy gap of the mean-field operator above the occupied shell
+        # certify the two occupied levels; the first guard gives the gap
         gap_eig = lowest_eigenpairs(
-            density(rotated), V, a, 3, 1e-6, cfg,
+            density(rotated), V, a, 2, 1e-6, cfg,
             warm=[rotated.u1, rotated.u2, *guards],
         )
         level_iters += gap_eig.iterations
@@ -797,7 +802,8 @@ def minimize_ground_state(
         polish = True
     max_defect = max(max_defect, rotated.defect())
     diag = diagnose(rotated, a, V, trap, mus)
-    gap = float(gap_eig.values[2] - gap_eig.values[1])
+    levels = (*gap_eig.values, gap_eig.guard_values[0])
+    gap = float(levels[2] - levels[1])
 
     res_tol = 10.0 * cfg.grad_tol
     converged = (
@@ -812,7 +818,7 @@ def minimize_ground_state(
         stop_reason=reason + "+scf" if polish else reason, degeneracy_gap=gap,
         scf_outer=scf_outer, scf_defect=scf_defect,
         max_pair_defect=max_defect, width=pair_width(rotated),
-        eig_values=tuple(float(v) for v in gap_eig.values),
+        eig_values=tuple(float(v) for v in levels),
         cold_eig_iters=cold_iters, level_eig_iters=level_iters,
     )
 
@@ -871,7 +877,10 @@ def minimize_quotient_rank2(
     rejected by the node-mass guard.  The reported value is the polished
     minimum of the best-scoring scanned slice that survives the polish,
     finished by :func:`_rotate_to_multiplier_basis` at the polish's value.
-    The discrete value depends on the node count alone, not the box scale.
+    The discrete value depends on the box scale as well as the node count,
+    because the descent has absolute, scale-dependent inputs such as the
+    preconditioner shift: at n = 32 and pin 0.4 it is 9.890449593 at
+    half-width 2.2 and 9.888898362 at 2.5.
 
     Returns the value, the pair, its multipliers and eigenresiduals, the
     scan log and the polish log.  The scan log has one entry per scanned
@@ -1193,7 +1202,11 @@ def continuation_sweep(
     a_hat: float,
     warm_start: OrbitalPair | None = None,
 ) -> SweepOutcome:
-    """Warm-started sequence of ground-state solves for increasing a.
+    """Sequence of ground-state solves for increasing a.
+
+    The first point starts from ``warm_start`` or else cold, as in
+    :func:`minimize_ground_state`; each later point from the previous pair.
+    A warm start can end certified on an orientational saddle.
 
     Records carry the scale parameter eps = (a_hat - a)^{1/(p+2)} and the
     under-resolution flag (eps spanning fewer than

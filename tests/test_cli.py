@@ -7,12 +7,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fermivar
 import fermivar.cli as fcli
 
-from conftest import SMALL_ASTAR_CONFIG, load_json
+from conftest import REPO_ROOT, SMALL_ASTAR_CONFIG, load_json
 
 
 BASE_CONFIG = {
@@ -118,6 +119,18 @@ def test_fractions_must_increase(tmp_path, capsys):
     e = stderr_error(err)
     assert e["schema_pointer"] == "/sweep/a_fractions"
     assert "strictly increasing" in e["message"]
+
+
+@pytest.mark.parametrize("path", sorted((REPO_ROOT / "configs").glob("*.json")),
+                         ids=lambda p: p.name)
+def test_shipped_configs_load(path):
+    # the configs/ files must follow the schema and build a grid, a trap, a
+    # solver config and the trap field; no solve runs
+    raw = fcli.load_config(str(path))
+    grid = fcli.build_grid(raw)
+    fcli.build_solver(raw, None)
+    V = fermivar.potential_field(fcli.build_trap(raw), grid)
+    assert V.grid == grid and np.isfinite(V.values).all()
 
 
 def test_config_digest_ignores_output_dir_and_key_order():
@@ -280,6 +293,32 @@ def test_sweep_without_a_report_is_partial(tmp_path, capsys):
     rc, _, err = run(["sweep", "--config", cp, "--refit-only"], capsys)
     assert rc == fcli.EXIT_PARTIAL
     assert "report not built" in stderr_error(err)["message"]
+
+
+def test_sweep_starts_cold_whatever_snapshots_are_stored(tmp_path, capsys):
+    # stored astar_u*.snap do not seed the sweep: its first point starts
+    # cold like `solve`, the next from the previous record; an x-axis s+p
+    # pair stored there left the first record on the orientational saddle,
+    # 3.3e-3 above the cold solve
+    grid = {"n": 24, "half_width": 2.2}
+    cp = write_config(tmp_path, patch={"grid": grid, "sweep.a_fractions": [0.5, 0.55]})
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "astar.json").write_text(json.dumps({"a2_hat": 9.5, "grid": grid}))
+    g = fermivar.BoxGrid(24, 2.2)
+    stored = fermivar.solvers.gaussian_pair(g, 0.35)
+    fermivar.write_snapshot(stored.u1, str(outdir / "astar_u1.snap"))
+    fermivar.write_snapshot(stored.u2, str(outdir / "astar_u2.snap"))
+    rc, _, _ = run(["sweep", "--config", cp], capsys)
+    assert rc == fcli.EXIT_PARTIAL  # two records are too few for a report
+    records = fermivar.read_sweep_csv(str(outdir / "records.csv"))
+    trap = fcli.build_trap(load_json(Path(cp)))
+    assert [r.a for r in records] == [0.5 * 9.5, 0.55 * 9.5]
+    assert load_json(outdir / "meta.json")["stop_reasons"] == ["tolerance"] * 2
+    for rec in records:
+        assert rec.converged
+        cold = fermivar.minimize_ground_state(rec.a, trap, g, fermivar.SolverConfig())
+        assert rec.E == pytest.approx(cold.diag.energy, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Orthonormal-pair machinery: Loewdin, tangent projection, trial states."""
+"""Orthonormal-pair machinery: Loewdin, tangent projection, retraction."""
 
 import numpy as np
 import pytest
@@ -10,22 +10,16 @@ from fermivar.frames import (
     gram,
     loewdin,
     loewdin_frame,
-    make_trial_pair,
     project_tangent,
     project_tangent_frame,
     retract,
     retract_frame,
-    smoothstep_cutoff,
 )
 from fermivar.grid import (
     BoxGrid,
     ScalarField,
-    dilate,
     inner,
-    integrate,
-    kinetic_energy,
     norm,
-    second_moment,
 )
 
 from helpers import (
@@ -216,89 +210,3 @@ def test_retract_restores_constraint_and_is_first_order():
             ))
         assert errs[1] < 0.35 * errs[0]
         assert errs[2] < 0.35 * errs[1]
-
-
-def test_smoothstep_cutoff_plateau_support_and_range():
-    g = BoxGrid(40, 2.0)
-    phi = smoothstep_cutoff(g, np.zeros(3), 0.5)
-    X, Y, Z = g.meshgrid()
-    r = np.sqrt(X**2 + Y**2 + Z**2)
-    assert np.all(phi.values[r <= 0.5] == 1.0)
-    assert np.all(phi.values[r >= 1.0] == 0.0)
-    assert phi.values.min() >= 0.0 and phi.values.max() <= 1.0
-    mid = phi.values[(r > 0.55) & (r < 0.95)]
-    assert mid.size and np.all(mid > 0.0) and np.all(mid < 1.0)
-
-
-def test_make_trial_pair_validation():
-    g = BoxGrid(32, 3.0)
-    pair = sp_pair(g, 0.5)
-    with pytest.raises(ValueError):
-        make_trial_pair(pair, 0.0, np.zeros(3))
-    with pytest.raises(ValueError):
-        make_trial_pair(pair, 2.0, np.zeros(3), cutoff_radius_fraction=1.5)
-
-
-def test_make_trial_pair_concentrates_and_stays_orthonormal():
-    g = BoxGrid(40, 3.0)
-    pair = sp_pair(g, 0.5)
-    base_m2 = second_moment(ScalarField(g, pair.u1.values**2))
-    base_T = kinetic_energy(pair.u1)
-    trial, info = make_trial_pair(pair, 2.0, np.zeros(3))
-    assert trial.defect() <= 1e-10
-    assert not info.degraded
-    assert info.overlap < 1e-8
-    assert max(info.cutoff_loss_1, info.cutoff_loss_2) < 1e-3
-    # tau = 2 halves the length scale: second moment ~ /4, kinetic ~ x4
-    m2 = second_moment(ScalarField(g, trial.u1.values**2))
-    assert abs(m2 / base_m2 - 0.25) < 0.05
-    T = kinetic_energy(trial.u1)
-    assert abs(T / base_T - 4.0) < 0.6
-    for u in (trial.u1, trial.u2):
-        assert abs(integrate(ScalarField(g, u.values**2)) - 1.0) < 1e-12
-
-
-def test_make_trial_pair_flags_degraded_when_cutoff_bites():
-    g = BoxGrid(40, 3.0)
-    pair = sp_pair(g, 1.1)  # wide profile
-    _, info = make_trial_pair(pair, 1.0, np.zeros(3), cutoff_radius_fraction=0.25)
-    assert info.degraded
-    assert max(info.cutoff_loss_1, info.cutoff_loss_2) > 1e-3
-
-
-def test_make_trial_pair_recenters_on_x0():
-    g = BoxGrid(40, 3.0)
-    pair = sp_pair(g, 0.5)
-    x0 = np.array([0.8, -0.4, 0.2])
-    trial, _ = make_trial_pair(pair, 2.0, x0)
-    rho = ScalarField(g, trial.u1.values**2 + trial.u2.values**2)
-    X, Y, Z = g.meshgrid()
-    w = rho.values / integrate(rho)
-    com = np.array([
-        integrate(ScalarField(g, X * w)),
-        integrate(ScalarField(g, Y * w)),
-        integrate(ScalarField(g, Z * w)),
-    ])
-    assert np.linalg.norm(com - x0) < 0.1
-
-
-def test_make_trial_pair_onto_target_grid():
-    src = BoxGrid(40, 3.0)
-    dst = BoxGrid(32, 1.5)
-    pair = sp_pair(src, 0.5)
-    trial, info = make_trial_pair(pair, 4.0, np.zeros(3), target_grid=dst)
-    assert trial.grid == dst
-    assert trial.defect() <= 1e-10
-    assert not info.degraded
-
-
-def test_trial_pair_tau_matches_direct_dilation():
-    # On a shared grid with x0 = 0, the trial orbital equals the cut-off,
-    # renormalized dilation of the minimizer, phi * dilate(u1, tau).
-    g = BoxGrid(40, 3.0)
-    pair = sp_pair(g, 0.5)
-    trial, _ = make_trial_pair(pair, 1.5, np.zeros(3), cutoff_radius_fraction=0.45)
-    phi = smoothstep_cutoff(g, np.zeros(3), 0.45 * g.half_width)
-    direct = normalize(ScalarField(g, phi.values * dilate(pair.u1, 1.5).values))
-    err = norm(ScalarField(g, trial.u1.values - direct.values))
-    assert err < 1e-6

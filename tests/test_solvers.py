@@ -408,7 +408,7 @@ def test_scf_polish_settles_the_oriented_cold_start():
 
 
 def test_unconverged_level_check_is_not_certified(monkeypatch):
-    # the aufbau check and the degeneracy gap read the k = 3 eigen block of
+    # the aufbau check reads the level check, the eigen block started from
     # the final pair; a solve whose block is uncertified is not converged
     g = BoxGrid(24, 2.2)
     assert minimize_ground_state(5.0, HARMONIC, g, SolverConfig()).converged
@@ -416,7 +416,7 @@ def test_unconverged_level_check_is_not_certified(monkeypatch):
 
     def uncertified_gap(rho, V, a, k, *args, **kw):
         res = eigs(rho, V, a, k, *args, **kw)
-        return replace(res, converged=False) if k == 3 else res
+        return replace(res, converged=False) if "warm" in kw else res
 
     monkeypatch.setattr(solvers, "lowest_eigenpairs", uncertified_gap)
     res = minimize_ground_state(5.0, HARMONIC, g, SolverConfig())
@@ -484,10 +484,9 @@ def test_oriented_start_lies_on_the_first_body_diagonal(trap, half_width, n):
 
 
 def test_ground_state_reports_its_eigensolve_iterations():
-    # the separable a = 0 start is certified in one pass, and its guard
-    # eigenvectors let the level check certify within one round (a round
-    # of maxiter = 15 runs 16 LOBPCG iterations; without the guards this
-    # n = 32 check takes two); a warm start has no cold eigensolve
+    # the separable a = 0 start is certified in one pass, and the level
+    # check certifies within one round (a round of maxiter = 15 runs 16
+    # LOBPCG iterations); a warm start has no cold eigensolve
     g = BoxGrid(32, 2.2)
     cold = minimize_ground_state(5.0, HARMONIC, g, SolverConfig())
     assert cold.converged
@@ -496,6 +495,23 @@ def test_ground_state_reports_its_eigensolve_iterations():
     warm = minimize_ground_state(5.0, HARMONIC, g, SolverConfig(), warm_start=cold.pair)
     assert warm.cold_eig_iters is None
     assert warm.level_eig_iters >= 1
+
+
+def test_warm_level_check_certifies_in_one_round():
+    # on the body diagonal of a symmetric trap the third level is one of a
+    # degenerate pair; a check that certified it split the pair, and from
+    # a warm start (no guard eigenvectors) its residual stayed at 1.5e-5
+    # after one round.  n = 16, a = 5 is the cheapest grid and coupling
+    # found that showed it (a = 4 did not).  The gap is read uncertified
+    # from the first guard column
+    g = BoxGrid(16, 2.2)
+    cold = minimize_ground_state(5.0, HARMONIC, g, SolverConfig())
+    warm = minimize_ground_state(5.0, HARMONIC, g, SolverConfig(), warm_start=cold.pair)
+    assert warm.stop_reason == "tolerance" and warm.converged
+    assert warm.level_eig_iters <= 16
+    assert len(warm.eig_values) == 3
+    assert warm.degeneracy_gap == warm.eig_values[2] - warm.eig_values[1]
+    assert warm.eig_values[2] == pytest.approx(cold.eig_values[2], rel=1e-8)
 
 
 def test_nondegenerate_cold_start_is_the_eigenpair():
