@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -695,8 +696,6 @@ def write_json(doc: dict, path) -> None:
 def write_plot_tables(records, a_hat: float, outdir,
                       decay_extract: ProfileExtract | None = None) -> list:
     """Plot-ready CSVs: log-log pairs for E and P, radial density profile."""
-    import os
-
     paths = []
     use = usable_records(records)
     for name, get in (("E", lambda r: r.E), ("P", lambda r: r.P)):

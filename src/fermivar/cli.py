@@ -274,6 +274,7 @@ def cmd_astar(raw: dict, args) -> int:
         "rank2_continuum_quad_error": float(bound["quad_error"]),
         "ordering_continuum": bool(bound["value"] < oracle_a1),
         "separation_rel_continuum": float(bound["rel_below_rank1"]),
+        "oracle": bound["oracle"],
         "stop_reasons": {"rank2": polish[-1]["stop"], "rank1": stop1},
         "iterations": {"rank2": polish[-1]["iterations"], "rank1": iters1},
         "rank2_scan": scan,

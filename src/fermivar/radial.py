@@ -32,21 +32,50 @@ class BracketError(RuntimeError):
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Shooting solution on a uniform radial mesh.
+    """Shooting solution on a uniform radial mesh, with its slope w'.
 
     Beyond ``match_radius`` the stored samples are the matched analytic tail
-    C * exp(-r)/r rather than the raw integrator output; the raw solution is
-    polluted there by the exponentially growing mode at the level of the
-    bisection resolution.
+    C * exp(-r)/r and its slope -C * exp(-r) * (1/r + 1/r^2) rather than the
+    raw integrator output; the raw solution is polluted there by the
+    exponentially growing mode at the level of the bisection resolution.
+    ``bisections`` counts the coarse and fine bisection steps of the shooting
+    and says whether the coarse bracket was accepted.
     """
 
     r: np.ndarray
     w: np.ndarray
+    dw: np.ndarray
     w0: float
     dr: float
     r_max: float
     match_radius: float
     tail_coeff: float
+    bisections: dict
+
+    def read(self, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """w and w' at the radii ``r`` >= 0 (an array), 0 beyond r_max.
+
+        The cubic Hermite interpolant of the (w, w') samples: one mesh
+        interval index serves both values.
+        """
+        h = self.dr
+        s = np.asarray(r) / h
+        last = len(self.w) - 1
+        i = np.minimum(s.astype(np.intp), last - 1)
+        t = s - i
+        w_i, w_j = self.w[i], self.w[i + 1]
+        dw_i, dw_j = self.dw[i], self.dw[i + 1]
+        # w = w_i + h dw_i t + b t^2 + c t^3 on [r_i, r_i + h]
+        jump = w_j - w_i
+        b = 3.0 * jump - h * (2.0 * dw_i + dw_j)
+        c = h * (dw_i + dw_j) - 2.0 * jump
+        t2 = t * t
+        w = w_i + t * (h * dw_i + t * b + t2 * c)
+        dw = dw_i + (2.0 * b * t + 3.0 * c * t2) / h
+        outside = s > last
+        w[outside] = 0.0
+        dw[outside] = 0.0
+        return w, dw
 
 
 class GNConstants(NamedTuple):
@@ -72,15 +101,16 @@ def _integrate(w0: float, dr: float, r_max: float, keep: bool = False):
 
     Returns (kind, r_stop, history) where kind is 'cross' if w reached zero,
     'turn' if w started growing again while positive, and 'decay' if the
-    trajectory survived to r_max.  history is (r array, w array) when keep.
+    trajectory survived to r_max.  history is the (w, w') arrays on the mesh
+    r = 0, dr, ..., r_stop when keep, else None.
     """
     nsteps = int(round(r_max / dr))
     w, dw = _series_start(w0, dr)
     r = dr
-    ws = np.empty(nsteps + 1) if keep else None
     if keep:
-        ws[0] = w0
-        ws[1] = w
+        ws, dws = np.empty(nsteps + 1), np.empty(nsteps + 1)
+        ws[0], dws[0] = w0, 0.0
+        ws[1], dws[1] = w, dw
     # The right-hand side w'' = -(2/r) w' + w - |w|^{4/3} w is written out
     # at each stage (the slopes of w are the stage values of w').
     half, sixth, p = dr / 2, dr / 6, 4.0 / 3.0
@@ -101,12 +131,43 @@ def _integrate(w0: float, dr: float, r_max: float, keep: bool = False):
         dw = dw + sixth * (k1v + 2 * k2v + 2 * k3v + k4v)
         r = (k + 1) * dr
         if keep:
-            ws[k + 1] = w
+            ws[k + 1], dws[k + 1] = w, dw
         if w <= 0.0:
-            return "cross", r, (None if not keep else ws[: k + 2])
+            return "cross", r, (ws[: k + 2], dws[: k + 2]) if keep else None
         if dw > 0.0 and w < 0.5 * w0:
-            return "turn", r, (None if not keep else ws[: k + 2])
-    return "decay", r, ws
+            return "turn", r, (ws[: k + 2], dws[: k + 2]) if keep else None
+    return "decay", r, (ws, dws) if keep else None
+
+
+# Coarse-first shooting: bisect with this multiple of the step until the
+# bracket is no wider than the handoff width, then hand over to the fine
+# step.  The root moves by 1.6e-10 between the two steps, far inside the
+# handoff width, so the fine step nearly always accepts the coarse bracket.
+_COARSE_STEPS = 4
+_HANDOFF_WIDTH = 1e-7
+
+
+def _bisect(lo, hi, tol, dr, r_max, cross_is_high):
+    """Bisect [lo, hi] with step dr until it is at most ``tol`` wide.
+
+    Returns the final (lo, hi) and the number of midpoints integrated; a
+    midpoint that decays to r_max is the root, and ends the bisection as a
+    bracket of width zero.
+    """
+    steps = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # float resolution reached
+        kind, _, _ = _integrate(mid, dr, r_max)
+        steps += 1
+        if kind == "decay":
+            return mid, mid, steps
+        if (kind == "cross") == cross_is_high:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi, steps
 
 
 def shoot_soliton(
@@ -118,52 +179,57 @@ def shoot_soliton(
     """Bisect the shooting parameter w(0) until the bracket is below tol.
 
     The dichotomy: too-large w(0) makes the trajectory cross zero, too-small
-    makes it turn around while positive.  Both bracket endpoints are
-    classified up front and must disagree.
+    makes it turn around while positive.  The bracket must be finite with
+    lo < hi, and its endpoints are classified up front and must disagree.
+
+    The bisection first runs with step ``_COARSE_STEPS * dr`` down to
+    ``_HANDOFF_WIDTH``.  The fine step takes that bracket over only if it
+    classifies both ends as it classified the original ends; otherwise it
+    restarts from the original bracket.  The classification is monotone in
+    w(0), so an accepted bracket is one the fine bisection visits itself,
+    and w0 is the fine bisection's to the bit either way.
     """
     lo, hi = bracket
-    kinds = {}
-    for end in (lo, hi):
-        kind, _, _ = _integrate(end, dr, r_max)
-        if kind == "decay":
-            kind = "turn"  # border case: treat like an undershoot
-        kinds[end] = kind
-    if kinds[lo] == kinds[hi]:
-        raise BracketError(
-            f"bracket endpoints both classify as {kinds[lo]!r}: {bracket}"
-        )
-    cross_is_high = kinds[hi] == "cross"
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # float resolution reached
-        kind, _, _ = _integrate(mid, dr, r_max)
-        goes_up = (kind == "cross") == cross_is_high
-        if kind == "decay":
-            lo = hi = mid
-            break
-        if goes_up:
-            hi = mid
-        else:
-            lo = mid
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise BracketError(f"bracket must be finite with lo < hi: {bracket}")
+    kind_lo, _, _ = _integrate(lo, dr, r_max)
+    kind_hi, _, _ = _integrate(hi, dr, r_max)
+    # border case: an endpoint that decays is treated like an undershoot
+    ends = tuple("turn" if k == "decay" else k for k in (kind_lo, kind_hi))
+    if ends[0] == ends[1]:
+        raise BracketError(f"bracket endpoints both classify as {ends[0]!r}: {bracket}")
+    cross_is_high = ends[1] == "cross"
+
+    c_lo, c_hi, coarse = _bisect(lo, hi, max(tol, _HANDOFF_WIDTH),
+                                 _COARSE_STEPS * dr, r_max, cross_is_high)
+    accepted = c_lo < c_hi and all(
+        _integrate(end, dr, r_max)[0] == kind for end, kind in zip((c_lo, c_hi), ends))
+    if accepted:
+        lo, hi = c_lo, c_hi
+    lo, hi, fine = _bisect(lo, hi, tol, dr, r_max, cross_is_high)
     w0 = 0.5 * (lo + hi)
 
-    kind, r_stop, ws = _integrate(w0, dr, r_max, keep=True)
+    _, _, (ws, dws) = _integrate(w0, dr, r_max, keep=True)
     n = int(round(r_max / dr)) + 1
     r = np.arange(n) * dr
-    w = np.zeros(n)
+    w, dw = np.zeros(n), np.zeros(n)
     m = len(ws)
-    w[:m] = ws
+    w[:m], dw[:m] = ws, dws
 
     # Match the analytic far field C e^{-r}/r where the signal still beats the
     # parasitic growing mode (amplitude ~ tol * e^{+r}).
-    match_radius = _pick_match_radius(r[: m], w[: m], w0, tol)
+    match_radius = _pick_match_radius(r[:m], w[:m], w0, tol)
     im = int(round(match_radius / dr))
     C = w[im] * r[im] * math.exp(r[im])
     tail = r > match_radius
-    w[tail] = C * np.exp(-r[tail]) / r[tail]
+    rt = r[tail]
+    w[tail] = C * np.exp(-rt) / rt
+    dw[tail] = -C * np.exp(-rt) * (1.0 / rt + 1.0 / (rt * rt))
     return RadialProfile(
-        r=r, w=w, w0=w0, dr=dr, r_max=r_max, match_radius=r[im], tail_coeff=C
+        r=r, w=w, dw=dw, w0=w0, dr=dr, r_max=r_max, match_radius=r[im],
+        tail_coeff=C,
+        bisections={"coarse": coarse, "fine": fine,
+                    "coarse_bracket": "accepted" if accepted else "rejected"},
     )
 
 
@@ -183,31 +249,17 @@ def _pick_match_radius(r: np.ndarray, w: np.ndarray, w0: float, tol: float) -> f
     return float(r[i])
 
 
-def profile_spline(profile: RadialProfile):
-    """Cubic spline of w(r) through the stored mesh, with w'(0) = 0 clamped.
-
-    The spline is the one smooth reading of the profile that every
-    continuum integral uses (w' included); it is only meaningful on
-    [0, r_max], and callers take w = 0 beyond.
-    """
-    # imported here: scipy.interpolate adds a few tenths of a second to
-    # `import fermivar`, and only the threshold path needs it
-    from scipy.interpolate import CubicSpline
-
-    return CubicSpline(profile.r, profile.w, bc_type=((1, 0.0), "not-a-knot"))
-
-
 def gn_constants(profile: RadialProfile) -> GNConstants:
     """Mass, kinetic and interaction integrals plus the rank-one threshold.
 
-    Quadrature is the trapezoid rule on the stored mesh, with w' read off
-    :func:`profile_spline`; the [r_max, inf) remainders of the matched tail
+    Quadrature is the trapezoid rule on the stored mesh, with the w' samples
+    the integrator recorded; the [r_max, inf) remainders of the matched tail
     are added in closed form (they are far below the quoted tolerances but
     cost nothing).
     """
-    r, w, C, R = profile.r, profile.w, profile.tail_coeff, profile.r_max
+    r, w, dw = profile.r, profile.w, profile.dw
+    C, R = profile.tail_coeff, profile.r_max
     fourpi = 4.0 * math.pi
-    dw = profile_spline(profile)(r, 1)
     M = fourpi * np.trapezoid(r * r * w * w, dx=profile.dr)
     T = fourpi * np.trapezoid(r * r * dw * dw, dx=profile.dr)
     I = fourpi * np.trapezoid(r * r * np.abs(w) ** (10.0 / 3.0), dx=profile.dr)
@@ -225,12 +277,9 @@ def gn_constants(profile: RadialProfile) -> GNConstants:
     return GNConstants(M=M, T=T, I=I, a1_star=a1)
 
 
-def shooting_report(profile: RadialProfile) -> dict:
-    """JSON-ready summary with the defining residuals of the solution."""
-    c = gn_constants(profile)
-    res_sum = abs(c.T + c.M - c.I) / c.I
-    res_T = abs(c.T - 0.6 * c.I) / c.I
-    res_M = abs(c.M - 0.4 * c.I) / c.I
+def shooting_report(profile: RadialProfile, c: GNConstants) -> dict:
+    """JSON-ready summary of the shooting and of its constants ``c``, with
+    the defining (virial) residuals of the solution."""
     return {
         "w0": profile.w0,
         "M": c.M,
@@ -239,9 +288,10 @@ def shooting_report(profile: RadialProfile) -> dict:
         "a1_star": c.a1_star,
         "match_radius": profile.match_radius,
         "tail_coeff": profile.tail_coeff,
+        "bisections": dict(profile.bisections),
         "residuals": {
-            "sum_identity": res_sum,
-            "kinetic_fraction": res_T,
-            "mass_fraction": res_M,
+            "sum_identity": abs(c.T + c.M - c.I) / c.I,
+            "kinetic_fraction": abs(c.T - 0.6 * c.I) / c.I,
+            "mass_fraction": abs(c.M - 0.4 * c.I) / c.I,
         },
     }

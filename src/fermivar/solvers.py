@@ -75,7 +75,7 @@ from .model import (
 
 from . import asymptotics as _asy
 from .optim import frame_dot, riemannian_lbfgs
-from .radial import gn_constants, profile_spline, shoot_soliton
+from .radial import gn_constants, shoot_soliton, shooting_report
 
 
 class SolverError(RuntimeError):
@@ -1081,16 +1081,19 @@ def _gauss_panels(a: float, b: float, panels: int) -> tuple[np.ndarray, np.ndarr
     return (mid + half * t).ravel(), (half * wt).ravel()
 
 
-def _separated_pair_quotients(spline, d: float, panels=_PAIR_PANELS) -> tuple[float, float]:
+def _separated_pair_quotients(profile, d: float, panels=_PAIR_PANELS) -> tuple[float, float]:
     """Continuum quotients of the separated pair (k=2) and of one lump (k=1).
 
-    The lumps are w(|x -+ d e_x|) with w read off ``spline`` (zero beyond its
-    last knot); the pair is their even/odd orthonormal combination.  Every
+    The lumps are w(|x -+ d e_x|) with w read off ``profile`` (zero beyond
+    r_max); the pair is their even/odd orthonormal combination.  Every
     field is axisymmetric about the x axis, so each integral over R^3 is a
     2-D one in cylindrical coordinates (x, r) with measure 2 pi r dx dr, done
-    by composite Gauss-Legendre on ``panels`` = (x panels, r panels).
+    by composite Gauss-Legendre on ``panels`` = (x panels, r panels).  The x
+    nodes are made exactly mirror-symmetric, so the right lump is the left
+    one read backwards along x.
     """
     x, wx = _gauss_panels(-d - _PAIR_REACH, d + _PAIR_REACH, panels[0])
+    x, wx = 0.5 * (x - x[::-1]), 0.5 * (wx + wx[::-1])
     r, wr = _gauss_panels(0.0, _PAIR_REACH, panels[1])
     X, R = x[:, None], r[None, :]
     weight = 2.0 * math.pi * wx[:, None] * (wr * r)[None, :]
@@ -1098,18 +1101,16 @@ def _separated_pair_quotients(spline, d: float, panels=_PAIR_PANELS) -> tuple[fl
     def quad(f: np.ndarray) -> float:
         return float(np.sum(weight * f))
 
-    def lump(c: float) -> tuple[np.ndarray, np.ndarray]:
-        # w and w'/dist; Gauss nodes have r > 0, so dist > 0
-        dist = np.hypot(X - c, R)
-        inside = dist <= spline.x[-1]
-        f = np.where(inside, spline(dist), 0.0)
-        return f, np.where(inside, spline(dist, 1), 0.0) / dist
-
-    (fl, gl), (fr, gr) = lump(-d), lump(+d)
+    # the left lump, w and w'/dist (Gauss nodes have r > 0, so dist > 0);
+    # the right lump at x is the left one at -x
+    dist = np.hypot(X + d, R)
+    fl, dfl = profile.read(dist)
+    gl = dfl / dist
+    fr, gr = fl[::-1], gl[::-1]
     # mass and kinetic energy of one lump, overlap and gradient cross term
     # of the two, with grad L . grad R = gl gr ((x + d)(x - d) + r^2)
     M = quad(fl * fl)
-    K = quad(gl * gl * ((X + d) ** 2 + R * R))
+    K = quad(dfl * dfl)
     s = quad(fl * fr)
     g = quad(gl * gr * ((X + d) * (X - d) + R * R))
     T = (K + g) / (M + s) + (K - g) / (M - s)
@@ -1140,25 +1141,26 @@ def separated_pair_upper_bound(
     The trial pair is axisymmetric about the separation axis, so its
     continuum quotient is a 2-D quadrature in cylindrical coordinates: 80 x
     40 order-8 Gauss-Legendre panels over x in [-d-22, d+22], r in [0, 22],
-    of w and w' from one cubic spline of the shooting profile.  The value
-    is reported as the ratio to the same-quadrature rank-1 quotient of one
-    lump, times the shooting oracle's rank-1 constant (the two agree to
-    ~1e-11).  Because the trial pair is an admissible orthonormal
-    competitor, its continuum quotient upper-bounds the true threshold.
+    of w and w' read off the shooting profile by its cubic Hermite reader.
+    The value is reported as the ratio to the same-quadrature rank-1
+    quotient of one lump, times the shooting oracle's rank-1 constant (the
+    two agree to ~1e-11).  Because the trial pair is an admissible
+    orthonormal competitor, its continuum quotient upper-bounds the true
+    threshold.
 
     Returns a dict with the bound (``value``), the separation attaining it,
     its relative depth below the rank-1 constant, that constant
-    (``rank1``), the per-separation table, and ``quad_error``, |value -
-    value at half the panels|.
+    (``rank1``), the per-separation table, ``quad_error``, |value - value
+    at half the panels|, and ``oracle``, the shooting report of the profile.
     Deterministic; no RNG involved.
     """
     if profile is None:
         profile = shoot_soliton()
-    a1 = gn_constants(profile).a1_star
-    spline = profile_spline(profile)
+    consts = gn_constants(profile)
+    a1 = consts.a1_star
 
     def value(d: float, panels) -> float:
-        q2, q1 = _separated_pair_quotients(spline, d, panels)
+        q2, q1 = _separated_pair_quotients(profile, d, panels)
         return float(q2 / q1 * a1)
 
     table = [{"separation": float(d), "value": value(d, _PAIR_PANELS)}
@@ -1172,6 +1174,7 @@ def separated_pair_upper_bound(
         "rank1": float(a1),
         "table": table,
         "quad_error": abs(best["value"] - coarse),
+        "oracle": shooting_report(profile, consts),
     }
 
 

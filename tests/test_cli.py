@@ -386,6 +386,18 @@ def test_astar_artifacts_are_complete(small_astar_run):
     assert 9.0 < art["a2_hat"] < art["oracle_a1"]
     assert 9.0 < art["a1_hat"] < art["oracle_a1"]
     assert art["oracle_a1"] == pytest.approx(9.578297, rel=1e-5)
+    # the shooting behind the continuum numbers, and its virial residuals
+    oracle = art["oracle"]
+    assert oracle["w0"] == 4.1917233351192351
+    assert oracle["a1_star"] == art["oracle_a1"]
+    assert 4.0 <= oracle["match_radius"] < 25.0
+    bis = oracle["bisections"]
+    assert set(bis) == {"coarse", "fine", "coarse_bracket"}
+    assert bis["coarse_bracket"] == "accepted"
+    assert bis["coarse"] > 0 and bis["fine"] > 0
+    assert set(oracle["residuals"]) == {"sum_identity", "kinetic_fraction",
+                                        "mass_fraction"}
+    assert all(0.0 <= v < 1e-10 for v in oracle["residuals"].values())
 
 
 def test_astar_reports_stop_reasons_and_scan(small_astar_run):

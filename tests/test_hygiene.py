@@ -1,4 +1,5 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every name a package module imports is used in it, and
+every import sits at module level, so no import cost hides inside a call."""
 
 import ast
 
@@ -27,3 +28,23 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert _unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def _function_imports(tree: ast.Module) -> list[str]:
+    found = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    found.add(f"{fn.name} (line {node.lineno})")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    assert _function_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_function_imports_are_found():
+    tree = ast.parse("import os\ndef f():\n    if True:\n        import json\n")
+    assert _function_imports(tree) == ["f (line 4)"]

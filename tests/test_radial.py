@@ -1,10 +1,14 @@
 """Radial shooting oracle for the one-orbital concentration threshold."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
+from fermivar import radial
 from fermivar.radial import (
     BracketError,
     _integrate,
@@ -15,7 +19,8 @@ from fermivar.radial import (
 )
 
 
-# One shared solve per module: the oracle is deterministic and ~seconds.
+# One shared solve per module: the oracle is deterministic and takes a few
+# tenths of a second.
 PROFILE = shoot_soliton()
 CONSTS = gn_constants(PROFILE)
 
@@ -29,13 +34,18 @@ def test_profile_shape_and_positivity():
     # monotone decreasing profile
     assert np.all(np.diff(p.w) < 0.0)
     assert p.w0 == pytest.approx(p.w[1], rel=1e-3)  # w(0+) ~ w0
+    assert p.dw[0] == 0.0
+    assert np.all(p.dw[1:] < 0.0)
 
 
 def test_tail_is_matched_analytic_form():
     p = PROFILE
     tail = p.r > p.match_radius + 1.0
-    expected = p.tail_coeff * np.exp(-p.r[tail]) / p.r[tail]
+    rt = p.r[tail]
+    expected = p.tail_coeff * np.exp(-rt) / rt
     assert np.allclose(p.w[tail], expected, rtol=1e-12)
+    slope = -p.tail_coeff * np.exp(-rt) * (1.0 / rt + 1.0 / rt**2)
+    assert np.allclose(p.dw[tail], slope, rtol=1e-12)
     # continuity across the matching radius
     im = int(round(p.match_radius / p.dr))
     left = p.w[im - 1]
@@ -72,10 +82,83 @@ def test_bad_bracket_raises():
         shoot_soliton(bracket=(0.1, 0.2))  # both undershoot
 
 
+@pytest.mark.parametrize("bracket", [
+    (10.0, 1.0),  # reversed: the ends disagree, but lo > hi
+    (4.0, 4.0),
+    (math.nan, 10.0),
+    (1.0, math.inf),
+])
+def test_malformed_bracket_raises(bracket):
+    with pytest.raises(BracketError, match="finite with lo < hi"):
+        shoot_soliton(bracket=bracket)
+
+
+def _plain_bisection(tol=1e-12, dr=2e-3, r_max=25.0, bracket=(1.0, 10.0)):
+    """One-level bisection at the fine step: the reference shooting root."""
+    lo, hi = bracket
+    cross_is_high = _integrate(hi, dr, r_max)[0] == "cross"
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        kind = _integrate(mid, dr, r_max)[0]
+        if kind == "decay":
+            return mid
+        if (kind == "cross") == cross_is_high:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def test_coarse_first_shooting_gives_the_fine_root_bit_for_bit():
+    assert PROFILE.bisections["coarse_bracket"] == "accepted"
+    assert PROFILE.bisections["coarse"] > 0
+    assert PROFILE.w0 == _plain_bisection()
+    assert PROFILE.w0 == 4.1917233351192351
+
+
+def test_rejected_coarse_bracket_restarts_at_the_fine_step(monkeypatch):
+    # Below the 1.6e-10 shift of the root between the coarse and the fine
+    # step, the coarse bracket misses the fine root: the fine step must
+    # refuse it and bisect the original bracket itself.
+    monkeypatch.setattr(radial, "_HANDOFF_WIDTH", 1e-12)
+    profile = shoot_soliton()
+    assert profile.bisections["coarse_bracket"] == "rejected"
+    assert profile.w0 == PROFILE.w0
+    assert profile.bisections["fine"] > PROFILE.bisections["fine"]
+
+
+def test_hermite_reader_matches_a_cubic_spline():
+    p = PROFILE
+    spline = CubicSpline(p.r, p.w, bc_type=((1, 0.0), "not-a-knot"))
+    r = np.linspace(0.0, p.r_max, 100_003)
+    w, dw = p.read(r)
+    assert np.max(np.abs(w - spline(r))) < 1e-11
+    assert np.max(np.abs(dw - spline(r, 1))) < 1e-8
+    # the samples themselves, and zero beyond the mesh
+    w, dw = p.read(p.r)
+    np.testing.assert_allclose(w, p.w, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(dw, p.dw, rtol=1e-10, atol=0.0)
+    w, dw = p.read(np.array([p.r_max + 1e-9, 40.0]))
+    assert np.all(w == 0.0) and np.all(dw == 0.0)
+
+
+def test_continuum_bound_leaves_scipy_interpolate_unloaded():
+    code = (
+        "import sys\n"
+        "from fermivar.solvers import separated_pair_upper_bound\n"
+        "separated_pair_upper_bound(separations=(2.5,))\n"
+        "assert 'scipy.interpolate' not in sys.modules, 'scipy.interpolate loaded'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
+
 def test_shooting_report_contents():
-    rep = shooting_report(PROFILE)
+    rep = shooting_report(PROFILE, CONSTS)
     for key in ("w0", "M", "T", "I", "a1_star", "match_radius", "tail_coeff"):
         assert key in rep
+    assert rep["bisections"] == PROFILE.bisections
     res = rep["residuals"]
     assert res["sum_identity"] < 1e-3
     assert res["kinetic_fraction"] < 1e-3
@@ -83,9 +166,9 @@ def test_shooting_report_contents():
 
 
 def test_virial_residuals_at_roundoff():
-    # With w' read off the profile spline, T = (3/5) I and T + M = I hold to
-    # the quadrature's accuracy rather than to a finite difference's.
-    res = shooting_report(PROFILE)["residuals"]
+    # With the w' samples of the integrator, T = (3/5) I and T + M = I hold
+    # to the quadrature's accuracy rather than to a finite difference's.
+    res = shooting_report(PROFILE, CONSTS)["residuals"]
     assert res["kinetic_fraction"] < 1e-10
     assert res["sum_identity"] < 1e-10
 
@@ -100,7 +183,7 @@ def _reference_integrate(w0, dr, r_max, keep):
     nsteps = int(round(r_max / dr))
     w, dw = _series_start(w0, dr)
     r = dr
-    ws = [w0, w]
+    ws, dws = [w0, w], [0.0, dw]
     for k in range(1, nsteps):
         k1w, k1v = _rhs(r, w, dw)
         k2w, k2v = _rhs(r + dr / 2, w + dr / 2 * k1w, dw + dr / 2 * k1v)
@@ -110,11 +193,13 @@ def _reference_integrate(w0, dr, r_max, keep):
         dw = dw + dr / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
         r = (k + 1) * dr
         ws.append(w)
+        dws.append(dw)
+        history = (np.array(ws), np.array(dws)) if keep else None
         if w <= 0.0:
-            return "cross", r, np.array(ws) if keep else None
+            return "cross", r, history
         if dw > 0.0 and w < 0.5 * w0:
-            return "turn", r, np.array(ws) if keep else None
-    return "decay", r, np.array(ws) if keep else None
+            return "turn", r, history
+    return "decay", r, history
 
 
 @pytest.mark.parametrize("w0, keep, kind", [
@@ -129,6 +214,7 @@ def test_integrate_matches_reference_rk4_bit_for_bit(w0, keep, kind):
         assert got[0] == kind
     assert got[:2] == ref[:2]
     if keep:
-        assert got[2].tobytes() == ref[2].tobytes()
+        for got_h, ref_h in zip(got[2], ref[2], strict=True):
+            assert got_h.tobytes() == ref_h.tobytes()
     else:
         assert got[2] is None

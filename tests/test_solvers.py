@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 
 import fermivar
@@ -41,7 +42,7 @@ from fermivar.solvers import (
     quotient_value,
     separated_pair_upper_bound,
 )
-from fermivar.radial import gn_constants, profile_spline, shoot_soliton
+from fermivar.radial import gn_constants, shoot_soliton
 
 from helpers import exact_harmonic_levels, random_pair
 
@@ -724,9 +725,8 @@ def soliton():
 
 
 def test_separated_pair_quadrature_converged(soliton):
-    spline = profile_spline(soliton)
-    q2, q1 = _separated_pair_quotients(spline, 2.5, (80, 40))
-    q2f, q1f = _separated_pair_quotients(spline, 2.5, (160, 80))
+    q2, q1 = _separated_pair_quotients(soliton, 2.5, (80, 40))
+    q2f, q1f = _separated_pair_quotients(soliton, 2.5, (160, 80))
     assert abs((q2f / q1f) / (q2 / q1) - 1.0) < 1e-12
     # the k=1 quotient of one lump is the shooting oracle's constant
     assert q1 == pytest.approx(gn_constants(soliton).a1_star, rel=1e-10)
@@ -741,10 +741,11 @@ def _gauss_nodes(a, b, panels):
 
 
 def test_separated_pair_bound_matches_3d_quadrature(soliton):
-    # Independent check without the axisymmetric reduction: the even/odd
-    # pair of the two lumps on a 3-D tensor Gauss-Legendre rule.
+    # Independent check without the axisymmetric reduction or the profile's
+    # Hermite reader: the even/odd pair of the two lumps, read off a cubic
+    # spline of the samples, on a 3-D tensor Gauss-Legendre rule.
     d = 2.5
-    spline = profile_spline(soliton)
+    spline = CubicSpline(soliton.r, soliton.w, bc_type=((1, 0.0), "not-a-knot"))
     x, wx = _gauss_nodes(-d - 12.0, d + 12.0, 18)
     y, wy = _gauss_nodes(-12.0, 12.0, 12)
     X, Y, Z = np.meshgrid(x, y, y, indexing="ij", sparse=True)
