@@ -161,19 +161,21 @@ def find_peak(rho: ScalarField) -> np.ndarray:
     """Sub-grid peak of a nonnegative field via per-axis parabola fit.
 
     The max node is found first (C-order argmax, i.e. smallest lexicographic
-    index on ties; a tie within 1e-12 relative is reported as a warning),
-    then each axis gets a quadratic through the node and its two neighbors.
-    Offsets are clamped to half a spacing.
+    index on ties), then each axis gets a quadratic through the node and its
+    two neighbors.  Offsets are clamped to half a spacing.  A node tied
+    within 1e-12 relative and more than one node away on some axis is
+    reported as a warning; adjacent ties, such as the nodes either side of
+    a mirror plane on an even grid, share the chosen node's parabolas.
     """
     v = rho.values
     vmax = float(v.max())
     if not vmax > 0:
         raise ValueError("field has no positive values, peak undefined")
-    flat_idx = int(np.argmax(v))
-    if np.count_nonzero(v >= vmax - 1e-12 * vmax) > 1:
+    idx = np.unravel_index(int(np.argmax(v)), v.shape)
+    tied = np.argwhere(v >= vmax - 1e-12 * vmax)
+    if (np.abs(tied - np.asarray(idx)) > 1).any():
         warnings.warn("peak is tied within 1e-12; smallest node index used",
                       PeakTieWarning, stacklevel=2)
-    idx = np.unravel_index(flat_idx, v.shape)
     grid = rho.grid
     h = grid.spacing
     n = grid.n_per_axis

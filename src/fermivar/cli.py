@@ -2,18 +2,16 @@
 
 Three subcommands share one JSON run configuration::
 
-    fermivar astar --config run.json [--seed N]
-    fermivar solve --config run.json --a 8.5 [--allow-supercritical] [--seed N]
-    fermivar sweep --config run.json [--refit-only] [--seed N]
+    fermivar astar --config run.json
+    fermivar solve --config run.json --a 8.5 [--allow-supercritical]
+    fermivar sweep --config run.json [--refit-only]
 
 ``astar`` estimates both concentration thresholds on the configured grid,
 writes ``astar.json`` plus field snapshots, and prints the JSON.  ``solve``
 minimizes the trapped energy at one coupling.  ``sweep`` drives the
 continuation toward the stored threshold and emits the records CSV, a
-verdict report, and plot-ready tables.  Every command is deterministic
-given (config, seed): rerunning writes byte-identical artifacts, and
-``astar``, which draws no random numbers, writes the same bytes for every
-seed.
+verdict report, and plot-ready tables.  No command draws random numbers:
+the same config writes byte-identical artifacts.
 
 Exit codes: 0 success, 1 configuration error, 2 solver failure,
 3 threshold breach, 4 partial sweep.
@@ -78,6 +76,8 @@ def _solver_schema() -> dict:
         js = type_map[type(f.default)]
         # accept whole numbers for float knobs
         props[f.name] = {"type": ["number", "integer"] if js == "number" else js}
+    # former solver seed, accepted and ignored (see build_solver)
+    props["seed"] = {"type": "integer"}
     return {"type": "object", "properties": props, "additionalProperties": False}
 
 
@@ -182,16 +182,14 @@ def load_config(path: str) -> dict:
 def config_digest(raw: dict) -> str:
     # The artifact location is not part of the run's identity: the same
     # physics configuration written to two directories must digest equally.
-    blob = json.dumps({k: v for k, v in raw.items() if k != "output_dir"},
-                      sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
-
-
-def _astar_digest(raw: dict) -> str:
-    """:func:`config_digest` without the solver seed, which astar does not use."""
+    # Neither is the ignored solver seed; a solver section it leaves empty is
+    # dropped with it.
+    rest = {k: v for k, v in raw.items() if k not in ("output_dir", "solver")}
     solver = {k: v for k, v in raw.get("solver", {}).items() if k != "seed"}
-    rest = {k: v for k, v in raw.items() if k != "solver"}
-    return config_digest({**rest, "solver": solver} if solver else rest)
+    if solver:
+        rest["solver"] = solver
+    blob = json.dumps(rest, sort_keys=True, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()[:16]
 
 
 def build_grid(raw: dict) -> BoxGrid:
@@ -211,8 +209,11 @@ def build_trap(raw: dict) -> TrapPotential:
         raise ConfigError(f"invalid trap: {exc}") from exc
 
 
-def build_solver(raw: dict, seed_override: int | None) -> SolverConfig:
-    kwargs = dict(raw.get("solver", {}))
+def build_solver(raw: dict, _unused=None) -> SolverConfig:
+    # A ``seed`` key and the second argument are leftovers of the former
+    # random eigensolver start, ignored so that callers and configs written
+    # for it still work.
+    kwargs = {k: v for k, v in raw.get("solver", {}).items() if k != "seed"}
     # The schema admits any number for a float knob and whole-number floats
     # such as 5.0 for an integer one; hand both over as their field's type.
     # type() keeps bool fields (true/false only) apart from int.
@@ -222,8 +223,6 @@ def build_solver(raw: dict, seed_override: int | None) -> SolverConfig:
             kwargs[f.name] = float(value)
         elif type(f.default) is int and isinstance(value, float) and value.is_integer():
             kwargs[f.name] = int(value)
-    if seed_override is not None:
-        kwargs["seed"] = seed_override
     try:
         return SolverConfig(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -244,10 +243,10 @@ def _emit_error(code: int, kind: str, message: str, **extra) -> int:
 
 def cmd_astar(raw: dict, args) -> int:
     grid = build_grid(raw)
-    cfg = build_solver(raw, args.seed)
+    cfg = build_solver(raw)
     outdir = raw["output_dir"]
     os.makedirs(outdir, exist_ok=True)
-    digest = _astar_digest(raw)
+    digest = config_digest(raw)
 
     try:
         a2_hat, pair, mus2, res2, scan, polish = minimize_quotient_rank2(grid, cfg)
@@ -327,7 +326,7 @@ def cmd_solve(raw: dict, args) -> int:
         raise ConfigError(f"--a must be a nonnegative coupling, got {args.a}")
     grid = build_grid(raw)
     trap = build_trap(raw)
-    cfg = build_solver(raw, args.seed)
+    cfg = build_solver(raw)
     outdir = raw["output_dir"]
     os.makedirs(outdir, exist_ok=True)
     digest = config_digest(raw)
@@ -370,7 +369,6 @@ def cmd_solve(raw: dict, args) -> int:
         "cold_eig_iters": res.cold_eig_iters,
         "level_eig_iters": res.level_eig_iters,
         "history": [[int(i), float(e), float(g)] for i, e, g in res.history],
-        "seed": cfg.seed,
         "config_digest": digest,
     }
     asy.write_json(doc, os.path.join(outdir, "solve.json"))
@@ -476,7 +474,7 @@ def cmd_sweep(raw: dict, args) -> int:
         raise ConfigError("sweep requires the config's sweep section")
     grid = build_grid(raw)
     trap = build_trap(raw)
-    cfg = build_solver(raw, args.seed)
+    cfg = build_solver(raw)
     outdir = raw["output_dir"]
     os.makedirs(outdir, exist_ok=True)
     digest = config_digest(raw)
@@ -509,7 +507,7 @@ def cmd_sweep(raw: dict, args) -> int:
         return EXIT_OK
 
     a_hat = _load_astar(outdir, grid)
-    run_meta = {"config_digest": digest, "seed": cfg.seed}
+    run_meta = {"config_digest": digest}
     fractions = raw["sweep"]["a_fractions"]
     a_list = [f * a_hat for f in fractions]
 
@@ -614,8 +612,6 @@ def _parser() -> argparse.ArgumentParser:
     for name, fn in (("astar", cmd_astar), ("solve", cmd_solve), ("sweep", cmd_sweep)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run config JSON")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the configured solver seed")
         p.set_defaults(func=fn)
         if name == "solve":
             p.add_argument("--a", type=float, default=None,

@@ -21,9 +21,10 @@ the two problems it is handed:
 
 Eigenpairs come from LOBPCG preconditioned with the inverse of a separable
 surrogate of the mean-field operator (:class:`TensorPreconditioner`).
-Each eigensolve starts from what the solve already knows: warm fields, and
-the surrogate's product modes where the surrogate is exact; random columns
-fill the rest.  The residuals of the requested levels are recomputed and
+Each eigensolve starts from warm fields where the solve has them and fills
+the rest of its block by a Rayleigh-Ritz step on the surrogate's lowest
+product modes, which are exact eigenvectors on a separable trap; no random
+numbers enter.  The residuals of the requested levels are recomputed and
 certified after every solve; the block's guard columns come back
 uncertified.
 """
@@ -103,6 +104,12 @@ _PRECOND_SHIFT = 1.0
 # LOBPCG runs in rounds of 15 iterations, at most this many.
 _EIG_ROUNDS = 6
 
+# Product modes of the tensor preconditioner in the Rayleigh-Ritz start of
+# every eigensolve.  The block's own k + 3 modes are not enough: from the
+# 5 lowest alone the four-well trap of the tests (L = 2.5, n = 12, k = 2)
+# converges to wrong levels, 16.54 for a lowest level of 12.27.
+_START_MODES = 27
+
 # Iterations between preconditioner rebuilds in both descents; the quotient
 # descent re-pins drifted orbital widths on the same beat.
 _REFRESH_EVERY = 25
@@ -147,7 +154,6 @@ _SCF_TOL = 1e-8
 class SolverConfig:
     max_iters: int = 500
     grad_tol: float = 1e-6
-    seed: int = 2024
     # Pinned width of a quotient minimizer as a fraction of the box
     # half-width.  The quotient is dilation-invariant, so any pin scale is
     # equally valid in exact arithmetic; on the grid the kinetic stencil
@@ -161,8 +167,6 @@ class SolverConfig:
             raise ValueError("max_iters must be at least 1")
         if not (math.isfinite(self.grad_tol) and self.grad_tol > 0):
             raise ValueError(f"grad_tol must be finite and positive, got {self.grad_tol}")
-        if not (0 <= self.seed < 2 ** 64):
-            raise ValueError("seed must fit in uint64")
         if not (0.0 < self.pin_fraction <= 0.45):
             raise ValueError("pin_fraction must lie in (0, 0.45]")
 
@@ -218,8 +222,8 @@ class TensorPreconditioner:
     minimum so the well depth is counted once), capturing both the trap
     growth and the attractive mean-field well where the orbitals live.
     Exactly separable potentials (e.g. the pure harmonic trap, centred or
-    not, at a = 0) make the surrogate exact; ``exact`` records whether the
-    separable sum equals the diagonal to 1e-12 relative.  Application
+    not, at a = 0) make the surrogate exact, and its product modes
+    (:meth:`lowest_modes`) are then the operator's eigenvectors.  Application
     transforms each axis into the eigenbasis of its 1-D tridiagonal
     operator, divides by the summed eigenvalues and transforms back: six
     (m, m) matrix products per field.
@@ -241,9 +245,6 @@ class TensorPreconditioner:
             lam, Q = eigh_tridiagonal(2.0 / (h * h) + v, off)
             self.Q.append(np.ascontiguousarray(Q))
             lams.append(lam)
-        surrogate = (lines[0][:, None, None] + lines[1][None, :, None]
-                     + lines[2][None, None, :] - 2.0 * float(diag[i0]))
-        self.exact = bool(np.abs(surrogate - diag).max() <= 1e-12 * np.abs(diag).max())
         base = shift - 2.0 * float(diag[i0])
         den = (
             lams[0][:, None, None]
@@ -260,8 +261,8 @@ class TensorPreconditioner:
         """The surrogate's ``count`` lowest product modes as (m^3, count) columns.
 
         Column c is Q1[:, i] (x) Q2[:, j] (x) Q3[:, l] for the c-th (i, j, l)
-        in stable argsort order of the summed 1-D eigenvalues.  When
-        ``exact`` holds they are the operator's lowest eigenvectors.
+        in stable argsort order of the summed 1-D eigenvalues.  When the
+        surrogate is exact they are the operator's lowest eigenvectors.
         """
         m = self.den.shape[0]
         i, j, l = np.unravel_index(
@@ -316,7 +317,6 @@ def lowest_eigenpairs(
     a: float,
     k: int,
     tol: float,
-    cfg: SolverConfig | None = None,
     warm: list[ScalarField] | None = None,
 ) -> EigResult:
     """Certified k lowest eigenpairs of H = -lap + V - (5a/3) rho^{2/3}.
@@ -327,16 +327,16 @@ def lowest_eigenpairs(
     k lowest exceeds tol.  The three guard columns come back uncertified.
 
     The start block holds the ``warm`` fields first.  Its other columns are
-    filled from what the preconditioner knows: when its separable surrogate
-    is exact (:attr:`TensorPreconditioner.exact`), column j is the j-th
-    lowest product mode, an eigenvector of H, so LOBPCG only certifies it;
-    otherwise they are smoothed Gaussian random columns drawn from
-    ``cfg.seed``.  ``iterations`` counts the LOBPCG iterations actually
-    run (a round of ``maxiter=15`` runs 16), at least one per round.
+    the lowest Ritz vectors of H on the preconditioner's ``_START_MODES``
+    lowest product modes, past the first ``len(warm)``.  Where the
+    surrogate is exact (a separable trap at a = 0) those modes are
+    eigenvectors of H, so LOBPCG only certifies them.  No random numbers
+    enter: the same input gives the same block.  ``iterations`` counts the
+    LOBPCG iterations actually run (a round of ``maxiter=15`` runs 16), at
+    least one per round.
     """
     if k < 1 or k > 8:
         raise ValueError("k must be in 1..8")
-    cfg = cfg or SolverConfig()
     grid = rho.grid
     n, h = grid.n_per_axis, grid.spacing
     m = n - 2
@@ -363,19 +363,17 @@ def lowest_eigenpairs(
                        matmat=pmat, dtype=np.float64)
 
     block = min(mdof, k + 3)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(17,)))
     X = np.empty((mdof, block))
     nwarm = 0
     if warm:
         for f in warm[:block]:
             X[:, nwarm] = _core(f.values).ravel()
             nwarm += 1
-    if nwarm < block and prec.exact:
-        X[:, nwarm:] = prec.lowest_modes(block)[:, nwarm:]
-    elif nwarm < block:
-        X[:, nwarm:] = rng.standard_normal((mdof, block - nwarm))
-        # smooth the random tail so the first iterations are not wasted
-        X[:, nwarm:] = pmat(X[:, nwarm:])
+    if nwarm < block:
+        B = prec.lowest_modes(_START_MODES)
+        S = B.T @ matmat(B)
+        _, U = np.linalg.eigh(0.5 * (S + S.T))
+        X[:, nwarm:] = (B @ U)[:, nwarm:block]
     X, _ = np.linalg.qr(X)
 
     total_iter = 0
@@ -606,7 +604,6 @@ def scf_refine(
     pair: OrbitalPair,
     a: float,
     V: ScalarField,
-    cfg: SolverConfig,
     history: list | None = None,
     it0: int = 0,
 ) -> tuple[OrbitalPair, int, float, list]:
@@ -634,7 +631,7 @@ def scf_refine(
         # warrants, with a floor that keeps the final residuals certifiable
         etol = 0.05 * defect if math.isfinite(defect) else 1e-5
         etol = min(max(etol, 0.1 * _SCF_TOL), 100 * _EIG_TOL)
-        eig = lowest_eigenpairs(rho_mix, V, a, 4, etol, cfg, warm=warm)
+        eig = lowest_eigenpairs(rho_mix, V, a, 4, etol, warm=warm)
         cand = _occupied_from_eigs(eig, pair)
         rho_new = density(cand)
         defect = integrate(
@@ -749,7 +746,7 @@ def minimize_ground_state(
     if warm_start is not None:
         pair = warm_start.copy()
     else:
-        eig = lowest_eigenpairs(grid.zeros(), V, 0.0, 2, _EIG_TOL, cfg)
+        eig = lowest_eigenpairs(grid.zeros(), V, 0.0, 2, _EIG_TOL)
         pair, guards, cold_iters = _oriented_start(eig, a, V), eig.guard_fields, eig.iterations
         del eig  # only the guards warm the level check
 
@@ -780,14 +777,14 @@ def minimize_ground_state(
     while True:
         if polish:
             pair, scf_outer, scf_defect, history = scf_refine(
-                pair, a, V, cfg, history=history, it0=len(history)
+                pair, a, V, history=history, it0=len(history)
             )
             max_defect = max(max_defect, pair.defect())
         frame, mus, residuals = _rotate_to_multiplier_basis(pair, V, a)
         rotated = OrbitalPair(*frame)
         # certify the two occupied levels; the first guard gives the gap
         gap_eig = lowest_eigenpairs(
-            density(rotated), V, a, 2, 1e-6, cfg,
+            density(rotated), V, a, 2, 1e-6,
             warm=[rotated.u1, rotated.u2, *guards],
         )
         level_iters += gap_eig.iterations

@@ -7,6 +7,7 @@ computed from closed forms and never from the code under test.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -175,6 +176,21 @@ def test_find_peak_warns_on_tie_and_rejects_nonpositive():
         find_peak(ScalarField(g, v))
     with pytest.raises(ValueError):
         find_peak(ScalarField(g, np.zeros((12, 12, 12))))
+
+
+def test_find_peak_accepts_a_mirror_symmetric_tie():
+    # even n: a density symmetric under y -> -y and z -> -z peaks on four
+    # tied nodes (i, 5|6, 5|6) around the axis, one node apart
+    g = BoxGrid(12, 1.0)
+    rho = sample(g, lambda X, Y, Z: np.exp(-4.0 * ((X - 0.3)**2 + Y**2 + Z**2)))
+    v = rho.values
+    i = int(np.argmax(v[:, 5, 5]))
+    assert v[i, 5, 5] == pytest.approx(v[i, 6, 6], rel=1e-14)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PeakTieWarning)
+        peak = find_peak(rho)
+    # a parabola through two equal samples has its vertex midway
+    assert np.allclose(peak[1:], 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -169,12 +169,13 @@ def test_report_write_is_atomic(tmp_path):
 
 
 def test_solver_numbers_take_their_field_types(tmp_path):
-    # the schema admits 5.0 as an integer; range() and SeedSequence do not
+    # the schema admits 5.0 as an integer; range() does not.  A former
+    # seed is accepted as a whole number and dropped
     cp = write_config(tmp_path, patch={"solver": {
         "max_iters": 5.0, "seed": 3.0, "grad_tol": 1, "pin_fraction": 0.25}})
     cfg = fcli.build_solver(fcli.load_config(cp), None)
     assert type(cfg.max_iters) is int and cfg.max_iters == 5
-    assert type(cfg.seed) is int and cfg.seed == 3
+    assert not hasattr(cfg, "seed")
     assert type(cfg.grad_tol) is float and cfg.grad_tol == 1.0
     assert type(cfg.pin_fraction) is float and cfg.pin_fraction == 0.25
 
@@ -192,7 +193,8 @@ def test_solver_schema_covers_all_config_fields():
     import dataclasses
     from fermivar.solvers import SolverConfig
     props = fcli._solver_schema()["properties"]
-    assert set(props) == {f.name for f in dataclasses.fields(SolverConfig)}
+    # plus the former seed, which build_solver ignores
+    assert set(props) == {f.name for f in dataclasses.fields(SolverConfig)} | {"seed"}
 
 
 # ---------------------------------------------------------------------------
@@ -443,21 +445,29 @@ def test_astar_reports_continuum_bound_quality(small_astar_run):
     assert art["ordering_continuum"] is True
 
 
-def test_astar_output_does_not_depend_on_the_seed(tmp_path, capsys):
-    # astar draws no random numbers: a seed set by flag or in the config
-    # changes neither the artifacts nor their config digest
+def test_a_solver_seed_changes_no_artifact(tmp_path, capsys):
+    # nothing draws random numbers: a solver.seed key, still accepted in a
+    # config, changes no byte of the astar and solve artifacts, their config
+    # digests included, and no subcommand takes --seed
     outputs = []
-    for tag, solver, flags in (("default", {}, []),
-                               ("seed7", {"seed": 7}, ["--seed", "7"])):
+    for tag, solver in (("default", {}), ("seed7", {"seed": 7})):
         cfg = {**BASE_CONFIG, "grid": {"n": 32, "half_width": 2.2},
                "solver": {"pin_fraction": 0.4, "max_iters": 250, **solver},
                "output_dir": str(tmp_path / tag)}
         cp = tmp_path / f"{tag}.json"
         cp.write_text(json.dumps(cfg))
-        rc, _, _ = run(["astar", "--config", str(cp), *flags], capsys)
+        rc, _, _ = run(["astar", "--config", str(cp)], capsys)
+        assert rc == fcli.EXIT_OK
+        rc, _, _ = run(["solve", "--config", str(cp), "--a", "5.0"], capsys)
         assert rc == fcli.EXIT_OK
         outdir = tmp_path / tag
         outputs.append({p.name: p.read_bytes() for p in sorted(outdir.iterdir())})
     assert set(outputs[0]) == {"astar.json", "astar_u1.snap", "astar_u2.snap",
-                               "astar_rank1.snap"}
+                               "astar_rank1.snap", "solve.json", "solve_u1.snap",
+                               "solve_u2.snap"}
     assert outputs[0] == outputs[1]
+    assert b"seed" not in outputs[0]["solve.json"]
+    for command in ("astar", "solve", "sweep"):
+        with pytest.raises(SystemExit):
+            fcli.main([command, "--config", str(cp), "--seed", "7"])
+    capsys.readouterr()

@@ -1,5 +1,6 @@
-"""Source hygiene: every name a package module imports is used in it, and
-every import sits at module level, so no import cost hides inside a call."""
+"""Source hygiene: every name a package module imports is used in it, every
+import sits at module level, so no import cost hides inside a call, and the
+package draws no random numbers."""
 
 import ast
 
@@ -48,3 +49,14 @@ def test_no_import_inside_a_function(path):
 def test_function_imports_are_found():
     tree = ast.parse("import os\ndef f():\n    if True:\n        import json\n")
     assert _function_imports(tree) == ["f (line 4)"]
+
+
+# the program is deterministic by construction: no module may draw from a
+# random generator, seeded or not
+RANDOM_NAMES = ("np.random", "default_rng", "SeedSequence")
+
+
+@pytest.mark.parametrize("path", sorted(SRC_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_no_random_numbers(path):
+    text = path.read_text()
+    assert [name for name in RANDOM_NAMES if name in text] == []
