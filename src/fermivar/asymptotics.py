@@ -38,7 +38,8 @@ from .model import TrapPotential, density, p_integral, quotient_value
 
 FORMAT_VERSION = 1
 
-CSV_HEADER = "a,eps,E,T,W,P,mu1,mu2,peak_x,peak_y,peak_z,defect,converged"
+CSV_HEADER = ("a,eps,E,T,W,P,mu1,mu2,peak_x,peak_y,peak_z,defect,converged,"
+              "under_resolved,stop_reason")
 
 # Verdict slacks for noise-dominated regimes: the boundedness test compares
 # scale-free O(1) quantities, so a small absolute floor keeps symmetric traps
@@ -84,8 +85,7 @@ class SweepRecord:
     defect: float
     converged: bool
     under_resolved: bool = False
-    # the solve's stop reason (SolveResult.stop_reason); None for records
-    # read back from artifacts written before it was stored
+    # the solve's stop reason (SolveResult.stop_reason), if one is known
     stop_reason: str | None = None
 
     def __post_init__(self):
@@ -101,7 +101,12 @@ def usable_records(records) -> list[SweepRecord]:
     return [r for r in records if r.usable]
 
 
+_FLAGS = {True: "true", False: "false"}
+
+
 def write_sweep_csv(records, path) -> None:
+    """One row per record, every field of it: floats by repr, flags as
+    true/false, and a stop reason of None as an empty cell."""
     recs = list(records)
     if any(b.a <= a.a for a, b in zip(recs, recs[1:])):
         raise SweepFormatError("records must be sorted by a ascending")
@@ -114,37 +119,34 @@ def write_sweep_csv(records, path) -> None:
                     r.a, r.eps, r.E, r.T, r.W, r.P, r.mu1, r.mu2,
                     r.peak[0], r.peak[1], r.peak[2], r.defect,
                 )]
-                + ["true" if r.converged else "false"]
+                + [_FLAGS[bool(r.converged)], _FLAGS[bool(r.under_resolved)],
+                   r.stop_reason or ""]
             )
 
 
-def read_sweep_csv(path, under_resolved=None) -> list[SweepRecord]:
-    """Inverse of write_sweep_csv; floats round-trip exactly.
-
-    ``under_resolved`` is an optional flag list (the flag travels in the
-    sweep sidecar, not the CSV).
-    """
+def read_sweep_csv(path) -> list[SweepRecord]:
+    """Inverse of write_sweep_csv: the records come back equal, floats
+    bit for bit and a missing stop reason as None."""
     with open(path, newline="") as fh:
         header = fh.readline().rstrip("\n")
         if header != CSV_HEADER:
             raise SweepFormatError(f"unexpected CSV header {header!r}")
         rows = list(csv.reader(fh))
-    flags = under_resolved if under_resolved is not None else [False] * len(rows)
-    if len(flags) != len(rows):
-        raise SweepFormatError("under_resolved flag list does not match row count")
+    flag = {v: k for k, v in _FLAGS.items()}
     out = []
-    for row, flag in zip(rows, flags):
-        if len(row) != 13:
-            raise SweepFormatError(f"expected 13 columns, got {len(row)}")
-        if row[12] not in ("true", "false"):
-            raise SweepFormatError(f"bad converged flag {row[12]!r}")
+    for row in rows:
+        if len(row) != 15:
+            raise SweepFormatError(f"expected 15 columns, got {len(row)}")
+        if row[12] not in flag or row[13] not in flag:
+            raise SweepFormatError(f"bad flags {row[12]!r}, {row[13]!r}")
         vals = [float(x) for x in row[:12]]
         out.append(
             SweepRecord(
                 a=vals[0], eps=vals[1], E=vals[2], T=vals[3], W=vals[4],
                 P=vals[5], mu1=vals[6], mu2=vals[7],
                 peak=(vals[8], vals[9], vals[10]), defect=vals[11],
-                converged=row[12] == "true", under_resolved=bool(flag),
+                converged=flag[row[12]], under_resolved=flag[row[13]],
+                stop_reason=row[14] or None,
             )
         )
     if any(b.a <= a.a for a, b in zip(out, out[1:])):
@@ -198,12 +200,15 @@ def find_peak(rho: ScalarField) -> np.ndarray:
 @dataclass
 class ProfileExtract:
     rescaled_pair: OrbitalPair
-    rescaled_density: ScalarField
     lambda1: float | None
     lambda2: float | None
     eps: float
     center: tuple[float, float, float]
     raw_mass: float
+
+    @property
+    def rescaled_density(self) -> ScalarField:
+        return density(self.rescaled_pair)
 
 
 def rescale_extract(
@@ -253,7 +258,6 @@ def rescale_extract(
     del w  # the reference grid can be large: free the raw profile first
     return ProfileExtract(
         rescaled_pair=cleaned,
-        rescaled_density=density(cleaned),
         lambda1=None if mu1 is None else eps * eps * mu1,
         lambda2=None if mu2 is None else eps * eps * mu2,
         eps=eps,
@@ -501,7 +505,7 @@ def fit_decay_rate(extract: ProfileExtract) -> DecayRates:
         raise ValueError("extract carries no scaled multipliers")
     if not (extract.lambda1 < 0 and extract.lambda2 < 0):
         raise WindowError("scaled multipliers must be negative for decay fits")
-    grid = extract.rescaled_density.grid
+    grid = extract.rescaled_pair.grid
     r_box = grid.half_width * (1.0 - 2.0 * grid.spacing / grid.half_width)
 
     def window(ell: float) -> tuple[float, float]:
@@ -597,8 +601,12 @@ def build_report(
     """Assemble every verdict into one JSON-ready dictionary.
 
     profile_extracts must share one reference grid and follow record order
-    (ascending a); the decay extract may live on a wider grid.  Pure
-    function: feeding back saved artifacts reproduces the report bitwise.
+    (ascending a); the decay extract may live on a wider grid.  A decay fit
+    the extract's window cannot hold (positive scaled multipliers, a box of
+    fewer than four decay lengths) leaves ``{"skipped": <reason>}`` under
+    ``decay``; too few usable records raise ValueError.  Pure function: the
+    report built from stored artifacts is the same, byte for byte, as the
+    one built from the objects they were written from.
     """
     recs = list(records)
     use = usable_records(recs)
@@ -639,13 +647,9 @@ def build_report(
 
     if profile_extracts:
         masses = [ex.raw_mass for ex in profile_extracts]
-        dists = []
-        for prev, cur in zip(profile_extracts, profile_extracts[1:]):
-            diff = ScalarField(
-                cur.rescaled_density.grid,
-                cur.rescaled_density.values - prev.rescaled_density.values,
-            )
-            dists.append(norm(diff))
+        rhos = [ex.rescaled_density for ex in profile_extracts]
+        dists = [norm(ScalarField(cur.grid, cur.values - prev.values))
+                 for prev, cur in zip(rhos, rhos[1:])]
         tp = quotient_value(profile_extracts[-1].rescaled_pair)
         report["profile"] = {
             "raw_masses": masses,
@@ -664,24 +668,28 @@ def build_report(
 
     if decay_extract is not None:
         lam = report["multipliers"]
-        rates = fit_decay_rate(decay_extract)
-        b_rho = math.sqrt(max(-lam["lambda2"], 0.0))
-        b_w1 = 0.5 * math.sqrt(max(-lam["lambda1"], 0.0))
-        b_w2 = 0.5 * math.sqrt(max(-lam["lambda2"], 0.0))
-        report["decay"] = {
-            "rate_rho": rates.rate_rho,
-            "rate_w1": rates.rate_w1,
-            "rate_w2": rates.rate_w2,
-            "window_rho": list(rates.window_rho),
-            "window_w1": list(rates.window_w1),
-            "window_w2": list(rates.window_w2),
-            "bound_rho": b_rho,
-            "bound_w1": b_w1,
-            "bound_w2": b_w2,
-            "ok_rho": bool(rates.rate_rho >= 0.85 * b_rho),
-            "ok_w1": bool(rates.rate_w1 >= 0.85 * b_w1),
-            "ok_w2": bool(rates.rate_w2 >= 0.85 * b_w2),
-        }
+        try:
+            rates = fit_decay_rate(decay_extract)
+        except WindowError as exc:
+            report["decay"] = {"skipped": str(exc)}
+        else:
+            b_rho = math.sqrt(max(-lam["lambda2"], 0.0))
+            b_w1 = 0.5 * math.sqrt(max(-lam["lambda1"], 0.0))
+            b_w2 = 0.5 * math.sqrt(max(-lam["lambda2"], 0.0))
+            report["decay"] = {
+                "rate_rho": rates.rate_rho,
+                "rate_w1": rates.rate_w1,
+                "rate_w2": rates.rate_w2,
+                "window_rho": list(rates.window_rho),
+                "window_w1": list(rates.window_w1),
+                "window_w2": list(rates.window_w2),
+                "bound_rho": b_rho,
+                "bound_w1": b_w1,
+                "bound_w2": b_w2,
+                "ok_rho": bool(rates.rate_rho >= 0.85 * b_rho),
+                "ok_w1": bool(rates.rate_w1 >= 0.85 * b_w1),
+                "ok_w2": bool(rates.rate_w2 >= 0.85 * b_w2),
+            }
 
     if metadata:
         report["run"] = metadata

@@ -20,10 +20,12 @@ Exit codes: 0 success, 1 configuration error, 2 solver failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
+import struct
 import sys
 
 import numpy as np
@@ -34,7 +36,7 @@ except ImportError as _exc:  # pragma: no cover - hard dependency
     raise ImportError("the command-line interface requires jsonschema") from _exc
 
 from .grid import BoxGrid, read_snapshot, write_snapshot
-from .model import TrapPotential, TrapError, Well, density
+from .model import TrapPotential, TrapError, Well
 from .frames import OrbitalPair
 from .solvers import (
     SolverConfig,
@@ -290,20 +292,33 @@ def cmd_astar(raw: dict, args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _stored(label: str, what: str, remedy: str):
+    """Read artifacts an earlier command stored (``label`` names them).
+
+    A missing file, or one that does not parse or lacks what the block
+    takes from it, is a ConfigError that says ``remedy``.
+    """
+    try:
+        yield
+    except FileNotFoundError as exc:
+        raise ConfigError(f"{exc.filename} not found: {remedy}") from exc
+    except (OSError, ValueError, TypeError, KeyError, struct.error) as exc:
+        raise ConfigError(f"{label} holds no {what} ({exc!r}): {remedy}") from exc
+
+
+def _read_json(path: str):
+    with open(path) as fh:
+        return json.load(fh)
+
+
 def _load_astar(outdir: str, grid: BoxGrid) -> float:
     """The stored threshold a2_hat; it must have been computed on ``grid``."""
     path = os.path.join(outdir, "astar.json")
-    if not os.path.exists(path):
-        raise ConfigError(
-            f"{path} not found: run `fermivar astar` first to store the threshold"
-        )
-    try:
-        with open(path) as fh:
-            stored = json.load(fh)
+    with _stored(path, "stored threshold",
+                 "run `fermivar astar` first to store the threshold"):
+        stored = _read_json(path)
         a2_hat, stored_grid = float(stored["a2_hat"]), stored["grid"]
-    except (OSError, ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"{path} holds no stored threshold ({exc!r}): "
-                          "run `fermivar astar` again") from exc
     configured = {"n": grid.n_per_axis, "half_width": grid.half_width}
     if stored_grid != configured:
         raise ConfigError(
@@ -356,6 +371,8 @@ def cmd_solve(raw: dict, args) -> int:
         "p_norm": res.diag.p_norm,
         "mu1": res.diag.mu1,
         "mu2": res.diag.mu2,
+        "sum_rule_residual": res.diag.sum_rule_residual,
+        "virial_residual": res.diag.virial_residual,
         "residuals": [float(r) for r in res.residuals],
         "defect": res.pair.defect(),
         "max_pair_defect": res.max_pair_defect,
@@ -404,71 +421,90 @@ def _profile_window(grid: BoxGrid, trap: TrapPotential, eps_max: float,
     return min(default_hw, room / eps_max)
 
 
-def _extract_meta(ex: asy.ProfileExtract, paths: tuple[str, str]) -> dict:
-    return {
-        "eps": ex.eps,
-        "center": list(ex.center),
-        "lambda1": ex.lambda1,
-        "lambda2": ex.lambda2,
-        "raw_mass": ex.raw_mass,
-        "u1": paths[0],
-        "u2": paths[1],
-    }
+def _extract(pair, rec, ref: BoxGrid, paths: tuple[str, str], outdir: str) -> dict:
+    """Profile extraction of one sweep record, stored: its meta.json entry.
 
-
-def _extract(pair, rec, ref: BoxGrid, paths: tuple[str, str], outdir: str):
-    """Profile extraction of one sweep record: (extract, meta.json entry).
-
-    A rescale window that leaves the source box skips the extraction; the
-    entry then records the message under ``skipped`` and the extract is
-    None.
+    The rescaled pair goes to the two snapshots ``paths``.  A rescale
+    window that leaves the source box skips the extraction; the entry then
+    records the message under ``skipped``.
     """
     try:
         ex = asy.rescale_extract(
             pair, rec.eps, np.asarray(rec.peak), ref, mu1=rec.mu1, mu2=rec.mu2
         )
     except asy.WindowError as exc:
-        return None, {"eps": rec.eps, "center": list(rec.peak), "skipped": str(exc)}
+        return {"eps": rec.eps, "center": list(rec.peak), "skipped": str(exc)}
     for u, path in zip(ex.rescaled_pair, paths):
         write_snapshot(u, os.path.join(outdir, path))
-    return ex, _extract_meta(ex, paths)
+    return {"eps": ex.eps, "center": list(ex.center), "lambda1": ex.lambda1,
+            "lambda2": ex.lambda2, "raw_mass": ex.raw_mass,
+            "u1": paths[0], "u2": paths[1]}
 
 
-def _extract_from_meta(meta: dict, outdir: str) -> asy.ProfileExtract:
-    u1 = read_snapshot(os.path.join(outdir, meta["u1"]))
-    u2 = read_snapshot(os.path.join(outdir, meta["u2"]))
-    pair = OrbitalPair(u1, u2)
+def _stored_extract(entry: dict, outdir: str) -> asy.ProfileExtract:
+    """The profile extract a ``meta.json`` entry and its snapshots hold."""
+    pair = OrbitalPair(*(read_snapshot(os.path.join(outdir, entry[k]))
+                         for k in ("u1", "u2")))
     return asy.ProfileExtract(
         rescaled_pair=pair,
-        rescaled_density=density(pair),
-        lambda1=meta["lambda1"],
-        lambda2=meta["lambda2"],
-        eps=float(meta["eps"]),
-        center=tuple(meta["center"]),
-        raw_mass=float(meta["raw_mass"]),
+        lambda1=float(entry["lambda1"]),
+        lambda2=float(entry["lambda2"]),
+        eps=float(entry["eps"]),
+        center=tuple(float(c) for c in entry["center"]),
+        raw_mass=float(entry["raw_mass"]),
     )
 
 
-def _write_sweep_reports(records, trap, a_hat, extracts, decay_extract,
-                         outdir, run_meta) -> str | None:
-    """report.json and the plot tables; the reason if no report can be built."""
-    try:
-        report = asy.build_report(
-            records, trap, a_hat, extracts,
-            decay_extract=decay_extract, metadata=run_meta,
+def _report_from_artifacts(outdir: str, trap: TrapPotential,
+                           digest: str) -> tuple[list[str], str | None]:
+    """report.json and the plot tables, built from the stored sweep alone.
+
+    Reads ``meta.json``, ``records.csv`` and the extract snapshots that
+    ``meta.json`` names.  A missing or malformed artifact, or a
+    ``meta.json`` written under another config digest, is a ConfigError.
+    Returns the messages of the skipped steps and the reason no report
+    was built (None if one was).
+    """
+    remedy = "--refit-only needs the artifacts of a prior `fermivar sweep`"
+    meta_path = os.path.join(outdir, "meta.json")
+    with _stored(meta_path, "sweep metadata", remedy):
+        meta = _read_json(meta_path)
+        stored_digest = meta["run"]["config_digest"]
+    if stored_digest != digest:
+        raise ConfigError(
+            f"{meta_path} holds a sweep of config digest {stored_digest}, not "
+            f"one of the current config ({digest}): run `fermivar sweep` again"
         )
-    except ValueError as exc:  # too few usable records, a failed decay fit
-        return str(exc)
+    with _stored(outdir, "complete stored sweep", remedy):
+        a_hat, decay = float(meta["a_hat"]), meta["decay"]
+        records = asy.read_sweep_csv(os.path.join(outdir, "records.csv"))
+        skipped = [f"profile extraction skipped: {e['skipped']}"
+                   for e in [*meta["extracts"], decay] if e and "skipped" in e]
+        profiles = [_stored_extract(e, outdir) for e in meta["extracts"]
+                    if "skipped" not in e]
+        decay_extract = (_stored_extract(decay, outdir)
+                         if decay and "skipped" not in decay else None)
+    try:
+        report = asy.build_report(records, trap, a_hat, profiles,
+                                  decay_extract=decay_extract,
+                                  metadata=meta["run"])
+    except ValueError as exc:  # too few usable records
+        return skipped, str(exc)
+    if "skipped" in report.get("decay", {}):
+        skipped.append(f"decay fit skipped: {report['decay']['skipped']}")
     asy.write_json(report, os.path.join(outdir, "report.json"))
     asy.write_plot_tables(records, a_hat, outdir, decay_extract=decay_extract)
-    return None
+    return skipped, None
 
 
 def cmd_sweep(raw: dict, args) -> int:
     """Continuation over ``sweep.a_fractions`` of the stored a2_hat.
 
     The first point starts cold and oriented, as ``solve`` does; each
-    later point starts from the previous record.
+    later point starts from the previous record.  The records, profile
+    extracts and ``meta.json`` are stored first; ``report.json`` is then
+    built from those artifacts alone, by the same loader that
+    ``--refit-only`` runs without solving.
     """
     if "sweep" not in raw:
         raise ConfigError("sweep requires the config's sweep section")
@@ -480,26 +516,7 @@ def cmd_sweep(raw: dict, args) -> int:
     digest = config_digest(raw)
 
     if args.refit_only:
-        meta_path = os.path.join(outdir, "meta.json")
-        if not os.path.exists(meta_path):
-            raise ConfigError(f"--refit-only needs {meta_path} from a prior sweep")
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        records = asy.read_sweep_csv(
-            os.path.join(outdir, "records.csv"),
-            under_resolved=meta["under_resolved"],
-        )
-        extracts = [_extract_from_meta(m, outdir) for m in meta["extracts"]
-                    if "skipped" not in m]
-        decay = meta["decay"]
-        decay_extract = (
-            _extract_from_meta(decay, outdir)
-            if decay and "skipped" not in decay else None
-        )
-        failed = _write_sweep_reports(
-            records, trap, float(meta["a_hat"]), extracts, decay_extract,
-            outdir, meta["run"],
-        )
+        _, failed = _report_from_artifacts(outdir, trap, digest)
         if failed:
             return _emit_error(EXIT_PARTIAL, "partial", f"report not built: {failed}")
         print("refit complete: report.json rebuilt from stored artifacts",
@@ -507,7 +524,6 @@ def cmd_sweep(raw: dict, args) -> int:
         return EXIT_OK
 
     a_hat = _load_astar(outdir, grid)
-    run_meta = {"config_digest": digest}
     fractions = raw["sweep"]["a_fractions"]
     a_list = [f * a_hat for f in fractions]
 
@@ -533,32 +549,25 @@ def cmd_sweep(raw: dict, args) -> int:
     asy.write_sweep_csv(records, os.path.join(outdir, "records.csv"))
 
     # blow-up profile extraction on shared reference grids
-    usable = [
-        (rec, pair)
-        for rec, pair in zip(records, outcome.pairs)
-        if rec.usable
-    ]
-    extracts = []
+    usable = [(rec, pair) for rec, pair in zip(records, outcome.pairs) if rec.usable]
     extract_meta = []
     eps_max = max((rec.eps for rec, _ in usable), default=0.0)
     if usable and eps_max > 0:
         hw = _profile_window(grid, trap, eps_max, PROFILE_REF_HALF_WIDTH)
         if hw >= 0.5:
             ref = BoxGrid(PROFILE_REF_N, hw)
-            for i, (rec, pair) in enumerate(usable):
-                paths = (f"extract_{i:02d}_u1.snap", f"extract_{i:02d}_u2.snap")
-                ex, entry = _extract(pair, rec, ref, paths, outdir)
-                extract_meta.append(entry)
-                if ex is not None:
-                    extracts.append(ex)
+            extract_meta = [
+                _extract(pair, rec, ref, (f"extract_{i:02d}_u1.snap",
+                                          f"extract_{i:02d}_u2.snap"), outdir)
+                for i, (rec, pair) in enumerate(usable)
+            ]
 
-    decay_extract = None
     decay_meta = None
     if usable:
         rec, pair = usable[-1]
         hw = _profile_window(grid, trap, rec.eps, DECAY_REF_HALF_WIDTH)
         if hw >= 1.0:
-            decay_extract, decay_meta = _extract(
+            decay_meta = _extract(
                 pair, rec, BoxGrid(DECAY_REF_N, hw),
                 ("decay_u1.snap", "decay_u2.snap"), outdir,
             )
@@ -567,25 +576,19 @@ def cmd_sweep(raw: dict, args) -> int:
         "format_version": asy.FORMAT_VERSION,
         "a_hat": a_hat,
         "a_list": [float(a) for a in a_list],
-        "under_resolved": [bool(r.under_resolved) for r in records],
-        "stop_reasons": [r.stop_reason for r in records],
         "widths": [float(w) for w in outcome.widths],
         "aborted_at": outcome.aborted_at,
         "extracts": extract_meta,
         "decay": decay_meta,
-        "run": run_meta,
+        "run": {"config_digest": digest},
     }
     asy.write_json(meta, os.path.join(outdir, "meta.json"))
-
-    failed = _write_sweep_reports(
-        records, trap, a_hat, extracts, decay_extract, outdir, run_meta
-    )
 
     problems = []
     if outcome.aborted_at is not None or any(not r.converged for r in records):
         problems.append(f"sweep incomplete (aborted_at={outcome.aborted_at})")
-    problems += [f"profile extraction skipped: {m['skipped']}"
-                 for m in extract_meta + [decay_meta] if m and "skipped" in m]
+    skipped, failed = _report_from_artifacts(outdir, trap, digest)
+    problems += skipped
     if failed:
         problems.append(f"report not built: {failed}")
     if problems:

@@ -278,10 +278,6 @@ def resample_scaled(
     return out
 
 
-def _dilate_raw(field: ScalarField, tau: float) -> np.ndarray:
-    return tau ** 1.5 * resample_scaled(field, tau)
-
-
 def dilate(field: ScalarField, tau: float) -> ScalarField:
     """Mass-preserving dilation g(x) = tau^{3/2} f(tau x).
 
@@ -293,7 +289,7 @@ def dilate(field: ScalarField, tau: float) -> ScalarField:
         raise ValueError(f"dilation factor must be positive, got {tau}")
     if tau == 1.0:
         return field.copy()
-    vals = _dilate_raw(field, tau)
+    vals = tau ** 1.5 * resample_scaled(field, tau)
     out = ScalarField(field.grid, vals)
     m_in = integrate(ScalarField(field.grid, field.values * field.values))
     m_out = integrate(ScalarField(field.grid, vals * vals))

@@ -120,12 +120,16 @@ def potential_field(trap: TrapPotential, grid: BoxGrid) -> ScalarField:
     for w in trap.wells:
         if max(abs(c) for c in w.center) > L:
             raise TrapError(f"well center {w.center} outside box [-{L}, {L}]^3")
-    X, Y, Z = grid.meshgrid()
-    V = np.full(grid.shape, float(trap.prefactor))
+    return ScalarField(grid, _well_product(trap, *grid.meshgrid()))
+
+
+def _well_product(trap: TrapPotential, X, Y, Z) -> np.ndarray:
+    """g * prod_m |x - x_m|^{p_m} at the points (X, Y, Z)."""
+    V = np.full(X.shape, float(trap.prefactor))
     for w in trap.wells:
         r2 = (X - w.center[0]) ** 2 + (Y - w.center[1]) ** 2 + (Z - w.center[2]) ** 2
         V = V * r2 ** (w.power / 2.0)
-    return ScalarField(grid, V)
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -230,17 +234,7 @@ def concentration_energies(
         t = float(tau)
         if t <= 0.0:
             raise ValueError(f"tau must be positive, got {tau}")
-        px = x0[0] + X / t
-        py = x0[1] + Y / t
-        pz = x0[2] + Z / t
-        V = np.full(grid.shape, float(trap.prefactor))
-        for w in trap.wells:
-            r2 = (
-                (px - w.center[0]) ** 2
-                + (py - w.center[1]) ** 2
-                + (pz - w.center[2]) ** 2
-            )
-            V = V * r2 ** (w.power / 2.0)
+        V = _well_product(trap, x0[0] + X / t, x0[1] + Y / t, x0[2] + Z / t)
         trap_term = integrate(ScalarField(grid, V * rho.values))
         out.append(float(t * t * (T0 - a * P0) + trap_term))
     return out

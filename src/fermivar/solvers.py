@@ -484,9 +484,9 @@ def _centroid(grid: BoxGrid, v: np.ndarray) -> tuple[float, float, float]:
     return ((pxy @ w) @ xw, (w @ pxy) @ xw, (w @ pxz) @ xw)
 
 
-def _gaussian(grid: BoxGrid, sigma: float, center=(0.0, 0.0, 0.0)):
-    """exp(-|x - center|^2 / (4 sigma^2)) on the nodes, and x - center per axis."""
-    xs = tuple(x - c for x, c in zip(grid.meshgrid(), center))
+def _gaussian(grid: BoxGrid, sigma: float):
+    """exp(-|x|^2 / (4 sigma^2)) on the nodes, and the node coordinates."""
+    xs = grid.meshgrid()
     r2 = xs[0] ** 2 + xs[1] ** 2 + xs[2] ** 2
     return np.exp(-r2 / (4.0 * sigma * sigma)), xs
 
@@ -497,12 +497,10 @@ def _unit_orbital(grid: BoxGrid, values: np.ndarray) -> ScalarField:
     return ScalarField(grid, f.values / norm(f))
 
 
-def gaussian_pair(
-    grid: BoxGrid, sigma: float, center=(0.0, 0.0, 0.0), axis: int = 0
-) -> OrbitalPair:
-    """s-like and p-like Gaussians, the structured initial guess."""
-    g, xs = _gaussian(grid, sigma, center)
-    return loewdin(_unit_orbital(grid, g), _unit_orbital(grid, xs[axis] * g))
+def gaussian_pair(grid: BoxGrid, sigma: float) -> OrbitalPair:
+    """s-like and x-axis p-like Gaussians, the structured initial guess."""
+    g, xs = _gaussian(grid, sigma)
+    return loewdin(_unit_orbital(grid, g), _unit_orbital(grid, xs[0] * g))
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +602,8 @@ def scf_refine(
     pair: OrbitalPair,
     a: float,
     V: ScalarField,
-    history: list | None = None,
-    it0: int = 0,
+    history: list,
+    it0: int,
 ) -> tuple[OrbitalPair, int, float, list]:
     """Self-consistent-field polish with adaptive linear density mixing.
 
@@ -613,11 +611,10 @@ def scf_refine(
     density and mixes.  Mixing starts at ``_SCF_MIXING`` and grows toward 1
     while the defect shrinks steadily.  The loop stops at ``_SCF_TOL``,
     after ``_SCF_MAX_OUTER`` outers, or on a stall (no defect progress over
-    six outers).  Returns (last pair, outer iterations, final defect,
+    six outers).  Each outer appends (it0 + outer, energy, defect) to
+    ``history``.  Returns (last pair, outer iterations, final defect,
     history).
     """
-    if history is None:
-        history = []
     rho_mix = density(pair)
     warm = [pair.u1, pair.u2]
     beta = _SCF_MIXING
@@ -1200,13 +1197,11 @@ def continuation_sweep(
     a_list,
     cfg: SolverConfig,
     a_hat: float,
-    warm_start: OrbitalPair | None = None,
 ) -> SweepOutcome:
     """Sequence of ground-state solves for increasing a.
 
-    The first point starts from ``warm_start`` or else cold, as in
-    :func:`minimize_ground_state`; each later point from the previous pair.
-    A warm start can end certified on an orientational saddle.
+    The first point starts cold, as in :func:`minimize_ground_state`; each
+    later point from the previous pair.
 
     Records carry the scale parameter eps = (a_hat - a)^{1/(p+2)} and the
     under-resolution flag (eps spanning fewer than
@@ -1223,7 +1218,7 @@ def continuation_sweep(
     records: list[_asy.SweepRecord] = []
     pairs = []
     widths = []
-    prev = warm_start
+    prev = None
     aborted = None
     for i, a in enumerate(a_arr):
         res = minimize_ground_state(a, trap, grid, cfg, warm_start=prev)

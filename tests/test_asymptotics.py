@@ -5,6 +5,7 @@ limit) and check that the analysis recovers it, so the expected values are
 computed from closed forms and never from the code under test.
 """
 
+import dataclasses
 import json
 import math
 import warnings
@@ -105,7 +106,9 @@ def test_csv_round_trip_is_exact(tmp_path):
         a=recs[2].a, eps=math.pi / 30.0, E=recs[2].E, T=recs[2].T,
         W=recs[2].W, P=recs[2].P, mu1=-1.0 / 7.0, mu2=-0.1,
         peak=(0.1, -0.2, 1e-17), defect=3e-16, converged=False,
+        under_resolved=True, stop_reason="max_iters+scf",
     )
+    recs[3] = dataclasses.replace(recs[3], stop_reason="tolerance")
     path = tmp_path / "records.csv"
     write_sweep_csv(recs, path)
     back = read_sweep_csv(path)
@@ -118,15 +121,20 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
-def test_csv_under_resolved_sidecar(tmp_path):
-    recs = synthetic_records(n=4)
+def test_csv_carries_under_resolved_and_stop_reason(tmp_path):
+    # the whole record lives in the CSV: no flag list rides beside it
+    flags = [False, True, False, True]
+    reasons = ["tolerance", None, "line_search+scf", "breach"]
+    recs = [dataclasses.replace(r, under_resolved=f, stop_reason=s)
+            for r, f, s in zip(synthetic_records(n=4), flags, reasons)]
     path = tmp_path / "r.csv"
     write_sweep_csv(recs, path)
-    flags = [False, True, False, True]
-    back = read_sweep_csv(path, under_resolved=flags)
+    assert path.read_text().splitlines()[0].endswith(
+        ",converged,under_resolved,stop_reason")
+    back = read_sweep_csv(path)
     assert [r.under_resolved for r in back] == flags
-    with pytest.raises(SweepFormatError):
-        read_sweep_csv(path, under_resolved=[True])
+    assert [r.stop_reason for r in back] == reasons
+    assert back == recs
 
 
 def test_csv_format_errors(tmp_path):
@@ -139,10 +147,12 @@ def test_csv_format_errors(tmp_path):
     (tmp_path / "h.csv").write_text("\n".join(["a,b,c"] + lines[1:]) + "\n")
     with pytest.raises(SweepFormatError):
         read_sweep_csv(tmp_path / "h.csv")
-    (tmp_path / "c.csv").write_text(
-        "\n".join([lines[0], lines[1].rsplit(",", 1)[0] + ",maybe"]) + "\n")
-    with pytest.raises(SweepFormatError):
-        read_sweep_csv(tmp_path / "c.csv")
+    for col in (12, 13):  # converged, under_resolved
+        cells = lines[1].split(",")
+        cells[col] = "maybe"
+        (tmp_path / "c.csv").write_text("\n".join([lines[0], ",".join(cells)]) + "\n")
+        with pytest.raises(SweepFormatError):
+            read_sweep_csv(tmp_path / "c.csv")
     (tmp_path / "n.csv").write_text(
         "\n".join([lines[0], lines[1] + ",1.0"]) + "\n")
     with pytest.raises(SweepFormatError):
@@ -367,8 +377,6 @@ def test_fit_decay_rate_on_planted_profile():
     pair = loewdin(u1, u2)
     ex = ProfileExtract(
         rescaled_pair=pair,
-        rescaled_density=ScalarField(
-            g, pair.u1.values**2 + pair.u2.values**2),
         lambda1=-16.0, lambda2=-16.0,
         eps=0.1, center=(0.0, 0.0, 0.0), raw_mass=2.0,
     )
@@ -384,9 +392,8 @@ def test_fit_decay_rate_on_planted_profile():
 def test_fit_decay_rate_validation():
     g = BoxGrid(32, 2.0)
     pair = sp_pair(g, 0.4)
-    base = dict(rescaled_pair=pair, rescaled_density=ScalarField(
-        g, pair.u1.values**2 + pair.u2.values**2),
-        eps=0.1, center=(0.0, 0.0, 0.0), raw_mass=2.0)
+    base = dict(rescaled_pair=pair, eps=0.1, center=(0.0, 0.0, 0.0),
+                raw_mass=2.0)
     with pytest.raises(ValueError):
         fit_decay_rate(ProfileExtract(lambda1=None, lambda2=None, **base))
     with pytest.raises(WindowError):
@@ -407,8 +414,6 @@ def _small_extract(lam1=-16.0, lam2=-16.0):
     pair = loewdin(u1, u2)
     return ProfileExtract(
         rescaled_pair=pair,
-        rescaled_density=ScalarField(
-            g, pair.u1.values**2 + pair.u2.values**2),
         lambda1=lam1, lambda2=lam2,
         eps=0.1, center=(0.0, 0.0, 0.0), raw_mass=2.0,
     )
@@ -459,6 +464,11 @@ def test_build_report_structure_and_planted_laws(tmp_path):
     assert dec["ok_rho"] and dec["ok_w1"] and dec["ok_w2"]
     assert rep["run"] == {"seed": 0}
 
+    # the density is read off the pair, not stored beside it
+    u1, u2 = extracts[0].rescaled_pair
+    assert np.array_equal(extracts[0].rescaled_density.values,
+                          u1.values**2 + u2.values**2)
+
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     write_json(rep, p1)
     rep2 = build_report(recs, HARMONIC, 9.5, extracts, decay_extract=decay,
@@ -466,6 +476,18 @@ def test_build_report_structure_and_planted_laws(tmp_path):
     write_json(rep2, p2)
     assert p1.read_bytes() == p2.read_bytes()  # bitwise reproducible
     assert json.loads(p1.read_text())["a_hat"] == 9.5
+
+
+def test_build_report_records_a_skipped_decay_fit():
+    # positive scaled multipliers leave no decay window: the report keeps
+    # every other verdict and says why the decay fit was skipped
+    recs = synthetic_records(a_hat=9.5, p=2.0)
+    rep = build_report(recs, HARMONIC, 9.5, [_small_extract()],
+                       decay_extract=_small_extract(lam1=2.4, lam2=8.3))
+    assert rep["decay"] == {
+        "skipped": "scaled multipliers must be negative for decay fits"}
+    assert rep["concentration"]["verdict"] == "ok"
+    assert "profile" in rep and "energy_constant" in rep
 
 
 def test_write_plot_tables(tmp_path):

@@ -1,5 +1,7 @@
 """Command line interface: config validation, error paths, artifacts."""
 
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -237,6 +239,11 @@ def test_solve_reports_its_eigensolve_iterations(tmp_path, capsys):
     doc = load_json(tmp_path / "out" / "solve.json")
     assert doc["cold_eig_iters"] == 1
     assert isinstance(doc["level_eig_iters"], int) and doc["level_eig_iters"] >= 1
+    # the sum-rule and virial residuals README promises: the sum rule holds
+    # at a converged solve; the virial identity of the one-well trap does
+    # not hold in a box this small, whose walls squeeze the pair (0.23 here)
+    assert 0.0 <= doc["sum_rule_residual"] < 1e-6
+    assert 0.0 < doc["virial_residual"] < 1.0
 
 
 def test_sweep_requires_sweep_section(tmp_path, capsys):
@@ -316,11 +323,123 @@ def test_sweep_starts_cold_whatever_snapshots_are_stored(tmp_path, capsys):
     records = fermivar.read_sweep_csv(str(outdir / "records.csv"))
     trap = fcli.build_trap(load_json(Path(cp)))
     assert [r.a for r in records] == [0.5 * 9.5, 0.55 * 9.5]
-    assert load_json(outdir / "meta.json")["stop_reasons"] == ["tolerance"] * 2
+    assert [r.stop_reason for r in records] == ["tolerance"] * 2
     for rec in records:
         assert rec.converged
         cold = fermivar.minimize_ground_state(rec.a, trap, g, fermivar.SolverConfig())
         assert rec.E == pytest.approx(cold.diag.energy, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# refit from stored artifacts (n=32 double well under a stored a2_hat)
+# ---------------------------------------------------------------------------
+
+
+DOUBLE_WELL_CONFIG = {
+    **BASE_CONFIG,
+    "grid": {"n": 32, "half_width": 2.5},
+    "trap": {"wells": [{"center": [-0.8, 0.0, 0.0], "power": 2.0},
+                       {"center": [0.8, 0.0, 0.0], "power": 4.0}]},
+    "sweep": {"a_fractions": [0.3, 0.35, 0.4, 0.45]},
+}
+
+
+def _double_well_config(outdir, **patch):
+    cfg = json.loads(json.dumps(DOUBLE_WELL_CONFIG))
+    cfg.update(patch, output_dir=str(outdir))
+    path = outdir.parent / "config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def double_well_sweep(tmp_path_factory):
+    """One live sweep: four converged, resolved records far from a2_hat,
+    four profile extracts and the decay extract; (rc, stderr, outdir)."""
+    outdir = tmp_path_factory.mktemp("double_well") / "out"
+    outdir.mkdir()
+    (outdir / "astar.json").write_text(
+        json.dumps({"a2_hat": 9.5, "grid": DOUBLE_WELL_CONFIG["grid"]}))
+    cp = _double_well_config(outdir)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = fcli.main(["sweep", "--config", cp])
+    return rc, err.getvalue(), outdir
+
+
+def _copy_sweep(double_well_sweep, tmp_path):
+    outdir = tmp_path / "out"
+    shutil.copytree(double_well_sweep[2], outdir)
+    return outdir
+
+
+def test_sweep_records_a_skipped_decay_fit(double_well_sweep):
+    # far from a2_hat the scaled multipliers are positive: the decay fit is
+    # skipped, and the report carries every other verdict
+    rc, err, outdir = double_well_sweep
+    assert rc == fcli.EXIT_PARTIAL
+    e = stderr_error(err)
+    assert e["message"] == ("decay fit skipped: scaled multipliers must be "
+                            "negative for decay fits; partial artifacts retained")
+    report = load_json(outdir / "report.json")
+    assert report["decay"] == {
+        "skipped": "scaled multipliers must be negative for decay fits"}
+    assert report["n_usable"] == 4 and len(report["profile"]["raw_masses"]) == 4
+    records = fermivar.read_sweep_csv(str(outdir / "records.csv"))
+    assert [r.stop_reason for r in records] == ["tolerance"] * 4
+    meta = load_json(outdir / "meta.json")
+    assert set(meta) == {"format_version", "a_hat", "a_list", "widths",
+                         "aborted_at", "extracts", "decay", "run"}
+    assert all("skipped" not in m for m in meta["extracts"] + [meta["decay"]])
+
+
+def test_refit_rebuilds_the_live_report_byte_for_byte(double_well_sweep,
+                                                      tmp_path, capsys):
+    outdir = _copy_sweep(double_well_sweep, tmp_path)
+    live = {p.name: p.read_bytes() for p in outdir.iterdir()}
+    (outdir / "report.json").unlink()
+    rc, out, _ = run(["sweep", "--config", _double_well_config(outdir),
+                      "--refit-only"], capsys)
+    assert rc == fcli.EXIT_OK and "refit complete" in out
+    assert {p.name: p.read_bytes() for p in outdir.iterdir()} == live
+
+
+def _drop_extracts(outdir):
+    meta = load_json(outdir / "meta.json")
+    del meta["extracts"]
+    (outdir / "meta.json").write_text(json.dumps(meta))
+
+
+def _truncate(path, size):
+    path.write_bytes(path.read_bytes()[:size])
+
+
+@pytest.mark.parametrize("damage", [
+    lambda d: (d / "records.csv").unlink(),
+    lambda d: (d / "meta.json").write_text("{not json"),
+    _drop_extracts,
+    lambda d: (d / "extract_01_u2.snap").unlink(),
+    lambda d: _truncate(d / "decay_u1.snap", 4096),
+    lambda d: _truncate(d / "extract_03_u1.snap", 10),  # inside the header
+    None,  # the config's trap changes instead
+], ids=["records_missing", "meta_not_json", "meta_without_extracts",
+        "snapshot_deleted", "snapshot_truncated", "snapshot_header_cut",
+        "trap_changed"])
+def test_refit_refuses_bad_artifacts(double_well_sweep, tmp_path, capsys, damage):
+    outdir = _copy_sweep(double_well_sweep, tmp_path)
+    report = (outdir / "report.json").read_bytes()
+    patch = {}
+    if damage is None:
+        patch["trap"] = {"wells": [{"center": [-0.8, 0.0, 0.0], "power": 2.0},
+                                   {"center": [0.8, 0.0, 0.0], "power": 3.0}]}
+    else:
+        damage(outdir)
+    cp = _double_well_config(outdir, **patch)
+    rc, _, err = run(["sweep", "--config", cp, "--refit-only"], capsys)
+    assert rc == fcli.EXIT_CONFIG
+    assert len(err.strip().splitlines()) == 1
+    assert stderr_error(err)["kind"] == "config"
+    assert (outdir / "report.json").read_bytes() == report
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,17 @@ def test_concentration_energies_scaling_identity():
     assert predicted == pytest.approx(direct, rel=2e-2)
 
 
+def test_concentration_energies_at_tau_one_is_the_energy():
+    # tau = 1 about the origin is the pair itself, on a two-well trap
+    g = BoxGrid(24, 3.0)
+    trap = TrapPotential(wells=(Well(center=(-0.8, 0.0, 0.0), power=2.0),
+                                Well(center=(0.8, 0.0, 0.0), power=4.0)))
+    pair = sp_pair(g, 0.6)
+    [e] = concentration_energies(pair, 3.0, trap, (0.0, 0.0, 0.0), [1.0])
+    direct = energy(pair, 3.0, potential_field(trap, g)).energy
+    assert e == pytest.approx(direct, rel=1e-13)
+
+
 def test_concentration_energies_supercritical_dive():
     g = BoxGrid(40, 4.0)
     trap = harmonic()

@@ -1,13 +1,16 @@
 """Radial shooting oracle for the one-orbital concentration threshold."""
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+import fermivar
 from fermivar import radial
 from fermivar.radial import (
     BracketError,
@@ -151,7 +154,11 @@ def test_continuum_bound_leaves_scipy_interpolate_unloaded():
         "separated_pair_upper_bound(separations=(2.5,))\n"
         "assert 'scipy.interpolate' not in sys.modules, 'scipy.interpolate loaded'\n"
     )
-    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+    # the child imports this checkout's package, with or without PYTHONPATH
+    src = str(Path(fermivar.__file__).resolve().parents[1])
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 def test_shooting_report_contents():

@@ -605,8 +605,8 @@ def test_orbital_width_is_measured_about_the_centroid():
     # off-centre iterate keeps the width of its shape
     g = BoxGrid(40, 3.0)
     sigma = 0.3  # per-axis deviation of u^2; its radial width is sqrt(3) sigma
-    centred, _ = solvers._gaussian(g, sigma)
-    shifted, _ = solvers._gaussian(g, sigma, center=(0.3, 0.0, 0.0))
+    centred, (X, Y, Z) = solvers._gaussian(g, sigma)
+    shifted = np.exp(-((X - 0.3) ** 2 + Y ** 2 + Z ** 2) / (4.0 * sigma * sigma))
     w0 = solvers._orbital_width(solvers._unit_orbital(g, centred))
     w1 = solvers._orbital_width(solvers._unit_orbital(g, shifted))
     assert w0 == pytest.approx(math.sqrt(3.0) * sigma, rel=1e-9)
