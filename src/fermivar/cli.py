@@ -25,7 +25,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import struct
 import sys
 
 import numpy as np
@@ -303,7 +302,7 @@ def _stored(label: str, what: str, remedy: str):
         yield
     except FileNotFoundError as exc:
         raise ConfigError(f"{exc.filename} not found: {remedy}") from exc
-    except (OSError, ValueError, TypeError, KeyError, struct.error) as exc:
+    except (OSError, ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"{label} holds no {what} ({exc!r}): {remedy}") from exc
 
 
@@ -455,15 +454,16 @@ def _stored_extract(entry: dict, outdir: str) -> asy.ProfileExtract:
     )
 
 
-def _report_from_artifacts(outdir: str, trap: TrapPotential,
-                           digest: str) -> tuple[list[str], str | None]:
+def _report_from_artifacts(outdir: str, trap: TrapPotential, digest: str) -> list[str]:
     """report.json and the plot tables, built from the stored sweep alone.
 
     Reads ``meta.json``, ``records.csv`` and the extract snapshots that
     ``meta.json`` names.  A missing or malformed artifact, or a
     ``meta.json`` written under another config digest, is a ConfigError.
-    Returns the messages of the skipped steps and the reason no report
-    was built (None if one was).
+    Returns the problems the stored sweep shows, in order: an incomplete
+    sweep (a stored ``aborted_at`` or an unconverged record), the skipped
+    steps, and the reason no report was built.  The live run and
+    ``--refit-only`` report the same list.
     """
     remedy = "--refit-only needs the artifacts of a prior `fermivar sweep`"
     meta_path = os.path.join(outdir, "meta.json")
@@ -478,8 +478,12 @@ def _report_from_artifacts(outdir: str, trap: TrapPotential,
     with _stored(outdir, "complete stored sweep", remedy):
         a_hat, decay = float(meta["a_hat"]), meta["decay"]
         records = asy.read_sweep_csv(os.path.join(outdir, "records.csv"))
-        skipped = [f"profile extraction skipped: {e['skipped']}"
-                   for e in [*meta["extracts"], decay] if e and "skipped" in e]
+        aborted_at = meta["aborted_at"]
+        problems = []
+        if aborted_at is not None or any(not r.converged for r in records):
+            problems.append(f"sweep incomplete (aborted_at={aborted_at})")
+        problems += [f"profile extraction skipped: {e['skipped']}"
+                     for e in [*meta["extracts"], decay] if e and "skipped" in e]
         profiles = [_stored_extract(e, outdir) for e in meta["extracts"]
                     if "skipped" not in e]
         decay_extract = (_stored_extract(decay, outdir)
@@ -489,12 +493,23 @@ def _report_from_artifacts(outdir: str, trap: TrapPotential,
                                   decay_extract=decay_extract,
                                   metadata=meta["run"])
     except ValueError as exc:  # too few usable records
-        return skipped, str(exc)
+        return problems + [f"report not built: {exc}"]
     if "skipped" in report.get("decay", {}):
-        skipped.append(f"decay fit skipped: {report['decay']['skipped']}")
+        problems.append(f"decay fit skipped: {report['decay']['skipped']}")
     asy.write_json(report, os.path.join(outdir, "report.json"))
     asy.write_plot_tables(records, a_hat, outdir, decay_extract=decay_extract)
-    return skipped, None
+    return problems
+
+
+def _sweep_exit(problems: list[str], done: str) -> int:
+    """Exit 4 with the problems of a stored sweep, else print ``done``."""
+    if problems:
+        return _emit_error(
+            EXIT_PARTIAL, "partial",
+            "; ".join(problems) + "; partial artifacts retained",
+        )
+    print(done, flush=True)
+    return EXIT_OK
 
 
 def cmd_sweep(raw: dict, args) -> int:
@@ -516,12 +531,8 @@ def cmd_sweep(raw: dict, args) -> int:
     digest = config_digest(raw)
 
     if args.refit_only:
-        _, failed = _report_from_artifacts(outdir, trap, digest)
-        if failed:
-            return _emit_error(EXIT_PARTIAL, "partial", f"report not built: {failed}")
-        print("refit complete: report.json rebuilt from stored artifacts",
-              flush=True)
-        return EXIT_OK
+        return _sweep_exit(_report_from_artifacts(outdir, trap, digest),
+                           "refit complete: report.json rebuilt from stored artifacts")
 
     a_hat = _load_astar(outdir, grid)
     fractions = raw["sweep"]["a_fractions"]
@@ -584,20 +595,8 @@ def cmd_sweep(raw: dict, args) -> int:
     }
     asy.write_json(meta, os.path.join(outdir, "meta.json"))
 
-    problems = []
-    if outcome.aborted_at is not None or any(not r.converged for r in records):
-        problems.append(f"sweep incomplete (aborted_at={outcome.aborted_at})")
-    skipped, failed = _report_from_artifacts(outdir, trap, digest)
-    problems += skipped
-    if failed:
-        problems.append(f"report not built: {failed}")
-    if problems:
-        return _emit_error(
-            EXIT_PARTIAL, "partial",
-            "; ".join(problems) + "; partial artifacts retained",
-        )
-    print(f"sweep complete: {len(records)} records -> report.json", flush=True)
-    return EXIT_OK
+    return _sweep_exit(_report_from_artifacts(outdir, trap, digest),
+                       f"sweep complete: {len(records)} records -> report.json")
 
 
 # ---------------------------------------------------------------------------

@@ -388,11 +388,13 @@ def write_snapshot(field: ScalarField, path) -> None:
 
 def read_snapshot(path) -> ScalarField:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        header = fh.read(16)
+        if len(header) != 16:
+            raise SnapshotFormatError(f"snapshot {path} cut inside its 16-byte header")
+        magic = header[:4]
         if magic != SNAPSHOT_MAGIC:
             raise SnapshotFormatError(f"bad magic {magic!r} in {path}")
-        (n,) = struct.unpack("<I", fh.read(4))
-        (L,) = struct.unpack("<d", fh.read(8))
+        n, L = struct.unpack("<Id", header[4:])
         data = fh.read(n * n * n * 8)
         if len(data) != n * n * n * 8:
             raise SnapshotFormatError(f"truncated snapshot {path}")

@@ -24,9 +24,16 @@ surrogate of the mean-field operator (:class:`TensorPreconditioner`).
 Each eigensolve starts from warm fields where the solve has them and fills
 the rest of its block by a Rayleigh-Ritz step on the surrogate's lowest
 product modes, which are exact eigenvectors on a separable trap; no random
-numbers enter.  The residuals of the requested levels are recomputed and
+numbers enter.  On a product mode the operator acts as the surrogate
+eigenvalue plus the diagonal's departure from the surrogate potential, so
+that step applies no operator and is built over x-slabs in a few fields of
+memory.  The residuals of the requested levels are recomputed and
 certified after every solve; the block's guard columns come back
 uncertified.
+
+The continuum upper bound on the rank-2 threshold evaluates the separated
+pair trial by a 2-D quadrature streamed over blocks of nodes
+(:func:`separated_pair_upper_bound`).
 """
 
 from __future__ import annotations
@@ -217,59 +224,51 @@ class SolveResult:
 class TensorPreconditioner:
     """Inverse of a separable surrogate of -lap + diag on interior nodes.
 
-    The surrogate potential v1(x)+v2(y)+v3(z) samples the given diagonal
-    along the three axis lines through its minimum node (minus twice the
-    minimum so the well depth is counted once), capturing both the trap
-    growth and the attractive mean-field well where the orbitals live.
-    Exactly separable potentials (e.g. the pure harmonic trap, centred or
-    not, at a = 0) make the surrogate exact, and its product modes
-    (:meth:`lowest_modes`) are then the operator's eigenvectors.  Application
-    transforms each axis into the eigenbasis of its 1-D tridiagonal
-    operator, divides by the summed eigenvalues and transforms back: six
-    (m, m) matrix products per field.
+    The surrogate potential v1(x)+v2(y)+v3(z) - 2 diag(i0) samples the given
+    diagonal along the three axis lines ``lines`` through its minimum node
+    i0 (minus twice the minimum ``depth`` so the well depth is counted
+    once), capturing both the trap growth and the attractive mean-field
+    well where the orbitals live.  The 1-D operators 2/h^2 + v_d with
+    off-diagonal -1/h^2 have eigenvalues ``lams[d]`` and eigenvectors
+    ``Q[d]``; a product mode Q1[:, i] (x) Q2[:, j] (x) Q3[:, l] is an
+    eigenvector of the surrogate operator with eigenvalue lams[0][i] +
+    lams[1][j] + lams[2][l] - 2 depth.  Exactly separable potentials (e.g.
+    the pure harmonic trap, centred or not, at a = 0) make the surrogate
+    exact, and its product modes are then the operator's eigenvectors
+    (:func:`_start_block`).  Application transforms each axis into the
+    eigenbasis of its 1-D tridiagonal operator, divides by the summed
+    eigenvalues and transforms back: six (m, m) matrix products per field.
     """
 
     def __init__(self, grid: BoxGrid, diag: np.ndarray, shift: float):
         h = grid.spacing
         m = diag.shape[0]
         i0 = np.unravel_index(int(np.argmin(diag)), diag.shape)
-        lines = (
-            diag[:, i0[1], i0[2]],
-            diag[i0[0], :, i0[2]],
-            diag[i0[0], i0[1], :],
+        # copies, so the preconditioner does not hold the whole diagonal
+        self.lines = (
+            diag[:, i0[1], i0[2]].copy(),
+            diag[i0[0], :, i0[2]].copy(),
+            diag[i0[0], i0[1], :].copy(),
         )
+        self.depth = float(diag[i0])
         self.Q = []
-        lams = []
+        self.lams = []
         off = np.full(m - 1, -1.0 / (h * h))
-        for v in lines:
+        for v in self.lines:
             lam, Q = eigh_tridiagonal(2.0 / (h * h) + v, off)
             self.Q.append(np.ascontiguousarray(Q))
-            lams.append(lam)
-        base = shift - 2.0 * float(diag[i0])
+            self.lams.append(lam)
+        lams = self.lams
         den = (
             lams[0][:, None, None]
             + lams[1][None, :, None]
             + lams[2][None, None, :]
-            + base
+            + (shift - 2.0 * self.depth)
         )
         dmin = float(den.min())
         if dmin <= 0.0:  # keep the surrogate SPD whatever the well depth
             den += 1.0 - dmin
         self.den = den
-
-    def lowest_modes(self, count: int) -> np.ndarray:
-        """The surrogate's ``count`` lowest product modes as (m^3, count) columns.
-
-        Column c is Q1[:, i] (x) Q2[:, j] (x) Q3[:, l] for the c-th (i, j, l)
-        in stable argsort order of the summed 1-D eigenvalues.  When the
-        surrogate is exact they are the operator's lowest eigenvectors.
-        """
-        m = self.den.shape[0]
-        i, j, l = np.unravel_index(
-            np.argsort(self.den, axis=None, kind="stable")[:count], self.den.shape)
-        Q1, Q2, Q3 = self.Q
-        modes = Q1[:, None, None, i] * Q2[None, :, None, j] * Q3[None, None, :, l]
-        return modes.reshape(m ** 3, count)
 
     def apply_core(self, core: np.ndarray) -> np.ndarray:
         """Surrogate inverse of one (m, m, m) field or an (m, m, m, b) block.
@@ -311,6 +310,58 @@ def _apply_prec(prec: TensorPreconditioner, frame):
     return tuple(ScalarField(f.grid, _pad(prec.apply_core(_core(f.values)))) for f in frame)
 
 
+def _start_block(prec: TensorPreconditioner, diag: np.ndarray,
+                 warm: list[ScalarField] | None, block: int) -> np.ndarray:
+    """The start of an eigensolve of A = -lap + diag: (m^3, block) columns.
+
+    The ``warm`` fields come first.  The other columns are the lowest Ritz
+    vectors of A on the surrogate's ``_START_MODES`` lowest product modes
+    b_c (in stable argsort order of the summed 1-D eigenvalues), past the
+    first ``len(warm)``.  A product mode satisfies A b = L b + R o b, with
+    L its surrogate eigenvalue and R = diag minus the surrogate potential,
+    so the Ritz matrix is S = diag(L) + B^T (R o B) and needs no operator
+    application.  S is accumulated, and the columns B U are written, over
+    x-slabs of m // _START_MODES rows: no slab holds more than one field's
+    worth of mode values, and B itself is never formed.
+    """
+    m = diag.shape[0]
+    X = np.empty((m ** 3, block))
+    nwarm = 0
+    for f in (warm or [])[:block]:
+        X[:, nwarm] = _core(f.values).ravel()
+        nwarm += 1
+    if nwarm == block:
+        return X
+    # den grows weakly with each index, so a mode with an index past
+    # _START_MODES has at least _START_MODES modes before it in the stable
+    # order: the lowest lie in the corner of smaller indices, whose stable
+    # order is that of the whole grid
+    c = min(m, _START_MODES)
+    corner = prec.den[:c, :c, :c]
+    modes = np.argsort(corner, axis=None, kind="stable")[:_START_MODES]
+    i, j, l = np.unravel_index(modes, corner.shape)
+    (Q1, Q2, Q3), (v1, v2, v3) = prec.Q, prec.lines
+    L0, L1, L2 = prec.lams
+    rows = max(1, m // _START_MODES)
+
+    def slabs():
+        for x0 in range(0, m, rows):
+            x = slice(x0, min(m, x0 + rows))
+            B = Q1[x, None, None, i] * Q2[None, :, None, j] * Q3[None, None, :, l]
+            yield x, B.reshape(-1, modes.size)
+
+    S = np.diag(L0[i] + L1[j] + L2[l] - 2.0 * prec.depth)
+    for x, B in slabs():
+        R = (diag[x] - v1[x, None, None] - v2[None, :, None] - v3[None, None, :]
+             + 2.0 * prec.depth)
+        S += B.T @ (R.reshape(-1, 1) * B)
+    _, U = np.linalg.eigh(0.5 * (S + S.T))
+    U = U[:, nwarm:block]
+    for x, B in slabs():
+        X[x.start * m * m:x.stop * m * m, nwarm:] = B @ U
+    return X
+
+
 def lowest_eigenpairs(
     rho: ScalarField,
     V: ScalarField,
@@ -326,10 +377,11 @@ def lowest_eigenpairs(
     are recomputed in L2 and the result is flagged unconverged if any of the
     k lowest exceeds tol.  The three guard columns come back uncertified.
 
-    The start block holds the ``warm`` fields first.  Its other columns are
-    the lowest Ritz vectors of H on the preconditioner's ``_START_MODES``
-    lowest product modes, past the first ``len(warm)``.  Where the
-    surrogate is exact (a separable trap at a = 0) those modes are
+    The start block (:func:`_start_block`) holds the ``warm`` fields first.
+    Its other columns are the lowest Ritz vectors of H on the
+    preconditioner's ``_START_MODES`` lowest product modes, past the first
+    ``len(warm)``, built slab by slab in a few fields of memory.  Where
+    the surrogate is exact (a separable trap at a = 0) those modes are
     eigenvectors of H, so LOBPCG only certifies them.  No random numbers
     enter: the same input gives the same block.  ``iterations`` counts the
     LOBPCG iterations actually run (a round of ``maxiter=15`` runs 16), at
@@ -363,18 +415,7 @@ def lowest_eigenpairs(
                        matmat=pmat, dtype=np.float64)
 
     block = min(mdof, k + 3)
-    X = np.empty((mdof, block))
-    nwarm = 0
-    if warm:
-        for f in warm[:block]:
-            X[:, nwarm] = _core(f.values).ravel()
-            nwarm += 1
-    if nwarm < block:
-        B = prec.lowest_modes(_START_MODES)
-        S = B.T @ matmat(B)
-        _, U = np.linalg.eigh(0.5 * (S + S.T))
-        X[:, nwarm:] = (B @ U)[:, nwarm:block]
-    X, _ = np.linalg.qr(X)
+    X, _ = np.linalg.qr(_start_block(prec, diag, warm, block))
 
     total_iter = 0
     for _round in range(_EIG_ROUNDS):
@@ -1083,34 +1124,58 @@ def _separated_pair_quotients(profile, d: float, panels=_PAIR_PANELS) -> tuple[f
     field is axisymmetric about the x axis, so each integral over R^3 is a
     2-D one in cylindrical coordinates (x, r) with measure 2 pi r dx dr, done
     by composite Gauss-Legendre on ``panels`` = (x panels, r panels).  The x
-    nodes are made exactly mirror-symmetric, so the right lump is the left
-    one read backwards along x.
+    nodes are made exactly mirror-symmetric, so the right lump, read at
+    hypot(d - x, r), equals the left one at the mirrored node bit for bit.
+    The sum over the x > 0 half is therefore the sum over the x < 0 half
+    with the lumps swapped: only that half is evaluated, each lump's own
+    integrand summed over both lumps and each pair integrand doubled.
+
+    The integrands are streamed over blocks of ``_GL_ORDER`` x panels
+    (``_GL_ORDER``^2 x nodes by all r nodes), so the working set is a few
+    block arrays, not full (x, r) planes.  A first pass accumulates the
+    mass, kinetic energy and |L|^{10/3} integral of one lump and the
+    overlap and gradient cross term of the two; a second pass, which needs
+    the mass and overlap to form the pair density rho, accumulates the
+    integrals of rho and rho^{5/3}.
     """
     x, wx = _gauss_panels(-d - _PAIR_REACH, d + _PAIR_REACH, panels[0])
     x, wx = 0.5 * (x - x[::-1]), 0.5 * (wx + wx[::-1])
+    # the x < 0 half: node x_i of it mirrors node -x_i of the other half
+    x, wx = x[:x.size // 2], wx[:x.size // 2]
     r, wr = _gauss_panels(0.0, _PAIR_REACH, panels[1])
-    X, R = x[:, None], r[None, :]
-    weight = 2.0 * math.pi * wx[:, None] * (wr * r)[None, :]
+    wr = (wr * r)[None, :]
+    rows = _GL_ORDER * _GL_ORDER
 
-    def quad(f: np.ndarray) -> float:
-        return float(np.sum(weight * f))
+    def blocks():
+        """Per block of x rows: weights, x column, (w, w', w'/dist) of each lump."""
+        for start in range(0, x.size, rows):
+            X = x[start:start + rows, None]
+            lumps = []
+            for dist in (np.hypot(X + d, r), np.hypot(d - X, r)):
+                # Gauss nodes have r > 0, so dist > 0
+                f, df = profile.read(dist)
+                lumps.append((f, df, df / dist))
+            yield 2.0 * math.pi * wx[start:start + rows, None] * wr, X, lumps
 
-    # the left lump, w and w'/dist (Gauss nodes have r > 0, so dist > 0);
-    # the right lump at x is the left one at -x
-    dist = np.hypot(X + d, R)
-    fl, dfl = profile.read(dist)
-    gl = dfl / dist
-    fr, gr = fl[::-1], gl[::-1]
     # mass and kinetic energy of one lump, overlap and gradient cross term
     # of the two, with grad L . grad R = gl gr ((x + d)(x - d) + r^2)
-    M = quad(fl * fl)
-    K = quad(dfl * dfl)
-    s = quad(fl * fr)
-    g = quad(gl * gr * ((X + d) * (X - d) + R * R))
+    M = K = s = g = PL = 0.0
+    for weight, X, ((fl, dfl, gl), (fr, dfr, gr)) in blocks():
+        M += float(np.sum(weight * (fl * fl + fr * fr)))
+        K += float(np.sum(weight * (dfl * dfl + dfr * dfr)))
+        s += float(np.sum(weight * (fl * fr)))
+        g += float(np.sum(weight * (gl * gr * ((X + d) * (X - d) + r * r))))
+        PL += float(np.sum(weight * (np.cbrt(fl * fl) ** 5 + np.cbrt(fr * fr) ** 5)))
+    s, g = 2.0 * s, 2.0 * g
+    # half the integrals of rho and rho^{5/3}
+    half_mass = half_P = 0.0
+    for weight, _, ((fl, _, _), (fr, _, _)) in blocks():
+        rho = (fl + fr) ** 2 / (2.0 * (M + s)) + (fl - fr) ** 2 / (2.0 * (M - s))
+        half_mass += float(np.sum(weight * rho))
+        half_P += float(np.sum(weight * np.cbrt(rho) ** 5))
     T = (K + g) / (M + s) + (K - g) / (M - s)
-    rho = (fl + fr) ** 2 / (2.0 * (M + s)) + (fl - fr) ** 2 / (2.0 * (M - s))
-    q2 = T * (quad(rho) / 2.0) ** (2.0 / 3.0) / quad(np.cbrt(rho) ** 5)
-    q1 = K * M ** (2.0 / 3.0) / quad(np.cbrt(fl * fl) ** 5)
+    q2 = T * half_mass ** (2.0 / 3.0) / (2.0 * half_P)
+    q1 = K * M ** (2.0 / 3.0) / PL
     return q2, q1
 
 
@@ -1135,8 +1200,10 @@ def separated_pair_upper_bound(
     The trial pair is axisymmetric about the separation axis, so its
     continuum quotient is a 2-D quadrature in cylindrical coordinates: 80 x
     40 order-8 Gauss-Legendre panels over x in [-d-22, d+22], r in [0, 22],
-    of w and w' read off the shooting profile by its cubic Hermite reader.
-    The value is reported as the ratio to the same-quadrature rank-1
+    of w and w' read off the shooting profile by its cubic Hermite reader
+    (:func:`_separated_pair_quotients`: the x < 0 half only, streamed in
+    blocks of 64 x nodes, so the working set is a few megabytes, not
+    eleven full 640 x 320 planes).  The value is reported as the ratio to the same-quadrature rank-1
     quotient of one lump, times the shooting oracle's rank-1 constant (the
     two agree to ~1e-11).  Because the trial pair is an admissible
     orthonormal competitor, its continuum quotient upper-bounds the true

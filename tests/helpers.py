@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -94,3 +95,20 @@ def finite_diff_slope(f, x0: float, h: float = 1e-5) -> float:
 def make_sigma(grid: BoxGrid, nodes: float = 9.5) -> float:
     """A scale spanning the requested number of spacings (well resolved)."""
     return nodes * grid.spacing / math.sqrt(3.0)
+
+
+def traced_peak_mb(fn, *args) -> float:
+    """Peak memory, in MB, that ``fn(*args)`` allocates above what it starts with.
+
+    Taken by ``tracemalloc``, which sees numpy's array buffers as well as
+    Python objects; the arguments are built before tracing starts, so
+    they do not count.
+    """
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return (tracemalloc.get_traced_memory()[1] - start) / 1e6
+    finally:
+        tracemalloc.stop()

@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -287,8 +288,9 @@ def test_sweep_skips_an_extraction_outside_the_box(tmp_path, capsys):
     report = load_json(outdir / "report.json")
     assert report["n_usable"] == 4
     assert "profile" not in report and "decay" not in report
-    rc, _, _ = run(["sweep", "--config", cp, "--refit-only"], capsys)
-    assert rc == fcli.EXIT_OK
+    rc, _, refit_err = run(["sweep", "--config", cp, "--refit-only"], capsys)
+    assert rc == fcli.EXIT_PARTIAL
+    assert stderr_error(refit_err) == e
     assert load_json(outdir / "report.json") == report
 
 
@@ -398,10 +400,36 @@ def test_refit_rebuilds_the_live_report_byte_for_byte(double_well_sweep,
     outdir = _copy_sweep(double_well_sweep, tmp_path)
     live = {p.name: p.read_bytes() for p in outdir.iterdir()}
     (outdir / "report.json").unlink()
-    rc, out, _ = run(["sweep", "--config", _double_well_config(outdir),
+    rc, _, err = run(["sweep", "--config", _double_well_config(outdir),
                       "--refit-only"], capsys)
-    assert rc == fcli.EXIT_OK and "refit complete" in out
+    # the refit exits as the live run did, with the same diagnostic
+    assert rc == double_well_sweep[0] == fcli.EXIT_PARTIAL
+    assert stderr_error(err) == stderr_error(double_well_sweep[1])
     assert {p.name: p.read_bytes() for p in outdir.iterdir()} == live
+
+
+def test_refit_reports_an_incomplete_stored_sweep(double_well_sweep, tmp_path,
+                                                  capsys):
+    # the refit reads "sweep incomplete" from the stored aborted_at and
+    # converged column, as the live run reports it from the sweep outcome
+    outdir = _copy_sweep(double_well_sweep, tmp_path)
+    cp = _double_well_config(outdir)
+    meta = load_json(outdir / "meta.json")
+    (outdir / "meta.json").write_text(json.dumps({**meta, "aborted_at": 4}))
+    rc, _, err = run(["sweep", "--config", cp, "--refit-only"], capsys)
+    assert rc == fcli.EXIT_PARTIAL
+    assert stderr_error(err)["message"] == (
+        "sweep incomplete (aborted_at=4); decay fit skipped: scaled multipliers "
+        "must be negative for decay fits; partial artifacts retained")
+    (outdir / "meta.json").write_text(json.dumps(meta))
+    records = fermivar.read_sweep_csv(str(outdir / "records.csv"))
+    fermivar.write_sweep_csv([replace(records[0], converged=False), *records[1:]],
+                             str(outdir / "records.csv"))
+    rc, _, err = run(["sweep", "--config", cp, "--refit-only"], capsys)
+    assert rc == fcli.EXIT_PARTIAL
+    assert stderr_error(err)["message"] == (
+        "sweep incomplete (aborted_at=None); report not built: need >= 4 usable "
+        "records, got 3; partial artifacts retained")
 
 
 def _drop_extracts(outdir):

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, subspace_angles
 
 import fermivar
 from fermivar.frames import OrbitalPair, loewdin
-from fermivar.grid import BoxGrid, ScalarField, inner, integrate, norm
+from fermivar.grid import BoxGrid, ScalarField, inner, integrate, neg_laplacian_core, norm
 from fermivar.model import (
     TrapPotential,
     Well,
@@ -43,7 +43,7 @@ from fermivar.solvers import (
 )
 from fermivar.radial import gn_constants, shoot_soliton
 
-from helpers import exact_harmonic_levels, random_pair
+from helpers import exact_harmonic_levels, random_pair, traced_peak_mb
 
 HARMONIC = TrapPotential(wells=(Well(center=(0.0, 0.0, 0.0), power=2.0),))
 QUARTIC = TrapPotential(wells=(Well(center=(0.0, 0.0, 0.0), power=4.0),))
@@ -209,6 +209,63 @@ def test_lowest_eigenpairs_match_the_dense_spectrum(trap, g, certified):
         eig = lowest_eigenpairs(g.zeros(), V, 0.0, k, solvers._EIG_TOL)
         assert eig.converged or not certified
         assert np.abs(eig.values - dense[:k]).max() <= 1e-8 * np.abs(dense[:k]).max()
+
+
+def _apply(diag, X, h):
+    """-lap_h + diag on (m^3, b) columns."""
+    m = diag.shape[0]
+    x = X.reshape(m, m, m, -1)
+    return (neg_laplacian_core(x, h) + diag[..., None] * x).reshape(X.shape)
+
+
+def _dense_ritz_start(prec, diag, h, block):
+    """Reference start: the surrogate's lowest product modes as dense columns
+    B, the operator applied to each, and the Ritz pairs of S = B^T (A B)."""
+    m = diag.shape[0]
+    i, j, l = np.unravel_index(np.argsort(prec.den, axis=None, kind="stable")
+                               [:solvers._START_MODES], prec.den.shape)
+    Q1, Q2, Q3 = prec.Q
+    B = (Q1[:, None, None, i] * Q2[None, :, None, j]
+         * Q3[None, None, :, l]).reshape(m ** 3, -1)
+    S = B.T @ _apply(diag, B, h)
+    vals, U = np.linalg.eigh(0.5 * (S + S.T))
+    return vals[:block], B @ U[:, :block]
+
+
+@pytest.mark.parametrize("n", [12, 16, 24])
+@pytest.mark.parametrize("trap, whole", [
+    # the quartic's fifth Ritz pair is one of a degenerate cluster that the
+    # block cuts, so only its first four columns span a fixed subspace
+    pytest.param(QUARTIC, 4, id="quartic"),
+    pytest.param(DOUBLE_WELL, 5, id="double_well"),
+    pytest.param(FOUR_WELLS, 5, id="four_wells"),
+])
+def test_slab_start_is_the_dense_rayleigh_ritz_start(trap, whole, n):
+    # the start built from A b = L b + R o b over x-slabs equals the
+    # Rayleigh-Ritz step with A applied to every mode
+    g = BoxGrid(n, 2.5)
+    diag = solvers._core(potential_field(trap, g).values)
+    prec = TensorPreconditioner(g, diag, solvers._PRECOND_SHIFT)
+    X = solvers._start_block(prec, diag, None, 5)
+    vals, ref = _dense_ritz_start(prec, diag, g.spacing, 5)
+    ritz = np.einsum("ij,ij->j", X, _apply(diag, X, g.spacing))
+    assert np.abs(ritz - vals).max() <= 1e-12 * np.abs(vals).max()
+    assert subspace_angles(X[:, :whole], ref[:, :whole]).max() <= 1e-6
+    # warm fields take the first columns; the Ritz fill skips as many
+    warm = [ScalarField(g, np.pad(X[:, 2].reshape(diag.shape), 1))]
+    Xw = solvers._start_block(prec, diag, warm, 5)
+    assert np.array_equal(Xw[:, 0], X[:, 2])
+    assert np.abs(Xw[:, 1:] - X[:, 1:]).max() <= 1e-12
+
+
+def test_start_block_works_in_a_few_fields():
+    # no (m^3, 27) mode block is formed: the n = 48 start holds its five
+    # columns and at most one slab of mode values and its product with R
+    g = BoxGrid(48, 2.2)
+    diag = solvers._core(potential_field(QUARTIC, g).values)
+    prec = TensorPreconditioner(g, diag, solvers._PRECOND_SHIFT)
+    field_mb = diag.nbytes / 1e6
+    assert traced_peak_mb(solvers._start_block, prec, diag, None, 5) < 10 * field_mb
 
 
 def test_quartic_cold_block_is_certified_in_one_round():
@@ -733,6 +790,46 @@ def test_separated_pair_quadrature_converged(soliton):
     assert abs((q2f / q1f) / (q2 / q1) - 1.0) < 1e-12
     # the k=1 quotient of one lump is the shooting oracle's constant
     assert q1 == pytest.approx(gn_constants(soliton).a1_star, rel=1e-10)
+
+
+def _full_plane_quotients(profile, d, panels):
+    """Reference pair quadrature: every integrand on the full (x, r) plane,
+    the right lump read as the left one reversed along x."""
+    x, wx = solvers._gauss_panels(-d - solvers._PAIR_REACH, d + solvers._PAIR_REACH,
+                                  panels[0])
+    x, wx = 0.5 * (x - x[::-1]), 0.5 * (wx + wx[::-1])
+    r, wr = solvers._gauss_panels(0.0, solvers._PAIR_REACH, panels[1])
+    X, R = x[:, None], r[None, :]
+    weight = 2.0 * math.pi * wx[:, None] * (wr * r)[None, :]
+
+    def quad(f):
+        return float(np.sum(weight * f))
+
+    dist = np.hypot(X + d, R)
+    fl, dfl = profile.read(dist)
+    gl = dfl / dist
+    fr, gr = fl[::-1], gl[::-1]
+    M, K, s = quad(fl * fl), quad(dfl * dfl), quad(fl * fr)
+    g = quad(gl * gr * ((X + d) * (X - d) + R * R))
+    T = (K + g) / (M + s) + (K - g) / (M - s)
+    rho = (fl + fr) ** 2 / (2.0 * (M + s)) + (fl - fr) ** 2 / (2.0 * (M - s))
+    q2 = T * (quad(rho) / 2.0) ** (2.0 / 3.0) / quad(np.cbrt(rho) ** 5)
+    q1 = K * M ** (2.0 / 3.0) / quad(np.cbrt(fl * fl) ** 5)
+    return q2, q1
+
+
+@pytest.mark.parametrize("panels", [(80, 40), (160, 80)])
+def test_streamed_pair_quadrature_equals_the_full_plane_one(soliton, panels):
+    for d in (2.0, 2.5, 3.0):
+        got = _separated_pair_quotients(soliton, d, panels)
+        ref = _full_plane_quotients(soliton, d, panels)
+        for v, v_ref in zip(got, ref):
+            assert abs(v / v_ref - 1.0) <= 1e-14
+
+
+def test_pair_quadrature_streams_its_integrands(soliton):
+    # a few blocks of 64 x 320 nodes, not eleven 640 x 320 planes (25 MB)
+    assert traced_peak_mb(_separated_pair_quotients, soliton, 2.5) < 8.0
 
 
 def _gauss_nodes(a, b, panels):
