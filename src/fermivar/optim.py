@@ -2,13 +2,17 @@
 
 :func:`riemannian_lbfgs` owns the curvature memory, the two-loop recursion,
 the line search and its own stop reasons.  The problem supplies the rest,
-on frames (tuples of fields): ``examine(it, x, value)`` returns ``(x, value,
-grad, stop, restart)`` at each iterate -- the iterate, which the problem
-may replace, its value and tangent gradient, a stop reason of its own or
-None, and whether memory and step start afresh; ``project(v)`` and
-``precondition(v)`` act at the last examined iterate; ``move(x, d, step)``
-returns the retracted candidate and its value; ``gradient(x)`` the tangent
-gradient at a candidate.
+on frames (tuples of fields): ``dot(x, y)`` is the inner product of two
+frames, which every norm, slope and curvature pair of the descent is taken
+in; ``examine(it, x, value)`` returns ``(x, value, grad, stop, restart)`` at
+each iterate -- the iterate, which the problem may replace, its value and
+tangent gradient, a stop reason of its own or None, and whether memory and
+step start afresh; ``project(v)`` and ``precondition(v)`` act at the last
+examined iterate and return new fields; ``move(x, d, step)`` returns the
+retracted candidate and its value; ``gradient(x)`` the tangent gradient at
+a candidate.  :func:`frame_dot` is the trapezoid product every problem may
+use; one whose fields all vanish on the boundary may use a cheaper exact
+form of it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ _STEP_INIT = 0.25
 
 
 def frame_dot(x, y) -> float:
-    """Frame inner product sum_i <x_i, y_i>."""
+    """Frame inner product sum_i <x_i, y_i> under the trapezoid weights."""
     return sum(inner(xi, yi) for xi, yi in zip(x, y))
 
 
@@ -35,22 +39,29 @@ def _negated(x):
     return tuple(ScalarField(f.grid, -f.values) for f in x)
 
 
-def _two_loop(grad, pairs, precondition):
-    """L-BFGS product H grad, H_0 = ``precondition`` scaled by the last pair."""
-    q, alphas = grad, []
+def _two_loop(grad, pairs, precondition, dot):
+    """L-BFGS product H grad, H_0 = ``precondition`` scaled by the last pair.
+
+    The recursion updates a copy of ``grad`` and the preconditioned field in
+    place; without pairs it is ``precondition(grad)``.
+    """
+    if not pairs:
+        return precondition(grad)
+    q, alphas = tuple(f.copy() for f in grad), []
     for sv, yv, r in reversed(pairs):
-        al = r * frame_dot(sv, q)
+        al = r * dot(sv, q)
         alphas.append(al)
-        q = tuple(ScalarField(f.grid, f.values - al * y.values) for f, y in zip(q, yv))
+        for f, y in zip(q, yv):
+            f.values -= al * y.values
     z = precondition(q)
-    if pairs:
-        sv, yv, r = pairs[-1]
-        scale = r * frame_dot(yv, precondition(yv))
-        z = tuple(ScalarField(f.grid, f.values / scale) for f in z)
+    _, yv, r = pairs[-1]
+    scale = r * dot(yv, precondition(yv))
+    for f in z:
+        f.values /= scale
     for (sv, yv, r), al in zip(pairs, reversed(alphas)):
-        be = r * frame_dot(yv, z)
-        z = tuple(ScalarField(f.grid, f.values + (al - be) * s.values)
-                  for f, s in zip(z, sv))
+        be = r * dot(yv, z)
+        for f, s in zip(z, sv):
+            f.values += (al - be) * s.values
     return z
 
 
@@ -70,7 +81,7 @@ def _line_search(problem, x, value, d, slope, first):
     for step in steps:
         cand, vc = problem.move(x, d, step)
         if vc <= value + _WOLFE_SLACK * abs(value):
-            dc = frame_dot(problem.gradient(cand), d)
+            dc = problem.dot(problem.gradient(cand), d)
             if dc < _WOLFE_SIGMA * slope:
                 return None
             if dc <= (2.0 * _WOLFE_DELTA - 1.0) * slope:
@@ -91,6 +102,7 @@ def riemannian_lbfgs(problem, x, value, *, memory, max_iters, grad_tol, log=None
     (tested before the problem's own), ``"line_search"``, ``"max_iters"`` or
     the problem's.
     """
+    dot = problem.dot
     pairs: list[tuple[tuple, tuple, float]] = []  # (s, y, 1/<s, y>)
     last = None  # (accepted step vector, gradient) of the previous iterate
     step0, reason = _STEP_INIT, "max_iters"
@@ -98,7 +110,7 @@ def riemannian_lbfgs(problem, x, value, *, memory, max_iters, grad_tol, log=None
         x, value, grad, stop, restart = problem.examine(it, x, value)
         if restart:
             pairs, last, step0 = [], None, _STEP_INIT
-        gnorm = math.sqrt(frame_dot(grad, grad))
+        gnorm = math.sqrt(dot(grad, grad))
         if log is not None:
             log.append((it, value, gnorm))
         if gnorm <= grad_tol or stop is not None:
@@ -108,15 +120,15 @@ def riemannian_lbfgs(problem, x, value, *, memory, max_iters, grad_tol, log=None
             sv, g_prev = (problem.project(v) for v in last)
             yv = tuple(ScalarField(f.grid, f.values - p.values)
                        for f, p in zip(grad, g_prev))
-            sy = frame_dot(sv, yv)
-            if sy > 1e-12 * math.sqrt(frame_dot(sv, sv) * frame_dot(yv, yv)):
+            sy = dot(sv, yv)
+            if sy > 1e-12 * math.sqrt(dot(sv, sv) * dot(yv, yv)):
                 pairs = (pairs + [(sv, yv, 1.0 / sy)])[-memory:]
-        d = _negated(problem.project(_two_loop(grad, pairs, problem.precondition)))
-        slope = frame_dot(grad, d)
+        d = _negated(problem.project(_two_loop(grad, pairs, problem.precondition, dot)))
+        slope = dot(grad, d)
         if slope >= 0.0 and pairs:  # curvature memory lost descent: start afresh
             pairs, step0 = [], _STEP_INIT
             d = _negated(problem.project(problem.precondition(grad)))
-            slope = frame_dot(grad, d)
+            slope = dot(grad, d)
         if slope >= 0.0:
             d, slope = _negated(grad), -gnorm * gnorm
         found = _line_search(problem, x, value, d, slope, 1.0 if pairs else step0)

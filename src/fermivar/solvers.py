@@ -4,15 +4,17 @@ Both minimizations run on orthonormal frames through one preconditioned
 Riemannian L-BFGS loop, :func:`optim.riemannian_lbfgs`; this module holds
 the two problems it is handed:
 
-* the trapped energy at fixed coupling a over orthonormal pairs; only a
-  descent that ends short of its tolerance is polished with a
-  self-consistent-field loop on the frozen mean-field operator.  A cold
-  solve starts from the two lowest a = 0 levels.  When the second level is
-  degenerate (the p level of a symmetric trap) the eigensolver's basis of
-  it is arbitrary, so the start takes the p orbital along the cube
-  symmetry axis whose pair has the lowest energy at a (the body diagonals
-  on the traps measured); the descent no longer turns it through the
-  lattice's weak cubic anisotropy;
+* the trapped energy at fixed coupling a over orthonormal pairs,
+  preconditioned by the separable surrogate of the mean-field operator
+  averaged over the pair density's 1-D marginals; only a descent that
+  ends short of its tolerance is polished with a self-consistent-field
+  loop on the frozen mean-field operator.  A cold solve starts from the
+  two lowest a = 0 levels.  When the second level is degenerate (the p
+  level of a symmetric trap) the eigensolver's basis of it is arbitrary,
+  so the start takes the p orbital along the cube symmetry axis whose
+  pair has the lowest energy at a (the body diagonals on the traps
+  measured); the descent no longer turns it through the lattice's weak
+  cubic anisotropy;
 * the concentration quotient T/P over k-frames (k = 2 pairs, k = 1 unit
   fields), on slices pinned at fixed orbital widths and started from
   Gaussians, so no random numbers enter.  The discrete quotient degrades at
@@ -20,16 +22,16 @@ the two problems it is handed:
   collapse past the node-mass guard is an under-resolution error.
 
 Eigenpairs come from LOBPCG preconditioned with the inverse of a separable
-surrogate of the mean-field operator (:class:`TensorPreconditioner`).
-Each eigensolve starts from warm fields where the solve has them and fills
-the rest of its block by a Rayleigh-Ritz step on the surrogate's lowest
-product modes, which are exact eigenvectors on a separable trap; no random
-numbers enter.  On a product mode the operator acts as the surrogate
-eigenvalue plus the diagonal's departure from the surrogate potential, so
-that step applies no operator and is built over x-slabs in a few fields of
-memory.  The residuals of the requested levels are recomputed and
-certified after every solve; the block's guard columns come back
-uncertified.
+surrogate of the mean-field operator (:class:`TensorPreconditioner`) on the
+axis lines through its deepest node.  Each eigensolve starts from warm
+fields where the solve has them and fills the rest of its block by a
+Rayleigh-Ritz step on the surrogate's lowest product modes, which are
+exact eigenvectors on a separable trap; no random numbers enter.  On a
+product mode the operator acts as the surrogate eigenvalue plus the
+diagonal's departure from the surrogate potential, so that step applies
+no operator and is built over x-slabs in a few fields of memory.  The
+residuals of the requested levels are recomputed and certified after
+every solve; the block's guard columns come back uncertified.
 
 The continuum upper bound on the rank-2 threshold evaluates the separated
 pair trial by a 2-D quadrature streamed over blocks of nodes
@@ -49,6 +51,7 @@ from scipy.sparse.linalg import LinearOperator, lobpcg
 from .grid import (
     BoxGrid,
     ScalarField,
+    boundary_max_abs,
     dilate,
     dilation_generator,
     inner,
@@ -224,33 +227,45 @@ class SolveResult:
 class TensorPreconditioner:
     """Inverse of a separable surrogate of -lap + diag on interior nodes.
 
-    The surrogate potential v1(x)+v2(y)+v3(z) - 2 diag(i0) samples the given
-    diagonal along the three axis lines ``lines`` through its minimum node
-    i0 (minus twice the minimum ``depth`` so the well depth is counted
-    once), capturing both the trap growth and the attractive mean-field
-    well where the orbitals live.  The 1-D operators 2/h^2 + v_d with
+    The surrogate potential v1(x)+v2(y)+v3(z) - 2 depth averages the given
+    diagonal over product weights: v1 = sum_jk diag[:, j, k] w2[j] w3[k]
+    (likewise v2, v3) are the ``lines`` and ``depth`` = sum_i v1[i] w1[i]
+    is the diagonal's mean, counted once.  This is the mean-field
+    (vibrational SCF) separable surrogate of a potential on a product
+    density, and its mean under the weights equals the diagonal's.  The
+    default ``weights`` are one-hot at the diagonal's minimum node i0, so
+    the lines are the diagonal along the three axis lines through i0 and
+    ``depth`` is diag(i0): the surrogate sees the trap growth and the
+    attractive mean-field well where the orbitals live.  The ground-state
+    descent passes its pair density's 1-D marginals instead, so the
+    surrogate sees the whole well.  The 1-D operators 2/h^2 + v_d with
     off-diagonal -1/h^2 have eigenvalues ``lams[d]`` and eigenvectors
     ``Q[d]``; a product mode Q1[:, i] (x) Q2[:, j] (x) Q3[:, l] is an
     eigenvector of the surrogate operator with eigenvalue lams[0][i] +
     lams[1][j] + lams[2][l] - 2 depth.  Exactly separable potentials (e.g.
     the pure harmonic trap, centred or not, at a = 0) make the surrogate
-    exact, and its product modes are then the operator's eigenvectors
-    (:func:`_start_block`).  Application transforms each axis into the
-    eigenbasis of its 1-D tridiagonal operator, divides by the summed
-    eigenvalues and transforms back: six (m, m) matrix products per field.
+    exact under any weights, and its product modes are then the operator's
+    eigenvectors (:func:`_start_block`).  Application transforms each axis
+    into the eigenbasis of its 1-D tridiagonal operator, divides by the
+    summed eigenvalues and transforms back: six (m, m) matrix products per
+    field.
     """
 
-    def __init__(self, grid: BoxGrid, diag: np.ndarray, shift: float):
+    def __init__(self, grid: BoxGrid, diag: np.ndarray, shift: float, weights=None):
         h = grid.spacing
         m = diag.shape[0]
-        i0 = np.unravel_index(int(np.argmin(diag)), diag.shape)
-        # copies, so the preconditioner does not hold the whole diagonal
+        if weights is None:
+            i0 = np.unravel_index(int(np.argmin(diag)), diag.shape)
+            weights = tuple(np.eye(1, m, i)[0] for i in i0)
+        w1, w2, w3 = weights
+        # einsum, not BLAS: the averages do not depend on the thread count,
+        # and one-hot weights pick the diagonal's values exactly
         self.lines = (
-            diag[:, i0[1], i0[2]].copy(),
-            diag[i0[0], :, i0[2]].copy(),
-            diag[i0[0], i0[1], :].copy(),
+            np.einsum("ijk,j,k->i", diag, w2, w3),
+            np.einsum("ijk,i,k->j", diag, w1, w3),
+            np.einsum("ijk,i,j->k", diag, w1, w2),
         )
-        self.depth = float(diag[i0])
+        self.depth = float(np.einsum("i,i->", self.lines[0], w1))
         self.Q = []
         self.lams = []
         off = np.full(m - 1, -1.0 / (h * h))
@@ -554,15 +569,28 @@ class _GroundStateDescent:
 
     Directions are horizontal (Grassmann): E depends on the pair only
     through rho, so :meth:`project` also drops the flat in-span rotation
-    that :func:`project_tangent` keeps.  H_0 is the tensor preconditioner,
-    rebuilt every ``_REFRESH_EVERY`` iterations.  The run stops on
-    ``"breach"`` at the twelfth iterate below ``breach_floor``, or at the
-    first 1e3 (1 + |floor|) below it, so the history records the dive.
+    that :func:`project_tangent` keeps.  Every field of this descent
+    vanishes on the boundary (the pair, the masked H u_i, the padded
+    preconditioner output and their combinations), where alone the
+    trapezoid weights differ from h, so :meth:`dot` is the trapezoid
+    product computed as h^3 sum u v by a plain numpy reduction (no BLAS
+    call, whose level-1 kernels slow down under several threads).  H_0 is
+    the tensor preconditioner averaged over the pair density's 1-D
+    marginals, rebuilt every ``_REFRESH_EVERY`` iterations.  The run stops
+    on ``"breach"`` at the twelfth iterate below ``breach_floor``, or at
+    the first 1e3 (1 + |floor|) below it, so the history records the dive.
     """
 
     def __init__(self, a: float, V: ScalarField, breach_floor: float):
         self.a, self.V, self.floor = a, V, breach_floor
+        self.h3 = V.grid.spacing ** 3
         self.post_breach, self.max_defect = 0, 0.0
+
+    def _inner(self, u, v):
+        return self.h3 * float(np.einsum("ijk,ijk->", u.values, v.values))
+
+    def dot(self, x, y):
+        return sum(self._inner(u, v) for u, v in zip(x, y))
 
     def move(self, pair, d, step):
         cand = retract(pair, d[0], d[1], step)
@@ -574,8 +602,8 @@ class _GroundStateDescent:
 
     def project(self, v):
         u1, u2 = self.pair
-        return tuple(ScalarField(d.grid, d.values - inner(u1, d) * u1.values
-                                 - inner(u2, d) * u2.values) for d in v)
+        return tuple(ScalarField(d.grid, d.values - self._inner(u1, d) * u1.values
+                                 - self._inner(u2, d) * u2.values) for d in v)
 
     def precondition(self, v):
         return self.project(_apply_prec(self.prec, v))
@@ -585,8 +613,11 @@ class _GroundStateDescent:
         self.max_defect = max(self.max_defect, pair.defect())
         rho = density(pair)
         if it % _REFRESH_EVERY == 1:
+            core = _core(rho.values)
+            marginals = (core.sum(axis=(1, 2)), core.sum(axis=(0, 2)), core.sum(axis=(0, 1)))
             self.prec = TensorPreconditioner(
                 pair.grid, _core(effective_potential(rho, self.V, self.a)), _PRECOND_SHIFT,
+                weights=tuple(w / w.sum() for w in marginals),
             )
         self.post_breach += E < self.floor
         deep = E < self.floor - 1e3 * (1 + abs(self.floor))
@@ -763,7 +794,11 @@ def minimize_ground_state(
     final rotation to the multiplier eigenbasis with certified
     eigenresiduals.  A cold solve starts from :func:`_oriented_start` of
     the a = 0 eigen block (exact product modes on a separable trap, see
-    :func:`lowest_eigenpairs`).  ``converged`` needs small eigenresiduals
+    :func:`lowest_eigenpairs`).  A ``warm_start`` with non-zero boundary
+    values (a quotient slice's frame, say) has its boundary planes set to
+    zero and is Loewdin-orthonormalized again, so the descent starts, as
+    it runs, on fields that vanish on the boundary (see
+    :class:`_GroundStateDescent`).  ``converged`` needs small eigenresiduals
     and the aufbau property, checked on a certified eigen block: the
     occupied multipliers are the two lowest levels of the pair's own
     mean-field operator.  That level check certifies those two levels
@@ -782,7 +817,10 @@ def minimize_ground_state(
     guards: list[ScalarField] = []
     cold_iters = None
     if warm_start is not None:
-        pair = warm_start.copy()
+        if max(boundary_max_abs(u) for u in warm_start) > 0.0:
+            pair = loewdin(*(ScalarField(grid, mask_boundary(u.values)) for u in warm_start))
+        else:
+            pair = warm_start.copy()
     else:
         eig = lowest_eigenpairs(grid.zeros(), V, 0.0, 2, _EIG_TOL)
         pair, guards, cold_iters = _oriented_start(eig, a, V), eig.guard_fields, eig.iterations
@@ -1001,7 +1039,15 @@ class _QuotientSlice:
     :class:`UnderResolvedError`, before its gradient is taken: it has found
     a spike+halo path, which beats every smooth profile on the lattice but
     not in the continuum, and a slice that turns spiky does not recover.
+
+    The inner product is the trapezoid :func:`optim.frame_dot`, not the
+    ground-state descent's h^3 sum u v: the pinned frames are
+    Loewdin-orthonormalized dilations (:func:`_pin_orbitals`), which are not
+    zero on the boundary, and their norms, slopes and mode projections
+    count those nodes with half weights.
     """
+
+    dot = staticmethod(frame_dot)
 
     def __init__(self, grid: BoxGrid, widths):
         self.widths, self.zero, self.prec = widths, grid.zeros(), None

@@ -15,6 +15,7 @@ import pytest
 
 import fermivar
 import fermivar.cli as fcli
+from fermivar.asymptotics import PeakTieWarning
 
 from conftest import REPO_ROOT, SMALL_ASTAR_CONFIG, load_json
 
@@ -276,7 +277,8 @@ def _sweep_with_stored_threshold(tmp_path, fractions):
 
 def test_sweep_skips_an_extraction_outside_the_box(tmp_path, capsys):
     cp, outdir = _sweep_with_stored_threshold(tmp_path, [0.5, 0.55, 0.6, 0.65])
-    rc, _, err = run(["sweep", "--config", cp], capsys)
+    with pytest.warns(PeakTieWarning):  # inversion-symmetric harmonic densities
+        rc, _, err = run(["sweep", "--config", cp], capsys)
     assert rc == fcli.EXIT_PARTIAL
     e = stderr_error(err)
     assert e["kind"] == "partial"
@@ -297,7 +299,8 @@ def test_sweep_skips_an_extraction_outside_the_box(tmp_path, capsys):
 def test_sweep_without_a_report_is_partial(tmp_path, capsys):
     # two usable records are too few to fit: no report.json, no traceback
     cp, outdir = _sweep_with_stored_threshold(tmp_path, [0.5, 0.6])
-    rc, _, err = run(["sweep", "--config", cp], capsys)
+    with pytest.warns(PeakTieWarning):  # inversion-symmetric harmonic densities
+        rc, _, err = run(["sweep", "--config", cp], capsys)
     assert rc == fcli.EXIT_PARTIAL
     assert "report not built: need >= 4 usable records, got 2" in stderr_error(err)["message"]
     assert (outdir / "meta.json").exists() and not (outdir / "report.json").exists()
@@ -320,7 +323,8 @@ def test_sweep_starts_cold_whatever_snapshots_are_stored(tmp_path, capsys):
     stored = fermivar.solvers.gaussian_pair(g, 0.35)
     fermivar.write_snapshot(stored.u1, str(outdir / "astar_u1.snap"))
     fermivar.write_snapshot(stored.u2, str(outdir / "astar_u2.snap"))
-    rc, _, _ = run(["sweep", "--config", cp], capsys)
+    with pytest.warns(PeakTieWarning):  # inversion-symmetric harmonic densities
+        rc, _, _ = run(["sweep", "--config", cp], capsys)
     assert rc == fcli.EXIT_PARTIAL  # two records are too few for a report
     records = fermivar.read_sweep_csv(str(outdir / "records.csv"))
     trap = fcli.build_trap(load_json(Path(cp)))
