@@ -10,9 +10,8 @@ tangent gradient, a stop reason of its own or None, and whether memory and
 step start afresh; ``project(v)`` and ``precondition(v)`` act at the last
 examined iterate and return new fields; ``move(x, d, step)`` returns the
 retracted candidate and its value; ``gradient(x)`` the tangent gradient at
-a candidate.  :func:`frame_dot` is the trapezoid product every problem may
-use; one whose fields all vanish on the boundary may use a cheaper exact
-form of it.
+a candidate.  :func:`frame_dot` is the trapezoid product both problems of
+:mod:`fermivar.solvers` pass.
 """
 
 from __future__ import annotations

@@ -569,28 +569,19 @@ class _GroundStateDescent:
 
     Directions are horizontal (Grassmann): E depends on the pair only
     through rho, so :meth:`project` also drops the flat in-span rotation
-    that :func:`project_tangent` keeps.  Every field of this descent
-    vanishes on the boundary (the pair, the masked H u_i, the padded
-    preconditioner output and their combinations), where alone the
-    trapezoid weights differ from h, so :meth:`dot` is the trapezoid
-    product computed as h^3 sum u v by a plain numpy reduction (no BLAS
-    call, whose level-1 kernels slow down under several threads).  H_0 is
-    the tensor preconditioner averaged over the pair density's 1-D
-    marginals, rebuilt every ``_REFRESH_EVERY`` iterations.  The run stops
-    on ``"breach"`` at the twelfth iterate below ``breach_floor``, or at
-    the first 1e3 (1 + |floor|) below it, so the history records the dive.
+    that :func:`project_tangent` keeps.  The inner product is the
+    trapezoid :func:`optim.frame_dot`.  H_0 is the tensor preconditioner
+    averaged over the pair density's 1-D marginals, rebuilt every
+    ``_REFRESH_EVERY`` iterations.  The run stops on ``"breach"`` at the
+    twelfth iterate below ``breach_floor``, or at the first
+    1e3 (1 + |floor|) below it, so the history records the dive.
     """
+
+    dot = staticmethod(frame_dot)
 
     def __init__(self, a: float, V: ScalarField, breach_floor: float):
         self.a, self.V, self.floor = a, V, breach_floor
-        self.h3 = V.grid.spacing ** 3
         self.post_breach, self.max_defect = 0, 0.0
-
-    def _inner(self, u, v):
-        return self.h3 * float(np.einsum("ijk,ijk->", u.values, v.values))
-
-    def dot(self, x, y):
-        return sum(self._inner(u, v) for u, v in zip(x, y))
 
     def move(self, pair, d, step):
         cand = retract(pair, d[0], d[1], step)
@@ -602,8 +593,8 @@ class _GroundStateDescent:
 
     def project(self, v):
         u1, u2 = self.pair
-        return tuple(ScalarField(d.grid, d.values - self._inner(u1, d) * u1.values
-                                 - self._inner(u2, d) * u2.values) for d in v)
+        return tuple(ScalarField(d.grid, d.values - inner(u1, d) * u1.values
+                                 - inner(u2, d) * u2.values) for d in v)
 
     def precondition(self, v):
         return self.project(_apply_prec(self.prec, v))
@@ -796,9 +787,9 @@ def minimize_ground_state(
     the a = 0 eigen block (exact product modes on a separable trap, see
     :func:`lowest_eigenpairs`).  A ``warm_start`` with non-zero boundary
     values (a quotient slice's frame, say) has its boundary planes set to
-    zero and is Loewdin-orthonormalized again, so the descent starts, as
-    it runs, on fields that vanish on the boundary (see
-    :class:`_GroundStateDescent`).  ``converged`` needs small eigenresiduals
+    zero and is Loewdin-orthonormalized again: the kinetic energy ignores
+    boundary nodes that the mass counts, and the descent's own moves keep
+    them zero.  ``converged`` needs small eigenresiduals
     and the aufbau property, checked on a certified eigen block: the
     occupied multipliers are the two lowest levels of the pair's own
     mean-field operator.  That level check certifies those two levels
@@ -1040,11 +1031,11 @@ class _QuotientSlice:
     a spike+halo path, which beats every smooth profile on the lattice but
     not in the continuum, and a slice that turns spiky does not recover.
 
-    The inner product is the trapezoid :func:`optim.frame_dot`, not the
-    ground-state descent's h^3 sum u v: the pinned frames are
-    Loewdin-orthonormalized dilations (:func:`_pin_orbitals`), which are not
-    zero on the boundary, and their norms, slopes and mode projections
-    count those nodes with half weights.
+    The inner product is the trapezoid :func:`optim.frame_dot`, as in the
+    ground-state descent.  Here it is needed, not only shared: the pinned
+    frames are Loewdin-orthonormalized dilations (:func:`_pin_orbitals`),
+    which are not zero on the boundary, and their norms, slopes and mode
+    projections count those nodes with half weights.
     """
 
     dot = staticmethod(frame_dot)

@@ -25,7 +25,6 @@ from fermivar.grid import (
     neg_laplacian_core,
     norm,
 )
-from fermivar.optim import frame_dot
 from fermivar.model import (
     TrapPotential,
     Well,
@@ -372,15 +371,14 @@ _THREADS_PROBE = """
 import hashlib
 import numpy as np
 from fermivar.grid import BoxGrid, ScalarField, inner, integrate
-from fermivar.solvers import TensorPreconditioner, _GroundStateDescent
+from fermivar.solvers import TensorPreconditioner
 g = BoxGrid(96, 2.2)
 rng = np.random.default_rng(2024)
 f = ScalarField(g, rng.standard_normal(g.shape))
 h = ScalarField(g, rng.standard_normal(g.shape))
 prec = TensorPreconditioner(g, rng.random((94, 94, 94)), 1.0)
 core = f.values[1:-1, 1:-1, 1:-1]
-dot = _GroundStateDescent(0.0, g.zeros(), 0.0).dot((f, h), (h, f))
-print(inner(f, h).hex(), integrate(f).hex(), dot.hex(),
+print(inner(f, h).hex(), integrate(f).hex(),
       hashlib.sha256(prec.apply_core(core).tobytes()).hexdigest(),
       hashlib.sha256(prec.apply_core(np.stack([core, core], -1)).tobytes()).hexdigest())
 """
@@ -398,7 +396,7 @@ def test_kernels_independent_of_blas_threads():
                              capture_output=True, text=True, timeout=300)
         assert run.returncode == 0, run.stderr
         outs.append(run.stdout.split())
-    assert len(outs[0]) == 5
+    assert len(outs[0]) == 4
     assert outs[0] == outs[1]
 
 
@@ -609,23 +607,6 @@ def test_warm_start_is_masked_at_entry():
     for u, w in zip(res.pair, ref.pair):
         assert boundary_max_abs(u) == 0.0
         assert np.array_equal(u.values, w.values)
-
-
-def test_descent_dot_is_the_trapezoid_product_on_its_frames():
-    # every frame of the ground-state descent vanishes on the boundary, so
-    # h^3 sum u v is the trapezoid product
-    g = BoxGrid(24, 2.5)
-    V = potential_field(QUARTIC, g)
-    res = minimize_ground_state(5.0, QUARTIC, g, SolverConfig())
-    descent = solvers._GroundStateDescent(5.0, V, -1.0)
-    pair, _, grad, _, _ = descent.examine(1, res.pair, res.diag.energy)
-    frames = (tuple(pair), grad, descent.precondition(grad),
-              descent.project(tuple(solvers._gradient_fields(pair, density(pair), V, 5.0))))
-    for x in frames:
-        for y in frames:
-            scale = math.sqrt(frame_dot(x, x) * frame_dot(y, y))
-            assert abs(descent.dot(x, y) - frame_dot(x, y)) <= 1e-13 * scale
-        assert descent.dot(x, x) == pytest.approx(frame_dot(x, x), rel=1e-13)
 
 
 def test_ground_state_reports_the_finish_multipliers():
