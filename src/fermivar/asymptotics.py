@@ -27,12 +27,11 @@ from .grid import (
     BoxGrid,
     ScalarField,
     atomic_open,
-    inner,
     integrate,
     norm,
     resample_scaled,
 )
-from .frames import OrbitalPair, loewdin
+from .frames import OrbitalPair, gram, loewdin_matrix
 from .model import TrapPotential, density, p_integral, quotient_value
 
 
@@ -232,6 +231,14 @@ def rescale_extract(
     the window holds the tails; below that rule a
     :class:`ResolutionWarning` is issued.  Scaled multipliers eps^2*mu_i
     ride along when the mu_i are given.
+
+    Working set: the two ref_grid fields that become the result, and while
+    the second is resampled the transients of :func:`resample_scaled`, two
+    arrays of n_ref^2 * n_src values (n_src = 32 into n_ref = 96: 2.7
+    ref_grid fields in all).  The Gram sums (:func:`grid.inner`) and the
+    Loewdin step (:func:`loewdin_matrix`, then the elementwise operations
+    of :func:`loewdin_frame`) work one x-slab at a time, the Loewdin step
+    in place.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -253,16 +260,23 @@ def rescale_extract(
         v = resample_scaled(u, eps, center=c, out_grid=ref_grid, order=5)
         v *= eps ** 1.5
         w.append(ScalarField(ref_grid, v))
-    raw_mass = inner(w[0], w[0]) + inner(w[1], w[1])
-    cleaned = loewdin(*w)
-    del w  # the reference grid can be large: free the raw profile first
+    G = gram(*w)
+    S = loewdin_matrix(G)
+    f1, f2 = w[0].values, w[1].values
+    for s in ref_grid.x_slabs():
+        v1 = f1[s] * S[0, 0]
+        v1 += f2[s] * S[1, 0]
+        v2 = f1[s] * S[0, 1]
+        v2 += f2[s] * S[1, 1]
+        f1[s] = v1
+        f2[s] = v2
     return ProfileExtract(
-        rescaled_pair=cleaned,
+        rescaled_pair=OrbitalPair(*w),
         lambda1=None if mu1 is None else eps * eps * mu1,
         lambda2=None if mu2 is None else eps * eps * mu2,
         eps=eps,
         center=(float(c[0]), float(c[1]), float(c[2])),
-        raw_mass=raw_mass,
+        raw_mass=float(G[0, 0] + G[1, 1]),
     )
 
 

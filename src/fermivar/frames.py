@@ -92,14 +92,19 @@ class OrbitalPair:
         return OrbitalPair(self.u1.copy(), self.u2.copy())
 
 
+def loewdin_matrix(G: np.ndarray) -> np.ndarray:
+    """Gram^{-1/2}, the matrix a frame with Gram matrix ``G`` is multiplied by."""
+    vals, U = np.linalg.eigh(G)
+    if vals[0] <= 1e-10:
+        raise NearSingularGramError(float(vals[0]))
+    return (U * (1.0 / np.sqrt(vals))) @ U.T
+
+
 def loewdin_frame(fields) -> tuple[ScalarField, ...]:
     """Symmetric orthonormalization (f_1..f_k) -> (f_1..f_k) Gram^{-1/2}."""
     fields = tuple(fields)
     k = len(fields)
-    vals, U = np.linalg.eigh(gram(*fields))
-    if vals[0] <= 1e-10:
-        raise NearSingularGramError(float(vals[0]))
-    S = (U * (1.0 / np.sqrt(vals))) @ U.T
+    S = loewdin_matrix(gram(*fields))
     out = []
     for j in range(k):
         v = fields[0].values * S[0, j]

@@ -30,9 +30,16 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 
 SNAPSHOT_MAGIC = b"FVF1"
+
+# the largest x-slab, in bytes of float64, that a quadrature of a product
+# field forms at once; grids up to n = 50 are one slab
+_SLAB_BYTES = 1 << 20
+
+# zero nodes that scipy.ndimage's "grid-constant" mode pads per side before
+# its spline prefilter; the resampling weights reproduce that mode
+_SPLINE_PAD = 12
 
 
 class GridError(ValueError):
@@ -65,6 +72,10 @@ class BoxGrid:
         w[-1] *= 0.5
         w.flags.writeable = False
         object.__setattr__(self, "_quad_weights", w)
+        n = self.n_per_axis
+        rows = max(1, _SLAB_BYTES // (8 * n * n))
+        object.__setattr__(self, "_x_slabs",
+                           tuple(slice(i, i + rows) for i in range(0, n, rows)))
 
     @property
     def spacing(self) -> float:
@@ -85,6 +96,11 @@ class BoxGrid:
     def quad_weights_1d(self) -> np.ndarray:
         """Trapezoid weights of one axis (a read-only array)."""
         return self._quad_weights
+
+    def x_slabs(self) -> tuple[slice, ...]:
+        """Consecutive blocks of x-planes of at most 1 MiB of float64 each
+        (one plane when a plane is larger)."""
+        return self._x_slabs
 
     def zeros(self) -> "ScalarField":
         return ScalarField(self, np.zeros(self.shape))
@@ -172,10 +188,21 @@ def integrate(field: ScalarField) -> float:
 
 
 def inner(f: ScalarField, g: ScalarField) -> float:
-    """L2 inner product under the same trapezoid weights as :func:`integrate`."""
+    """L2 inner product under the same trapezoid weights as :func:`integrate`.
+
+    The product f*g is formed one x-slab at a time (:meth:`BoxGrid.x_slabs`),
+    so the working set is one slab and an (n, n) array of z-contractions,
+    not a third field.  Each x-plane is contracted by the same matrix-vector
+    product as in the whole-array form, so the value equals
+    (((f*g) @ w) @ w) @ w bit for bit.
+    """
     _require_same_grid(f, g)
     w = f.grid.quad_weights_1d()
-    return float((((f.values * g.values) @ w) @ w) @ w)
+    a, b = f.values, g.values
+    planes = np.empty(a.shape[:2])
+    for s in f.grid.x_slabs():
+        np.matmul(a[s] * b[s], w, out=planes[s])
+    return float((planes @ w) @ w)
 
 
 def norm(f: ScalarField) -> float:
@@ -232,18 +259,46 @@ def kinetic_energy(field: ScalarField) -> float:
     return acc * h
 
 
+def _bspline(t: np.ndarray, order: int) -> np.ndarray:
+    """Centred cardinal B-spline of order 3 or 5, in closed form."""
+    a = np.abs(t)
+    if order == 3:
+        z = np.maximum(2.0 - a, 0.0)
+        return np.where(a < 1.0, (a * a * (a - 2.0) * 3.0 + 4.0) / 6.0,
+                        z * z * z / 6.0)
+    t2 = a * a
+    z = np.maximum(3.0 - a, 0.0)
+    return np.select(
+        [a < 1.0, a < 2.0],
+        [t2 * (t2 * (0.25 - a / 12.0) - 0.5) + 0.55,
+         a * (a * (a * (a * (a / 24.0 - 0.375) + 1.25) - 1.75) + 0.625) + 0.425],
+        z * z * z * z * z / 120.0)
+
+
 def _spline_weights(x: np.ndarray, n_src: int, order: int) -> np.ndarray:
     """Matrix taking n_src node values to their spline interpolant at ``x``.
 
     ``x`` is in fractional node units; column k is the interpolant of the
-    k-th unit vector, with zero extension beyond the nodes.
+    k-th unit vector, with zero extension beyond the nodes.  This is
+    ``scipy.ndimage.map_coordinates(..., mode="grid-constant",
+    prefilter=True)`` built in numpy: the nodes are padded with
+    ``_SPLINE_PAD`` zeros per side, the B-spline coefficients solve the
+    collocation system on the padded length with mirror-symmetric rows, and
+    coefficients past the padded array read as zero.  Only orders 3 and 5
+    are built.  The working set is three small matrices, (N, N), (N, n_src)
+    and (x.size, N) with N = n_src + 2 * _SPLINE_PAD.
     """
-    eye = np.eye(n_src)
-    W = np.empty((x.size, n_src))
-    for k in range(n_src):
-        W[:, k] = map_coordinates(eye[k], x[None, :], order=order,
-                                  mode="grid-constant", cval=0.0, prefilter=True)
-    return W
+    if order not in (3, 5):
+        raise ValueError(f"spline order must be 3 or 5, got {order}")
+    N = n_src + 2 * _SPLINE_PAD
+    d = np.arange(-(order // 2), order // 2 + 1)  # the nonzero integer samples
+    rows = np.repeat(np.arange(N), d.size)
+    cols = np.tile(d, N) + rows
+    cols = (N - 1) - np.abs((N - 1) - np.abs(cols))  # mirror about both ends
+    A = np.zeros((N, N))
+    np.add.at(A, (rows, cols), np.tile(_bspline(d.astype(float), order), N))
+    coef = np.linalg.solve(A, np.eye(N)[:, _SPLINE_PAD:_SPLINE_PAD + n_src])
+    return _bspline(x[:, None] + _SPLINE_PAD - np.arange(N), order) @ coef
 
 
 def resample_scaled(
@@ -255,13 +310,16 @@ def resample_scaled(
 ) -> np.ndarray:
     """Values of ``field(scale * x + center)`` on ``out_grid`` nodes.
 
-    Spline interpolation of the given order (tricubic by default) with zero
-    extension outside the box.  The map acts on each axis alone and tensor
-    spline interpolation is separable, so it is applied as one small
-    weight matrix per axis: the values equal ``scipy.ndimage
-    .map_coordinates`` on the full node set to roundoff, without its
-    (3, n, n, n) coordinate array.  This is the shared backend of
-    :func:`dilate`, the trial-state builder and the profile extraction.
+    Spline interpolation of order 3 (the default) or 5 with zero extension
+    outside the box.  The map acts on each axis alone and tensor spline
+    interpolation is separable, so it is applied as one small weight matrix
+    per axis (:func:`_spline_weights`, built in numpy).  The values equal
+    ``scipy.ndimage.map_coordinates(..., mode="grid-constant")`` on the
+    full node set to roundoff (the weights agree to 1e-14, a test pins
+    it), without its (3, n, n, n) coordinate array.  Besides the returned
+    array, the last contraction holds two arrays of n_out^2 * n_src values.
+    This is the shared backend of :func:`dilate` and the profile
+    extraction.
     """
     src = field.grid
     dst = src if out_grid is None else out_grid

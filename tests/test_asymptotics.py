@@ -44,11 +44,12 @@ from fermivar.grid import (
     integrate,
     kinetic_energy,
     norm,
+    resample_scaled,
     sample,
 )
 from fermivar.model import TrapPotential, Well
 
-from helpers import gaussian, normalize, p_gaussian, sp_pair
+from helpers import gaussian, normalize, p_gaussian, sp_pair, traced_peak_mb
 
 
 HARMONIC = TrapPotential(wells=(Well(center=(0.0, 0.0, 0.0), power=2.0),))
@@ -224,6 +225,30 @@ def test_rescale_extract_mass_and_multiplier_scaling():
     T_ref = (kinetic_energy(ex.rescaled_pair.u1)
              + kinetic_energy(ex.rescaled_pair.u2))
     assert abs(T_ref / T_src - 0.25) < 0.02
+
+
+def test_rescale_extract_holds_two_reference_fields():
+    # the decay extraction's shape: an n = 32 pair onto a 96^3 window
+    pair = sp_pair(BoxGrid(32, 2.2), 0.35)
+    ref = BoxGrid(96, 3.5)
+    eps, c = 0.45, np.array([0.1, -0.05, 0.02])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        peak = traced_peak_mb(rescale_extract, pair, eps, c, ref)
+        ex = rescale_extract(pair, eps, c, ref)
+    field_mb = 8 * 96 ** 3 / 1e6
+    assert peak < 3 * field_mb  # whole-field Gram and loewdin: 5 fields
+    # the whole-array formulation on the same resampled fields
+    w = []
+    for u in pair:
+        v = resample_scaled(u, eps, center=c, out_grid=ref, order=5)
+        v *= eps ** 1.5
+        w.append(ScalarField(ref, v))
+    q = ref.quad_weights_1d()
+    assert ex.raw_mass == sum(float((((f.values * f.values) @ q) @ q) @ q) for f in w)
+    old = loewdin(*w)
+    for got, want in zip(ex.rescaled_pair, old):
+        assert np.abs(got.values - want.values).max() <= 1e-15
 
 
 def test_rescale_extract_window_error():

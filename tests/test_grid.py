@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from fermivar.grid import (
     BoxGrid,
@@ -28,8 +29,9 @@ from fermivar.grid import (
     second_moment,
     write_snapshot,
 )
+from fermivar.grid import _SPLINE_PAD, _spline_weights
 
-from helpers import gaussian, p_gaussian, random_smooth_field
+from helpers import gaussian, p_gaussian, random_smooth_field, traced_peak_mb
 
 
 def test_grid_validation():
@@ -96,6 +98,20 @@ def test_inner_and_norm_consistency():
     h = random_smooth_field(g, rng, 0.5)
     assert inner(f, h) == pytest.approx(inner(h, f), rel=1e-14)
     assert norm(f) == pytest.approx(math.sqrt(inner(f, f)), rel=1e-14)
+
+
+@pytest.mark.parametrize("n", [32, 51, 96])
+def test_inner_by_slabs_equals_the_whole_array_form(n):
+    # n = 32 is one x-slab; 51 and 96 are two and seven
+    g = BoxGrid(n, 2.2)
+    rng = np.random.default_rng(n)
+    f = ScalarField(g, rng.standard_normal(g.shape))
+    h = ScalarField(g, rng.standard_normal(g.shape))
+    w = g.quad_weights_1d()
+    assert inner(f, h) == float((((f.values * h.values) @ w) @ w) @ w)
+    # the product is held one slab (at most 1 MiB) at a time: at n = 96 a
+    # whole product field is 7.1 MB
+    assert traced_peak_mb(inner, f, h) < 1.5
 
 
 def test_grid_mismatch_raises():
@@ -260,6 +276,43 @@ def test_resample_scaled_recovers_dilation():
     f = gaussian(g, 0.8)
     v = resample_scaled(f, 1.0, center=np.zeros(3))
     assert np.allclose(v, f.values, atol=1e-9)
+
+
+def _map_coordinates_weights(x, n, order):
+    eye = np.eye(n)
+    return np.stack([map_coordinates(eye[k], x[None, :], order=order,
+                                     mode="grid-constant", cval=0.0, prefilter=True)
+                     for k in range(n)], axis=1)
+
+
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("n", [12, 32, 48])
+def test_spline_weights_equal_map_coordinates(order, n):
+    # resample_scaled's fractional node positions: a box scaled by 0.3-3.0
+    # and shifted, so the larger scales reach past the box
+    for scale in (0.3, 0.8, 1.0, 1.9, 3.0):
+        for shift in (0.0, 0.21, -0.47):
+            x = (scale * np.linspace(-1.0, 1.0, 37) + shift + 1.0) * (n - 1) / 2
+            err = np.abs(_spline_weights(x, n, order)
+                         - _map_coordinates_weights(x, n, order)).max()
+            assert err <= 1e-14, (scale, shift)
+    # outside the box the interpolant lives on the padded coefficients:
+    # small but not zero up to the end of the pad, zero past it (folding
+    # the coefficients about the box ends instead misses by up to 1e-4 here)
+    reach = _SPLINE_PAD + order // 2 + 1
+    x = np.concatenate([np.linspace(-reach - 6.0, -0.5, 61),
+                        np.linspace(n - 0.5, n - 1 + reach + 6.0, 61)])
+    ref = _map_coordinates_weights(x, n, order)
+    assert np.abs(_spline_weights(x, n, order) - ref).max() <= 1e-14
+    outside = (x < -1.0) | (x > n)
+    past_pad = (x <= -reach) | (x >= n - 1 + reach)
+    assert np.abs(ref[outside & ~past_pad]).max() > 1e-6
+    assert not _spline_weights(x[past_pad], n, order).any()
+
+
+def test_spline_weights_reject_other_orders():
+    with pytest.raises(ValueError):
+        _spline_weights(np.linspace(0.0, 11.0, 5), 12, 4)
 
 
 def test_snapshot_roundtrip_bitwise(tmp_path):

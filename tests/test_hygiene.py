@@ -1,8 +1,11 @@
 """Source hygiene: every name a package module imports is used in it, every
-import sits at module level, so no import cost hides inside a call, and the
-package draws no random numbers."""
+import sits at module level, so no import cost hides inside a call, importing
+the package loads no scipy.ndimage, and the package draws no random numbers."""
 
 import ast
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -49,6 +52,17 @@ def test_no_import_inside_a_function(path):
 def test_function_imports_are_found():
     tree = ast.parse("import os\ndef f():\n    if True:\n        import json\n")
     assert _function_imports(tree) == ["f (line 4)"]
+
+
+def test_package_import_leaves_scipy_ndimage_unloaded():
+    # the spline resampling weights are built in numpy; scipy.ndimage (and
+    # the scipy.special it pulls in) would cost every process about 4.7 MB
+    code = ("import sys, fermivar, fermivar.cli\n"
+            "assert 'scipy.ndimage' not in sys.modules, 'scipy.ndimage loaded'\n")
+    # the child imports this checkout's package, with or without PYTHONPATH
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR.parent), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
 
 
 # the program is deterministic by construction: no module may draw from a
