@@ -53,9 +53,7 @@ from .frames import (
     loewdin,
     loewdin_frame,
     project_tangent,
-    project_tangent_frame,
     retract,
-    retract_frame,
 )
 from .solvers import (
     EigResult,

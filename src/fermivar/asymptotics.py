@@ -31,7 +31,7 @@ from .grid import (
     norm,
     resample_scaled,
 )
-from .frames import OrbitalPair, gram, loewdin_matrix
+from .frames import OrbitalPair, combine, gram, loewdin_matrix
 from .model import TrapPotential, density, p_integral, quotient_value
 
 
@@ -236,9 +236,8 @@ def rescale_extract(
     the second is resampled the transients of :func:`resample_scaled`, two
     arrays of n_ref^2 * n_src values (n_src = 32 into n_ref = 96: 2.7
     ref_grid fields in all).  The Gram sums (:func:`grid.inner`) and the
-    Loewdin step (:func:`loewdin_matrix`, then the elementwise operations
-    of :func:`loewdin_frame`) work one x-slab at a time, the Loewdin step
-    in place.
+    Loewdin step (:func:`loewdin_matrix`, then :func:`frames.combine`) work
+    one x-slab at a time, the Loewdin step in place.
     """
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -261,15 +260,7 @@ def rescale_extract(
         v *= eps ** 1.5
         w.append(ScalarField(ref_grid, v))
     G = gram(*w)
-    S = loewdin_matrix(G)
-    f1, f2 = w[0].values, w[1].values
-    for s in ref_grid.x_slabs():
-        v1 = f1[s] * S[0, 0]
-        v1 += f2[s] * S[1, 0]
-        v2 = f1[s] * S[0, 1]
-        v2 += f2[s] * S[1, 1]
-        f1[s] = v1
-        f2[s] = v2
+    w = combine(w, loewdin_matrix(G), out=[f.values for f in w])
     return ProfileExtract(
         rescaled_pair=OrbitalPair(*w),
         lambda1=None if mu1 is None else eps * eps * mu1,

@@ -2,19 +2,21 @@
 
 The constraint manifold is the set of L2-orthonormal k-frames (u_1..u_k):
 pairs for the trapped problem and the rank-2 quotient, single unit fields for
-the rank-1 quotient.  Moving on it uses three pieces, each written once for a
-tuple of k fields:
+the rank-1 quotient.  All frame arithmetic is written once here, for a tuple
+(or :class:`OrbitalPair`) of k fields:
 
-* ``project_tangent_frame`` removes the symmetric part of <u_i, d_j>, leaving
+* :func:`combine` multiplies a frame by a k x m matrix, the one kernel behind
+  the package's frame rotations, tangent projections and Loewdin steps,
+* :func:`frame_dot` is the frame inner product sum_i <x_i, y_i>,
+* :func:`project_tangent` removes the symmetric part of <u_i, d_j>, leaving
   a direction that preserves orthonormality to first order,
-* ``retract_frame`` steps along a direction and restores the constraint
+* :func:`retract` steps along a direction and restores the constraint
   exactly via symmetric (Loewdin) orthonormalization,
-* ``loewdin_frame`` itself multiplies the frame by Gram^{-1/2}.
+* :func:`loewdin_frame` itself multiplies the frame by Gram^{-1/2}.
 
-``loewdin``, ``project_tangent`` and ``retract`` are their k = 2 entry points
-on :class:`OrbitalPair`.  For two unit fields with overlap s the Loewdin
-output expands as Q~_i = Q_i - (s/2) Q_j + O(s^2) with error below 2 s^2 for
-s <= 0.1.
+:func:`loewdin` is its k = 2 entry point returning an :class:`OrbitalPair`.
+For two unit fields with overlap s the Loewdin output expands as
+Q~_i = Q_i - (s/2) Q_j + O(s^2) with error below 2 s^2 for s <= 0.1.
 """
 
 from __future__ import annotations
@@ -100,39 +102,65 @@ def loewdin_matrix(G: np.ndarray) -> np.ndarray:
     return (U * (1.0 / np.sqrt(vals))) @ U.T
 
 
+def combine(fields, M, base=None, out=None) -> tuple[ScalarField, ...]:
+    """Column j of (f_1..f_k) M, or base_j - (f_1..f_k) M[:, j] with ``base``.
+
+    Terms accumulate (or are subtracted) one at a time in field order, one
+    x-slab (:meth:`BoxGrid.x_slabs`) at a time, so each column equals the
+    whole-array sequence f_1 M[0, j] + f_2 M[1, j] + .. bit for bit.  New
+    columns are formed in place in their own arrays.  ``out``, a list of one
+    array per column that receives the result, may hold the input fields'
+    own arrays: every column of a slab is then formed before any is written.
+    """
+    fields = tuple(fields)
+    grid = fields[0].grid
+    k, m = M.shape
+    fresh = out is None
+    if fresh:
+        out = [np.empty(grid.shape) for _ in range(m)]
+    for s in grid.x_slabs():
+        cols = []
+        for j in range(m):
+            dest = out[j][s] if fresh else None
+            if base is None:
+                v = np.multiply(fields[0].values[s], M[0, j], out=dest)
+                for i in range(1, k):
+                    v += fields[i].values[s] * M[i, j]
+            else:
+                v = np.subtract(base[j].values[s], fields[0].values[s] * M[0, j], out=dest)
+                for i in range(1, k):
+                    v -= fields[i].values[s] * M[i, j]
+            cols.append(v)
+        if not fresh:
+            for o, v in zip(out, cols):
+                o[s] = v
+    return tuple(ScalarField(grid, o) for o in out)
+
+
+def frame_dot(x, y) -> float:
+    """Frame inner product sum_i <x_i, y_i> under the trapezoid weights."""
+    return sum(inner(xi, yi) for xi, yi in zip(x, y))
+
+
 def loewdin_frame(fields) -> tuple[ScalarField, ...]:
     """Symmetric orthonormalization (f_1..f_k) -> (f_1..f_k) Gram^{-1/2}."""
     fields = tuple(fields)
-    k = len(fields)
-    S = loewdin_matrix(gram(*fields))
-    out = []
-    for j in range(k):
-        v = fields[0].values * S[0, j]
-        for i in range(1, k):
-            v += fields[i].values * S[i, j]  # in place: one temporary field
-        out.append(ScalarField(fields[0].grid, v))
-    return tuple(out)
+    return combine(fields, loewdin_matrix(gram(*fields)))
 
 
-def project_tangent_frame(frame, dirs) -> tuple[ScalarField, ...]:
+def project_tangent(frame, dirs) -> tuple[ScalarField, ...]:
     """Project a raw direction onto the tangent space of the constraint.
 
     The output satisfies <u_i, delta_j> + <u_j, delta_i> = 0 and the
     projection is idempotent.
     """
+    frame = tuple(frame)
     k = len(frame)
     B = np.array([[inner(frame[i], dirs[j]) for j in range(k)] for i in range(k)])
-    S = 0.5 * (B + B.T)
-    out = []
-    for j in range(k):
-        v = dirs[j].values - frame[0].values * S[0, j]
-        for i in range(1, k):
-            v -= frame[i].values * S[i, j]
-        out.append(ScalarField(frame[0].grid, v))
-    return tuple(out)
+    return combine(frame, 0.5 * (B + B.T), base=dirs)
 
 
-def retract_frame(frame, dirs, step: float) -> tuple[ScalarField, ...]:
+def retract(frame, dirs, step: float) -> tuple[ScalarField, ...]:
     """Step along ``dirs`` and restore orthonormality by Loewdin."""
     return loewdin_frame(
         ScalarField(u.grid, u.values + step * d.values) for u, d in zip(frame, dirs)
@@ -142,17 +170,3 @@ def retract_frame(frame, dirs, step: float) -> tuple[ScalarField, ...]:
 def loewdin(f1: ScalarField, f2: ScalarField) -> OrbitalPair:
     """Symmetric orthonormalization of a pair (k = 2 :func:`loewdin_frame`)."""
     return OrbitalPair(*loewdin_frame((f1, f2)))
-
-
-def project_tangent(
-    pair: OrbitalPair, d1: ScalarField, d2: ScalarField
-) -> tuple[ScalarField, ScalarField]:
-    """Tangent projection at a pair (k = 2 :func:`project_tangent_frame`)."""
-    return project_tangent_frame((pair.u1, pair.u2), (d1, d2))
-
-
-def retract(
-    pair: OrbitalPair, d1: ScalarField, d2: ScalarField, step: float
-) -> OrbitalPair:
-    """Retraction at a pair (k = 2 :func:`retract_frame`)."""
-    return OrbitalPair(*retract_frame((pair.u1, pair.u2), (d1, d2), step))

@@ -148,7 +148,6 @@ class Diagnostics:
     mu2: float | None = None
     sum_rule_residual: float | None = None
     virial_residual: float | None = None
-    orthonormality_defect: float = 0.0
 
 
 def density(frame) -> ScalarField:
@@ -197,7 +196,6 @@ def energy(pair: OrbitalPair, a: float, V: ScalarField) -> Diagnostics:
         potential=W,
         p_norm=P,
         a=a,
-        orthonormality_defect=pair.defect(),
     )
 
 

@@ -2,23 +2,22 @@
 
 :func:`riemannian_lbfgs` owns the curvature memory, the two-loop recursion,
 the line search and its own stop reasons.  The problem supplies the rest,
-on frames (tuples of fields): ``dot(x, y)`` is the inner product of two
-frames, which every norm, slope and curvature pair of the descent is taken
-in; ``examine(it, x, value)`` returns ``(x, value, grad, stop, restart)`` at
+on frames (tuples of elements with a ``values`` array and a ``copy()``
+method, such as fields): ``dot(x, y)`` is the inner product of two frames,
+which every norm, slope and curvature pair of the descent is taken in;
+``examine(it, x, value)`` returns ``(x, value, grad, stop, restart)`` at
 each iterate -- the iterate, which the problem may replace, its value and
 tangent gradient, a stop reason of its own or None, and whether memory and
 step start afresh; ``project(v)`` and ``precondition(v)`` act at the last
-examined iterate and return new fields; ``move(x, d, step)`` returns the
+examined iterate and return new frames; ``move(x, d, step)`` returns the
 retracted candidate and its value; ``gradient(x)`` the tangent gradient at
-a candidate.  :func:`frame_dot` is the trapezoid product both problems of
-:mod:`fermivar.solvers` pass.
+a candidate.  The loop itself forms new frames only by ``copy()`` and
+in-place updates of ``values``, so it never learns the element type.
 """
 
 from __future__ import annotations
 
 import math
-
-from .grid import ScalarField, inner
 
 # Line search: Armijo constant, step factor and trial count; then the
 # approximate-Wolfe test of Hager & Zhang (SIAM J. Optim. 16, 2005),
@@ -29,13 +28,12 @@ _WOLFE_DELTA, _WOLFE_SIGMA, _WOLFE_SLACK = 0.1, 0.9, 1e-12
 _STEP_INIT = 0.25
 
 
-def frame_dot(x, y) -> float:
-    """Frame inner product sum_i <x_i, y_i> under the trapezoid weights."""
-    return sum(inner(xi, yi) for xi, yi in zip(x, y))
-
-
-def _negated(x):
-    return tuple(ScalarField(f.grid, -f.values) for f in x)
+def _scaled(x, c):
+    """A copy of frame ``x`` with every element's values multiplied by ``c``."""
+    out = tuple(f.copy() for f in x)
+    for f in out:
+        f.values *= c
+    return out
 
 
 def _two_loop(grad, pairs, precondition, dot):
@@ -117,24 +115,25 @@ def riemannian_lbfgs(problem, x, value, *, memory, max_iters, grad_tol, log=None
             break
         if memory and last is not None:
             sv, g_prev = (problem.project(v) for v in last)
-            yv = tuple(ScalarField(f.grid, f.values - p.values)
-                       for f, p in zip(grad, g_prev))
+            yv = tuple(f.copy() for f in grad)
+            for f, p in zip(yv, g_prev):
+                f.values -= p.values
             sy = dot(sv, yv)
             if sy > 1e-12 * math.sqrt(dot(sv, sv) * dot(yv, yv)):
                 pairs = (pairs + [(sv, yv, 1.0 / sy)])[-memory:]
-        d = _negated(problem.project(_two_loop(grad, pairs, problem.precondition, dot)))
+        d = _scaled(problem.project(_two_loop(grad, pairs, problem.precondition, dot)), -1.0)
         slope = dot(grad, d)
         if slope >= 0.0 and pairs:  # curvature memory lost descent: start afresh
             pairs, step0 = [], _STEP_INIT
-            d = _negated(problem.project(problem.precondition(grad)))
+            d = _scaled(problem.project(problem.precondition(grad)), -1.0)
             slope = dot(grad, d)
         if slope >= 0.0:
-            d, slope = _negated(grad), -gnorm * gnorm
+            d, slope = _scaled(grad, -1.0), -gnorm * gnorm
         found = _line_search(problem, x, value, d, slope, 1.0 if pairs else step0)
         if found is None:
             reason = "line_search"
             break
         x, value, step = found
-        last = (tuple(ScalarField(f.grid, step * f.values) for f in d), grad)
+        last = (_scaled(d, step), grad)
         step0 = min(_STEP_INIT, 2.0 * step)
     return x, value, reason, it

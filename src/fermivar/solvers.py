@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import LinearOperator, lobpcg
+from scipy.sparse.linalg import lobpcg
 
 from .grid import (
     BoxGrid,
@@ -63,12 +63,12 @@ from .grid import (
 )
 from .frames import (
     OrbitalPair,
+    combine,
+    frame_dot,
     loewdin,
     loewdin_frame,
     project_tangent,
-    project_tangent_frame,
     retract,
-    retract_frame,
 )
 from .model import (
     Diagnostics,
@@ -85,7 +85,7 @@ from .model import (
 )
 
 from . import asymptotics as _asy
-from .optim import frame_dot, riemannian_lbfgs
+from .optim import riemannian_lbfgs
 from .radial import gn_constants, shoot_soliton, shooting_report
 
 
@@ -423,13 +423,7 @@ def lowest_eigenpairs(
         passes += 1
         return prec.apply_core(X.reshape(m, m, m, -1)).reshape(X.shape)
 
-    mdof = m ** 3
-    A = LinearOperator((mdof, mdof), matvec=lambda x: matmat(x.reshape(-1, 1))[:, 0],
-                       matmat=matmat, dtype=np.float64)
-    M = LinearOperator((mdof, mdof), matvec=lambda x: pmat(x.reshape(-1, 1))[:, 0],
-                       matmat=pmat, dtype=np.float64)
-
-    block = min(mdof, k + 3)
+    block = min(m ** 3, k + 3)
     X, _ = np.linalg.qr(_start_block(prec, diag, warm, block))
 
     total_iter = 0
@@ -440,7 +434,7 @@ def lowest_eigenpairs(
             # not-converged-yet warnings are noise between rounds
             warnings.simplefilter("ignore")
             _vals, X = lobpcg(
-                A, X, M=M, tol=tol * 0.2, maxiter=15, largest=False,
+                matmat, X, M=pmat, tol=tol * 0.2, maxiter=15, largest=False,
                 verbosityLevel=0,
             )
         # a start already within tol makes no pass but still counts one
@@ -485,14 +479,15 @@ def _gradient_fields(frame, rho, V, a):
 
 
 def _positive_lobe(u: ScalarField) -> ScalarField:
-    """Deterministic sign convention: the dominant lobe is positive.
+    """Deterministic sign convention: the dominant lobe is made positive.
 
     The reference node is the first (C-order) node attaining max |u|; its
-    value is made positive.  For a nodeless orbital this is plain
-    positivity, for a p-like orbital it pins one lobe.
+    value is made positive, by negating ``u`` in place.  For a nodeless
+    orbital this is plain positivity, for a p-like orbital it pins one lobe.
     """
-    v = u.values.ravel()[int(np.argmax(np.abs(u.values)))]
-    return ScalarField(u.grid, -u.values if v < 0 else u.values.copy())
+    if u.values.ravel()[int(np.argmax(np.abs(u.values)))] < 0:
+        u.values *= -1.0
+    return u
 
 
 def _rotate_to_multiplier_basis(frame, V, a):
@@ -506,12 +501,7 @@ def _rotate_to_multiplier_basis(frame, V, a):
     """
     us = tuple(frame)
     mus, R, _ = multipliers(us, V, a)
-    rotated = []
-    for i in range(len(us)):
-        v = us[0].values * R[0, i]
-        for j in range(1, len(us)):
-            v += us[j].values * R[j, i]
-        rotated.append(_positive_lobe(ScalarField(us[0].grid, v)))
+    rotated = [_positive_lobe(u) for u in combine(us, R)]
     rho = density(rotated)
     residuals = tuple(
         norm(ScalarField(u.grid, hamiltonian_apply(rho, V, a, u).values - mu * u.values))
@@ -570,7 +560,7 @@ class _GroundStateDescent:
     Directions are horizontal (Grassmann): E depends on the pair only
     through rho, so :meth:`project` also drops the flat in-span rotation
     that :func:`project_tangent` keeps.  The inner product is the
-    trapezoid :func:`optim.frame_dot`.  H_0 is the tensor preconditioner
+    trapezoid :func:`frames.frame_dot`.  H_0 is the tensor preconditioner
     averaged over the pair density's 1-D marginals, rebuilt every
     ``_REFRESH_EVERY`` iterations.  The run stops on ``"breach"`` at the
     twelfth iterate below ``breach_floor``, or at the first
@@ -584,17 +574,16 @@ class _GroundStateDescent:
         self.post_breach, self.max_defect = 0, 0.0
 
     def move(self, pair, d, step):
-        cand = retract(pair, d[0], d[1], step)
+        cand = OrbitalPair(*retract(pair, d, step))
         return cand, energy(cand, self.a, self.V).energy
 
     def gradient(self, pair, rho=None):
         rho = density(pair) if rho is None else rho
-        return project_tangent(pair, *_gradient_fields(pair, rho, self.V, self.a))
+        return project_tangent(pair, _gradient_fields(pair, rho, self.V, self.a))
 
     def project(self, v):
-        u1, u2 = self.pair
-        return tuple(ScalarField(d.grid, d.values - inner(u1, d) * u1.values
-                                 - inner(u2, d) * u2.values) for d in v)
+        M = np.array([[inner(u, d) for d in v] for u in self.pair])
+        return combine(self.pair, M, base=v)
 
     def precondition(self, v):
         return self.project(_apply_prec(self.prec, v))
@@ -634,10 +623,8 @@ def _occupied_from_eigs(eig: EigResult, ref: OrbitalPair) -> OrbitalPair:
     vals, fields = eig.values, eig.fields
 
     def project(ref_u, members, orth_to=None):
-        acc = np.zeros(ref_u.grid.shape)
-        for j in members:
-            acc += inner(fields[j], ref_u) * fields[j].values
-        v = ScalarField(ref_u.grid, acc)
+        cluster = [fields[j] for j in members]
+        v, = combine(cluster, np.array([[inner(f, ref_u)] for f in cluster]))
         if orth_to is not None:
             v = ScalarField(v.grid, v.values - inner(orth_to, v) * orth_to.values)
         nv = norm(v)
@@ -739,7 +726,7 @@ def _axis_start(u1: ScalarField, shell: list[ScalarField], n) -> OrbitalPair:
     d = [ni * (x - ci) for ni, ci in zip(n, _centroid(grid, u1.values * u1.values))]
     t = ScalarField(grid, u1.values * (
         d[0][:, None, None] + d[1][None, :, None] + d[2][None, None, :]))
-    return loewdin(u1, ScalarField(grid, sum(inner(f, t) * f.values for f in shell)))
+    return loewdin(u1, *combine(shell, np.array([[inner(f, t)] for f in shell])))
 
 
 def _oriented_start(eig: EigResult, a: float, V: ScalarField) -> OrbitalPair:
@@ -1031,7 +1018,7 @@ class _QuotientSlice:
     a spike+halo path, which beats every smooth profile on the lattice but
     not in the continuum, and a slice that turns spiky does not recover.
 
-    The inner product is the trapezoid :func:`optim.frame_dot`, as in the
+    The inner product is the trapezoid :func:`frames.frame_dot`, as in the
     ground-state descent.  Here it is needed, not only shared: the pinned
     frames are Loewdin-orthonormalized dilations (:func:`_pin_orbitals`),
     which are not zero on the boundary, and their norms, slopes and mode
@@ -1045,7 +1032,7 @@ class _QuotientSlice:
         self.best, self.last_record = None, 0
 
     def move(self, us, d, step):
-        cand = retract_frame(us, d, step)
+        cand = retract(us, d, step)
         return cand, quotient_value(cand)
 
     def gradient(self, us, rho=None, q=None):
@@ -1053,10 +1040,10 @@ class _QuotientSlice:
         rho = density(us) if rho is None else rho
         q = quotient_value(us) if q is None else q
         g, P = _gradient_fields(us, rho, self.zero, q), p_integral(rho)
-        return project_tangent_frame(us, tuple(ScalarField(f.grid, f.values / P) for f in g))
+        return project_tangent(us, tuple(ScalarField(f.grid, f.values / P) for f in g))
 
     def project(self, v):
-        return _drop_modes(project_tangent_frame(self.us, v), self.modes)
+        return _drop_modes(project_tangent(self.us, v), self.modes)
 
     def precondition(self, v):
         return _apply_prec(self.prec, v)
@@ -1082,7 +1069,7 @@ class _QuotientSlice:
         # one dilation mode per orbital, in the tangent space, orthonormalized
         modes = []
         for i in range(k):
-            m = _drop_modes(project_tangent_frame(us, tuple(
+            m = _drop_modes(project_tangent(us, tuple(
                 dilation_generator(us[j]) if j == i else zero for j in range(k))), modes)
             nn = math.sqrt(frame_dot(m, m))
             if nn > 1e-12:
@@ -1310,8 +1297,10 @@ def continuation_sweep(
     Records carry the scale parameter eps = (a_hat - a)^{1/(p+2)} and the
     under-resolution flag (eps spanning fewer than
     ``asymptotics.EPS_RESOLUTION_NODES`` grid spacings, the rule
-    :func:`asymptotics.rescale_extract` warns by).  Any solve failure aborts
-    the sweep at that index with the partial records preserved.
+    :func:`asymptotics.rescale_extract` warns by).  Only a threshold breach
+    aborts the sweep: ``aborted_at`` is that index and the earlier records
+    are kept.  An unconverged solve is recorded with ``converged`` false,
+    and the sweep goes on from its pair.
     """
     a_arr = [float(a) for a in a_list]
     if any(b <= a for a, b in zip(a_arr, a_arr[1:])):

@@ -1,4 +1,5 @@
-"""Orthonormal-pair machinery: Loewdin, tangent projection, retraction."""
+"""Orthonormal-frame machinery: the frame x matrix kernel, Loewdin, tangent
+projection, retraction."""
 
 import numpy as np
 import pytest
@@ -7,13 +8,12 @@ from fermivar.frames import (
     NearSingularGramError,
     OrbitalPair,
     PairDefectError,
+    combine,
     gram,
     loewdin,
     loewdin_frame,
     project_tangent,
-    project_tangent_frame,
     retract,
-    retract_frame,
 )
 from fermivar.grid import (
     BoxGrid,
@@ -26,7 +26,6 @@ from helpers import (
     gaussian,
     normalize,
     p_gaussian,
-    random_pair,
     random_smooth_field,
     sp_pair,
 )
@@ -148,65 +147,68 @@ def test_pair_copy_is_independent():
     assert pair.u1.values[5, 5, 5] != cp.u1.values[5, 5, 5]
 
 
+@pytest.mark.parametrize("n, slabs", [(32, 1), (51, 2), (96, 7)])
+def test_combine_matches_whole_array_forms_bit_for_bit(n, slabs):
+    g = BoxGrid(n, 2.0)
+    assert len(g.x_slabs()) == slabs
+    rng = np.random.default_rng(n)
+    k = 3
+    fs = [ScalarField(g, rng.standard_normal(g.shape)) for _ in range(k)]
+    base = [ScalarField(g, rng.standard_normal(g.shape)) for _ in range(k)]
+    M = rng.standard_normal((k, k))
+    for j, (acc, sub) in enumerate(zip(combine(fs, M), combine(fs, M, base=base))):
+        want_acc = fs[0].values * M[0, j]
+        want_sub = base[j].values - fs[0].values * M[0, j]
+        for i in range(1, k):
+            want_acc += fs[i].values * M[i, j]
+            want_sub -= fs[i].values * M[i, j]
+        assert acc.values.tobytes() == want_acc.tobytes()
+        assert sub.values.tobytes() == want_sub.tobytes()
+    # a k x 1 matrix gives one column
+    col, = combine(fs, M[:, :1])
+    assert col.values.tobytes() == combine(fs, M)[0].values.tobytes()
+    # writing into the input arrays gives the bits of a fresh output
+    for b in (None, base):
+        fresh = combine(fs, M, base=b)
+        own = [f.copy() for f in fs]
+        inplace = combine(own, M, base=b, out=[f.values for f in own])
+        for x, y, o in zip(fresh, inplace, own):
+            assert y.values is o.values
+            assert x.values.tobytes() == y.values.tobytes()
+
+
 def test_project_tangent_antisymmetry_and_idempotence():
     g = BoxGrid(24, 3.0)
     rng = np.random.default_rng(5)
-    for seed in range(4):
-        pair = random_pair(g, np.random.default_rng(seed), 0.6)
-        d1 = ScalarField(g, rng.standard_normal(g.zeros().values.shape))
-        d2 = ScalarField(g, rng.standard_normal(g.zeros().values.shape))
-        t1, t2 = project_tangent(pair, d1, d2)
-        u = (pair.u1, pair.u2)
-        t = (t1, t2)
-        for i in range(2):
-            for j in range(2):
-                sym = inner(u[i], t[j]) + inner(u[j], t[i])
-                assert abs(sym) < 1e-10
-        r1, r2 = project_tangent(pair, t1, t2)
-        assert np.allclose(r1.values, t1.values, atol=1e-12)
-        assert np.allclose(r2.values, t2.values, atol=1e-12)
-    for k in (1, 3):
-        frame = _random_frame(g, k, np.random.default_rng(20 + k))
-        d = [ScalarField(g, rng.standard_normal(g.shape)) for _ in range(k)]
-        t = project_tangent_frame(frame, d)
-        for i in range(k):
-            for j in range(k):
-                assert abs(inner(frame[i], t[j]) + inner(frame[j], t[i])) < 1e-10
-        r = project_tangent_frame(frame, t)
-        for ri, ti in zip(r, t):
-            assert np.allclose(ri.values, ti.values, atol=1e-12)
+    for k in (1, 2, 3):
+        for seed in range(2):
+            frame = _random_frame(g, k, np.random.default_rng(10 * k + seed))
+            d = [ScalarField(g, rng.standard_normal(g.shape)) for _ in range(k)]
+            t = project_tangent(frame, d)
+            for i in range(k):
+                for j in range(k):
+                    assert abs(inner(frame[i], t[j]) + inner(frame[j], t[i])) < 1e-10
+            r = project_tangent(frame, t)
+            for ri, ti in zip(r, t):
+                assert np.allclose(ri.values, ti.values, atol=1e-12)
 
 
 def test_retract_restores_constraint_and_is_first_order():
     g = BoxGrid(24, 3.0)
-    pair = sp_pair(g, 0.6)
     rng = np.random.default_rng(9)
-    d1 = ScalarField(g, rng.standard_normal(pair.u1.values.shape))
-    d2 = ScalarField(g, rng.standard_normal(pair.u1.values.shape))
-    t1, t2 = project_tangent(pair, d1, d2)
-    errs = []
-    for t in (1e-2, 5e-3, 2.5e-3):
-        stepped = retract(pair, t1, t2, t)
-        assert stepped.defect() <= 1e-12
-        e = max(
-            norm(ScalarField(g, stepped.u1.values - pair.u1.values - t * t1.values)),
-            norm(ScalarField(g, stepped.u2.values - pair.u2.values - t * t2.values)),
-        )
-        errs.append(e)
-    # dominated by the second-order Loewdin correction: O(step^2)
-    assert errs[1] < 0.35 * errs[0]
-    assert errs[2] < 0.35 * errs[1]
-    for k in (1, 3):
-        frame = _random_frame(g, k, np.random.default_rng(30 + k))
-        t = project_tangent_frame(
+    for k in (1, 2, 3):
+        frame = tuple(sp_pair(g, 0.6)) if k == 2 else _random_frame(
+            g, k, np.random.default_rng(30 + k))
+        t = project_tangent(
             frame, [ScalarField(g, rng.standard_normal(g.shape)) for _ in range(k)])
         errs = []
         for step in (1e-2, 5e-3, 2.5e-3):
-            stepped = retract_frame(frame, t, step)
+            stepped = retract(frame, t, step)
             assert _frame_defect(stepped) <= 1e-12
             errs.append(max(
                 norm(ScalarField(g, s.values - u.values - step * ti.values))
                 for s, u, ti in zip(stepped, frame, t)
             ))
+        # dominated by the second-order Loewdin correction: O(step^2)
         assert errs[1] < 0.35 * errs[0]
         assert errs[2] < 0.35 * errs[1]

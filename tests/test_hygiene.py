@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module imports is used in it, every
-import sits at module level, so no import cost hides inside a call, importing
-the package loads no scipy.ndimage, and the package draws no random numbers."""
+import sits at module level, so no import cost hides inside a call, the
+descent loop imports nothing from the package, importing the package loads
+no scipy.ndimage, and the package draws no random numbers."""
 
 import ast
 import os
@@ -52,6 +53,26 @@ def test_no_import_inside_a_function(path):
 def test_function_imports_are_found():
     tree = ast.parse("import os\ndef f():\n    if True:\n        import json\n")
     assert _function_imports(tree) == ["f (line 4)"]
+
+
+def _package_imports(tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").split(".")[0] == "fermivar"):
+            found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "fermivar"]
+    return found
+
+
+def test_optim_imports_nothing_from_the_package():
+    # the descent loop sees frames only through copy(), .values and the
+    # problem's methods, so it runs on any element type, not only fields
+    path = SRC_DIR / "optim.py"
+    assert _package_imports(ast.parse(path.read_text(), str(path))) == []
+    tree = ast.parse("from .grid import inner\nimport fermivar.frames\nimport math\n")
+    assert _package_imports(tree) == [".grid", "fermivar.frames"]
 
 
 def test_package_import_leaves_scipy_ndimage_unloaded():

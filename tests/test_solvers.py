@@ -422,7 +422,7 @@ def test_ground_state_free_case_matches_harmonic_levels():
     assert abs(res.degeneracy_gap) < 0.3
     assert res.diag.sum_rule_residual < 1e-9
     assert res.max_pair_defect <= 1e-8
-    assert res.diag.orthonormality_defect <= 1e-10
+    assert res.pair.defect() <= 1e-10
     # a = 0 harmonic trap: virial fixes T = W = E/2
     assert res.diag.kinetic == pytest.approx(res.diag.potential, rel=0.02)
 
