@@ -489,9 +489,6 @@ class DecayRates:
     window_w1: tuple[float, float]
     window_w2: tuple[float, float]
 
-    def __iter__(self):
-        return iter((self.rate_rho, self.rate_w1, self.rate_w2))
-
 
 def fit_decay_rate(extract: ProfileExtract) -> DecayRates:
     """Exponential decay rates of the rescaled orbitals and density.

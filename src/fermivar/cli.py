@@ -147,6 +147,8 @@ RUN_CONFIG_SCHEMA = {
 
 
 def load_config(path: str) -> dict:
+    """The run config at ``path``, checked against the schema and built into
+    a trap, so that every command refuses the same bad config."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -177,6 +179,7 @@ def load_config(path: str) -> dict:
                 f"well center {w['center']} outside the box [-{L}, {L}]^3",
                 details={"schema_pointer": f"/trap/wells/{i}/center"},
             )
+    build_trap(raw)
     return raw
 
 
@@ -200,11 +203,11 @@ def build_grid(raw: dict) -> BoxGrid:
 
 def build_trap(raw: dict) -> TrapPotential:
     t = raw["trap"]
-    wells = tuple(
-        Well(center=tuple(float(c) for c in w["center"]), power=float(w["power"]))
-        for w in t["wells"]
-    )
     try:
+        wells = tuple(
+            Well(center=tuple(float(c) for c in w["center"]), power=float(w["power"]))
+            for w in t["wells"]
+        )
         return TrapPotential(wells=wells, prefactor=float(t.get("prefactor", 1.0)))
     except TrapError as exc:
         raise ConfigError(f"invalid trap: {exc}") from exc

@@ -8,13 +8,14 @@ the two problems it is handed:
   preconditioned by the separable surrogate of the mean-field operator
   averaged over the pair density's 1-D marginals; only a descent that
   ends short of its tolerance is polished with a self-consistent-field
-  loop on the frozen mean-field operator.  A cold solve starts from the
-  two lowest a = 0 levels.  When the second level is degenerate (the p
-  level of a symmetric trap) the eigensolver's basis of it is arbitrary,
-  so the start takes the p orbital along the cube symmetry axis whose
-  pair has the lowest energy at a (the body diagonals on the traps
-  measured); the descent no longer turns it through the lattice's weak
-  cubic anisotropy;
+  loop on the frozen mean-field operator, and a pair that fails the
+  aufbau check descends once more from the two lowest levels of its own
+  operator.  A cold solve starts from the two lowest a = 0 levels.  When
+  the second level is degenerate (the p level of a symmetric trap) the
+  eigensolver's basis of it is arbitrary, so the start takes the p
+  orbital along the cube symmetry axis whose pair has the lowest energy
+  at a (the body diagonals on the traps measured); the descent no longer
+  turns it through the lattice's weak cubic anisotropy;
 * the concentration quotient T/P over k-frames (k = 2 pairs, k = 1 unit
   fields), on slices pinned at fixed orbital widths and started from
   Gaussians, so no random numbers enter.  The discrete quotient degrades at
@@ -203,7 +204,8 @@ class SolveResult:
     iters: int
     residuals: tuple[float, float]
     history: list[tuple[int, float, float]]  # (iteration, energy, grad norm)
-    # why the descent stopped (see optim.riemannian_lbfgs), "+scf" if polished
+    # why the descent stopped (see optim.riemannian_lbfgs), "+scf" if
+    # polished, "aufbau+" before the reason of a second descent
     stop_reason: str
     threshold_breach: bool = False
     degeneracy_gap: float | None = None
@@ -611,43 +613,6 @@ def _level_cluster(vals, i: int) -> list[int]:
     return [j for j in range(len(vals)) if abs(vals[j] - vals[i]) <= tol]
 
 
-def _occupied_from_eigs(eig: EigResult, ref: OrbitalPair) -> OrbitalPair:
-    """Two occupied orbitals from an eigen block, steadied against ref.
-
-    Within an exactly degenerate cluster the eigenbasis is arbitrary (the
-    p-shell of a symmetric trap rotates freely), so the self-consistency
-    defect is only meaningful modulo that freedom.  Cluster members are
-    recombined to maximize overlap with the previous iterate before any
-    densities get compared.
-    """
-    vals, fields = eig.values, eig.fields
-
-    def project(ref_u, members, orth_to=None):
-        cluster = [fields[j] for j in members]
-        v, = combine(cluster, np.array([[inner(f, ref_u)] for f in cluster]))
-        if orth_to is not None:
-            v = ScalarField(v.grid, v.values - inner(orth_to, v) * orth_to.values)
-        nv = norm(v)
-        if nv < 1e-8:  # reference orthogonal to the cluster; keep solver pick
-            return None
-        return ScalarField(v.grid, v.values / nv)
-
-    c1 = _level_cluster(vals, 0)
-    u1 = project(ref.u1, c1) if len(c1) > 1 else fields[0]
-    if u1 is None:
-        u1 = fields[0]
-    if 1 in c1:
-        u2 = project(ref.u2, c1, orth_to=u1)
-        if u2 is None:
-            u2 = fields[1]
-    else:
-        c2 = _level_cluster(vals, 1)
-        u2 = project(ref.u2, c2) if len(c2) > 1 else fields[1]
-        if u2 is None:
-            u2 = fields[1]
-    return loewdin(u1, u2)
-
-
 def scf_refine(
     pair: OrbitalPair,
     a: float,
@@ -657,8 +622,9 @@ def scf_refine(
 ) -> tuple[OrbitalPair, int, float, list]:
     """Self-consistent-field polish with adaptive linear density mixing.
 
-    Freezes rho, solves the lowest eigen block of H[rho], rebuilds the
-    density and mixes.  Mixing starts at ``_SCF_MIXING`` and grows toward 1
+    Freezes rho, solves the lowest eigen block of H[rho], occupies its two
+    lowest Ritz fields (Loewdin-orthonormalized), rebuilds the density and
+    mixes.  Mixing starts at ``_SCF_MIXING`` and grows toward 1
     while the defect shrinks steadily.  The loop stops at ``_SCF_TOL``,
     after ``_SCF_MAX_OUTER`` outers, or on a stall (no defect progress over
     six outers).  Each outer appends (it0 + outer, energy, defect) to
@@ -679,7 +645,7 @@ def scf_refine(
         etol = 0.05 * defect if math.isfinite(defect) else 1e-5
         etol = min(max(etol, 0.1 * _SCF_TOL), 100 * _EIG_TOL)
         eig = lowest_eigenpairs(rho_mix, V, a, 4, etol, warm=warm)
-        cand = _occupied_from_eigs(eig, pair)
+        cand = loewdin(eig.fields[0], eig.fields[1])
         rho_new = density(cand)
         defect = integrate(
             ScalarField(rho_new.grid, np.abs(rho_new.values - rho_mix.values))
@@ -765,12 +731,19 @@ def minimize_ground_state(
 ) -> SolveResult:
     """Trapped two-orbital ground state at coupling a.
 
-    Riemannian L-BFGS descent (:class:`_GroundStateDescent`), then an SCF
+    Riemannian L-BFGS descent (:class:`_GroundStateDescent`), an SCF
     polish only if the descent stopped short of grad_tol (``max_iters``,
     or ``line_search`` when neither the Armijo nor the derivative test
-    takes a step) or on a stationary point that fails the aufbau check,
-    final rotation to the multiplier eigenbasis with certified
-    eigenresiduals.  A cold solve starts from :func:`_oriented_start` of
+    takes a step), then the final rotation to the multiplier eigenbasis
+    with certified eigenresiduals and the aufbau check below.  A pair that
+    fails the check is replaced by the check's two lowest Ritz fields,
+    Loewdin-orthonormalized, and the descent runs once more from there;
+    each of the at most two passes gets ``cfg.max_iters`` iterations, and
+    ``history``, ``iters`` and ``scf_outer`` count both.  ``stop_reason``
+    reads left to right: the descent's reason, then ``+scf`` if it was
+    polished; a second pass reports its own behind ``aufbau+`` (for
+    instance ``aufbau+tolerance``), and ``scf_defect`` is that of the last
+    pass's polish.  A cold solve starts from :func:`_oriented_start` of
     the a = 0 eigen block (exact product modes on a separable trap, see
     :func:`lowest_eigenpairs`).  A ``warm_start`` with non-zero boundary
     values (a quotient slice's frame, say) has its boundary planes set to
@@ -805,35 +778,35 @@ def minimize_ground_state(
         del eig  # only the guards warm the level check
 
     history: list[tuple[int, float, float]] = []
-    E0 = energy(pair, a, V).energy
-    breach_floor = -1e-6 * max(1.0, abs(E0))
-
-    descent = _GroundStateDescent(a, V, breach_floor)
-    pair, _, reason, _ = riemannian_lbfgs(
-        descent, pair, E0, memory=_LBFGS_MEMORY, max_iters=cfg.max_iters,
-        grad_tol=cfg.grad_tol, log=history)
-    max_defect = max(descent.max_defect, pair.defect())
-
-    scf_outer = 0
-    scf_defect = None
-    if descent.post_breach:  # whatever stop followed the dive
-        diag = diagnose(pair, a, V, trap)
-        return SolveResult(
-            pair=pair, diag=diag, converged=False, iters=len(history),
-            residuals=(math.inf, math.inf), history=history,
-            stop_reason="breach", threshold_breach=True,
-            max_pair_defect=max_defect, width=pair_width(pair),
-            cold_eig_iters=cold_iters,
-        )
-
-    polish = reason != "tolerance"
-    level_iters = 0
-    while True:
-        if polish:
-            pair, scf_outer, scf_defect, history = scf_refine(
+    E = energy(pair, a, V).energy
+    breach_floor = -1e-6 * max(1.0, abs(E))
+    max_defect, scf_outer, level_iters, reason = 0.0, 0, 0, ""
+    for reentry in (False, True):
+        descent, log = _GroundStateDescent(a, V, breach_floor), []
+        pair, _, stop, _ = riemannian_lbfgs(
+            descent, pair, E, memory=_LBFGS_MEMORY, max_iters=cfg.max_iters,
+            grad_tol=cfg.grad_tol, log=log)
+        it0 = len(history)
+        history += [(it0 + it, v, g) for it, v, g in log]
+        max_defect = max(max_defect, descent.max_defect, pair.defect())
+        if descent.post_breach:  # whatever stop followed the dive
+            diag = diagnose(pair, a, V, trap)
+            return SolveResult(
+                pair=pair, diag=diag, converged=False, iters=len(history),
+                residuals=(math.inf, math.inf), history=history,
+                stop_reason="breach", threshold_breach=True,
+                max_pair_defect=max_defect, width=pair_width(pair),
+                cold_eig_iters=cold_iters,
+            )
+        reason += stop
+        scf_defect = None
+        if stop != "tolerance":
+            pair, outer, scf_defect, history = scf_refine(
                 pair, a, V, history=history, it0=len(history)
             )
+            scf_outer += outer
             max_defect = max(max_defect, pair.defect())
+            reason += "+scf"
         frame, mus, residuals = _rotate_to_multiplier_basis(pair, V, a)
         rotated = OrbitalPair(*frame)
         # certify the two occupied levels; the first guard gives the gap
@@ -845,12 +818,14 @@ def minimize_ground_state(
         # Aufbau: a minimizer occupies the two lowest levels of its own
         # mean-field operator (swapping in a lower level lowers E to second
         # order), so a lower second level marks a stationary point that is
-        # not a minimum; the SCF, which occupies the lowest levels, takes
-        # over from there.
+        # not a minimum; the descent starts once more from the two lowest
+        # levels.
         aufbau = gap_eig.values[1] >= mus[1] - 1e-6 * (1.0 + abs(mus[1]))
-        if aufbau or polish:
+        if aufbau or reentry:
             break
-        polish = True
+        pair = loewdin(gap_eig.fields[0], gap_eig.fields[1])
+        E = energy(pair, a, V).energy
+        reason = "aufbau+"
     max_defect = max(max_defect, rotated.defect())
     diag = diagnose(rotated, a, V, trap, mus)
     levels = (*gap_eig.values, gap_eig.guard_values[0])
@@ -866,7 +841,7 @@ def minimize_ground_state(
     return SolveResult(
         pair=rotated, diag=diag, converged=converged, iters=len(history),
         residuals=residuals, history=history,
-        stop_reason=reason + "+scf" if polish else reason, degeneracy_gap=gap,
+        stop_reason=reason, degeneracy_gap=gap,
         scf_outer=scf_outer, scf_defect=scf_defect,
         max_pair_defect=max_defect, width=pair_width(rotated),
         eig_values=tuple(float(v) for v in levels),
@@ -1274,12 +1249,6 @@ class SweepOutcome:
     pairs: list  # OrbitalPair per record (same order)
     widths: list
     aborted_at: int | None = None
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __len__(self):
-        return len(self.records)
 
 
 def continuation_sweep(

@@ -201,6 +201,32 @@ def test_solver_schema_covers_all_config_fields():
     assert set(props) == {f.name for f in dataclasses.fields(SolverConfig)} | {"seed"}
 
 
+_COMMAND_ARGS = {"astar": [], "solve": ["--a", "5.0"], "sweep": []}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+@pytest.mark.parametrize("wells", [
+    [{"center": [0.0, 0.0, 0.0], "power": 2.0}, {"center": [0.0, 0.0, 0.0], "power": 4.0}],
+    [{"center": [0.0, 0.0, 0.0], "power": float("inf")}],
+], ids=["shared_center", "infinite_power"])
+def test_invalid_trap_is_a_config_error(tmp_path, capsys, command, wells):
+    # the schema passes both traps; the trap itself refuses them before any
+    # command starts, astar included, which never builds the trap
+    cp = write_config(tmp_path, patch={"trap.wells": wells, "sweep.a_fractions": [0.5]})
+    rc, _, err = run([command, "--config", cp, *_COMMAND_ARGS[command]], capsys)
+    assert rc == fcli.EXIT_CONFIG
+    assert stderr_error(err)["message"].startswith("invalid trap: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+def test_invalid_solver_section_is_a_config_error(tmp_path, capsys, command):
+    cp = write_config(tmp_path, patch={"solver.grad_tol": 0, "sweep.a_fractions": [0.5]})
+    rc, _, err = run([command, "--config", cp, *_COMMAND_ARGS[command]], capsys)
+    assert rc == fcli.EXIT_CONFIG
+    assert stderr_error(err)["message"].startswith("invalid solver section: ")
+
+
 # ---------------------------------------------------------------------------
 # solve / sweep preconditions
 # ---------------------------------------------------------------------------
@@ -246,6 +272,37 @@ def test_solve_reports_its_eigensolve_iterations(tmp_path, capsys):
     # not hold in a box this small, whose walls squeeze the pair (0.23 here)
     assert 0.0 <= doc["sum_rule_residual"] < 1e-6
     assert 0.0 < doc["virial_residual"] < 1.0
+
+
+def _breach_config(tmp_path, **patch):
+    # a stored a2_hat of 20 admits a = 14, far past the n = 16 lattice's
+    # threshold: the energy dives through zero
+    cp = write_config(tmp_path, patch=patch)
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "astar.json").write_text(
+        json.dumps({"a2_hat": 20.0, "grid": BASE_CONFIG["grid"]}))
+    return cp, tmp_path / "out"
+
+
+def test_solve_exits_on_a_threshold_breach(tmp_path, capsys):
+    cp, outdir = _breach_config(tmp_path)
+    rc, out, _ = run(["solve", "--config", cp, "--a", "14"], capsys)
+    assert rc == fcli.EXIT_BREACH
+    assert "threshold breach at a=14.0" in out
+    doc = load_json(outdir / "solve.json")
+    assert doc["threshold_breach"] is True and doc["converged"] is False
+    assert doc["stop_reason"] == "breach"
+    assert sorted(p.name for p in outdir.iterdir()) == ["astar.json", "solve.json"]
+
+
+def test_sweep_aborted_at_its_first_point_is_partial(tmp_path, capsys):
+    cp, outdir = _breach_config(tmp_path, **{"sweep.a_fractions": [0.7]})
+    rc, _, err = run(["sweep", "--config", cp], capsys)
+    assert rc == fcli.EXIT_PARTIAL
+    e = stderr_error(err)
+    assert e["kind"] == "partial"
+    assert e["message"] == "sweep produced no records (aborted at index 0)"
+    assert sorted(p.name for p in outdir.iterdir()) == ["astar.json"]
 
 
 def test_sweep_requires_sweep_section(tmp_path, capsys):

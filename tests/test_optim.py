@@ -3,7 +3,7 @@ vector with only ``values`` and ``copy()``, no grid."""
 
 import numpy as np
 
-from fermivar.optim import riemannian_lbfgs
+from fermivar.optim import _HALVINGS, riemannian_lbfgs
 
 
 class Vec:
@@ -69,3 +69,52 @@ def test_lbfgs_stops_on_max_iters():
     _, (_, _, reason, it), log = _run(2)
     assert reason == "max_iters"
     assert it == len(log) == 2
+
+
+class OffsetQuadratic(DiagonalQuadratic):
+    """1 + q(x) at each iterate, but every trial value 1e-13 higher, with the
+    identity as preconditioner: near the minimizer no trial can meet the
+    Armijo test, while the value stays within the Wolfe test's slack."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.moves = []  # trial count of each line search
+
+    def examine(self, it, x, value):
+        self.moves.append(0)
+        return x, 1.0 + self.value(x), self.gradient(x), None, False
+
+    def precondition(self, v):
+        return tuple(f.copy() for f in v)
+
+    def move(self, x, d, step):
+        self.moves[-1] += 1
+        cand, value = super().move(x, d, step)
+        return cand, 1.0 + value + 1e-13
+
+
+def test_wolfe_retry_accepts_a_step_that_armijo_cannot():
+    problem = OffsetQuadratic(20)
+    x = (Vec(np.zeros(20)),)
+    _, _, reason, it = riemannian_lbfgs(problem, x, 1.0 + problem.value(x), memory=8,
+                                        max_iters=200, grad_tol=1e-8)
+    assert reason == "tolerance"
+    assert it == 33
+    # a search that ran all Armijo trials and still took a step went on to
+    # the Wolfe test; six searches did
+    assert sum(m > _HALVINGS for m in problem.moves) == 6
+
+
+class WrongSignGradient(DiagonalQuadratic):
+    def gradient(self, x):
+        g, = super().gradient(x)
+        return (Vec(-g.values),)
+
+
+def test_an_ascent_direction_stops_on_line_search():
+    problem = WrongSignGradient(20)
+    x = (Vec(np.zeros(20)),)
+    _, _, reason, it = riemannian_lbfgs(problem, x, problem.value(x), memory=8,
+                                        max_iters=50, grad_tol=1e-8)
+    assert reason == "line_search"
+    assert it == 1

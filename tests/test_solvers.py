@@ -450,10 +450,9 @@ def test_ground_state_trajectory_is_pinned():
 
 @pytest.mark.parametrize("trap, half_width", [(HARMONIC, 2.2), (QUARTIC, 2.5)])
 def test_descent_reaches_a_tight_tolerance(trap, half_width):
-    # at grad_tol 1e-8 the energy no longer resolves the descent's steps
-    # (Armijo fails all its halvings near a gradient of 2e-8); the
-    # derivative test of the line search carries the descent to tolerance
-    # without the SCF polish
+    # a tolerance two decades below the default: the descent reaches it on
+    # plain Armijo steps (no search needs more than two trials), without
+    # the SCF polish
     g = BoxGrid(24, half_width)
     res = minimize_ground_state(5.0, trap, g, SolverConfig(grad_tol=1e-8))
     assert res.stop_reason == "tolerance"
@@ -560,6 +559,32 @@ def test_unconverged_level_check_is_not_certified(monkeypatch):
     res = minimize_ground_state(5.0, HARMONIC, g, SolverConfig())
     assert res.stop_reason == "tolerance"
     assert not res.converged
+
+
+def _one_s_two_s(g):
+    """The (1s, 2s) pair: masked e^{-r^2/2} and (r^2 - 3/2) e^{-r^2/2}."""
+    x = g.axis()
+    r2 = x[:, None, None] ** 2 + x[None, :, None] ** 2 + x[None, None, :] ** 2
+    gauss = np.exp(-r2 / 2)
+    return loewdin(ScalarField(g, mask_boundary(gauss)),
+                   ScalarField(g, mask_boundary((r2 - 1.5) * gauss)))
+
+
+@pytest.mark.parametrize("trap, half_width", [(HARMONIC, 2.2), (QUARTIC, 2.5)],
+                         ids=["harmonic", "quartic"])
+def test_aufbau_failure_reenters_the_descent(trap, half_width):
+    # the descent from the (1s, 2s) pair stops on tolerance at a stationary
+    # point whose operator has a p level below mu2; the solve starts the
+    # descent again from the level check's two lowest fields and reaches
+    # the cold minimum (the SCF polish that used to take over from there
+    # ended unconverged, 5e-4 above it)
+    g = BoxGrid(24, half_width)
+    cold = minimize_ground_state(5.0, trap, g, SolverConfig())
+    res = minimize_ground_state(5.0, trap, g, SolverConfig(), warm_start=_one_s_two_s(g))
+    assert res.converged
+    assert res.stop_reason == "aufbau+tolerance"
+    assert res.scf_outer == 0
+    assert res.diag.energy == pytest.approx(cold.diag.energy, rel=1e-12)
 
 
 @pytest.mark.parametrize("trap, half_width", [(HARMONIC, 2.2), (QUARTIC, 2.5)])
@@ -1028,7 +1053,7 @@ def test_sweep_produces_ordered_records():
     with pytest.warns(PeakTieWarning):
         out = continuation_sweep(HARMONIC, g, [5.0, 6.0], cfg, a_hat=9.5)
     assert out.aborted_at is None
-    assert len(out) == 2
+    assert len(out.records) == 2
     r0, r1 = out.records
     assert r0.a < r1.a
     assert r0.eps > r1.eps  # eps shrinks approaching the threshold
