@@ -22,9 +22,11 @@ the two problems it is handed:
   the grid scale (a lattice spike scores T/P = 6 regardless of h), so
   collapse past the node-mass guard is an under-resolution error.
 
-Eigenpairs come from LOBPCG preconditioned with the inverse of a separable
-surrogate of the mean-field operator (:class:`TensorPreconditioner`) on the
-axis lines through its deepest node.  Each eigensolve starts from warm
+Eigenpairs come from a numpy block LOBPCG (:func:`_lobpcg`, Knyazev's
+iteration as ``scipy.sparse.linalg.lobpcg`` runs it, so the package needs
+no scipy) preconditioned with the inverse of a separable surrogate of the
+mean-field operator (:class:`TensorPreconditioner`) on the axis lines
+through its deepest node.  Each eigensolve starts from warm
 fields where the solve has them and fills the rest of its block by a
 Rayleigh-Ritz step on the surrogate's lowest product modes, which are
 exact eigenvectors on a separable trap; no random numbers enter.  On a
@@ -42,12 +44,9 @@ pair trial by a 2-D quadrature streamed over blocks of nodes
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import lobpcg
 
 from .grid import (
     BoxGrid,
@@ -112,7 +111,9 @@ _LBFGS_MEMORY = 8
 # Shift of the tensor preconditioner's separable surrogate operator.
 _PRECOND_SHIFT = 1.0
 
-# LOBPCG runs in rounds of 15 iterations, at most this many.
+# LOBPCG runs in rounds of 16 iterations (``maxiter`` 15 and the iteration
+# from the start), each from the Rayleigh-Ritz step on the last round's best
+# iterate and with no search directions carried over; at most this many.
 _EIG_ROUNDS = 6
 
 # Product modes of the tensor preconditioner in the Rayleigh-Ritz start of
@@ -135,6 +136,10 @@ _COLLAPSE_WIDTH_NODES = 6.0
 # spacings, smooth profiles sit near 1e-3 for n >= 90 while node-scale
 # cores stay above 5e-3 at any n; coarser grids would need a larger value.
 _SPIKE_GUARD = 2.5e-3
+
+# Residual norm below which every LOBPCG column must fall before its Gram
+# matrices are computed rather than taken as exact.
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
 # LOBPCG residual tolerance of the cold start and of the converged-solve
 # certificate.
@@ -270,9 +275,11 @@ class TensorPreconditioner:
         self.depth = float(np.einsum("i,i->", self.lines[0], w1))
         self.Q = []
         self.lams = []
-        off = np.full(m - 1, -1.0 / (h * h))
+        # LAPACK's dense symmetric solver on the m x m tridiagonal gives the
+        # same bits as its tridiagonal one at every m measured (10 to 158)
+        off = np.diag(np.full(m - 1, -1.0 / (h * h)), 1)
         for v in self.lines:
-            lam, Q = eigh_tridiagonal(2.0 / (h * h) + v, off)
+            lam, Q = np.linalg.eigh(np.diag(2.0 / (h * h) + v) + off + off.T)
             self.Q.append(np.ascontiguousarray(Q))
             self.lams.append(lam)
         lams = self.lams
@@ -292,23 +299,28 @@ class TensorPreconditioner:
 
         Each mode product contracts the leading spatial axis and appends
         the new one, (i, j, k) -> (j, k, a): one (m^2, m) @ (m, m) matmul
-        per field on a transposed view, so three products bring the axes
-        back to their order with no copy.  The block's fields are moved to
-        the front first; every field then goes through the same products
-        as alone, so a block equals its fields applied one at a time.  The
-        result does not depend on the BLAS thread count (identical under 1
-        and 2 OpenBLAS threads for n = 10..160; a test pins n = 96), which
-        products with m rows and m^2 columns do not guarantee.
+        on a transposed view, so three products bring the axes back to
+        their order with no copy.  A block goes one field at a time, so it
+        equals its fields applied one at a time and each field's working set
+        stays in cache (n = 32, 5 fields, one BLAS thread: 2.2 ms, against
+        2.6 ms for one batched product); the last product of each field is
+        written into its row of a field-major result.  The result does not
+        depend on the BLAS thread count (identical under 1 and 2 OpenBLAS
+        threads for n = 10..160; a test pins n = 96), which products with m
+        rows and m^2 columns do not guarantee.
         """
         m = self.den.shape[0]
-        t = core.reshape(m ** 3, -1).T
-        b = t.shape[0]
-        for Q in self.Q:
-            t = np.matmul(t.reshape(b, m, -1).transpose(0, 2, 1), Q)
-        t = t.reshape(b, -1) / self.den.reshape(-1)
-        for Q in self.Q:
-            t = np.matmul(t.reshape(b, m, -1).transpose(0, 2, 1), Q.T)
-        return t.reshape(b, -1).T.reshape(core.shape)
+        fields = core.reshape(m ** 3, -1)
+        out = np.empty(fields.shape[::-1])
+        for j, row in enumerate(out):
+            t = np.ascontiguousarray(fields[:, j])
+            for Q in self.Q:
+                t = np.matmul(t.reshape(m, -1).T, Q)
+            t = t.reshape(-1) / self.den.reshape(-1)
+            for Q in self.Q[:2]:
+                t = np.matmul(t.reshape(m, -1).T, Q.T)
+            np.matmul(t.reshape(m, -1).T, self.Q[2].T, out=row.reshape(m * m, m))
+        return out.T.reshape(core.shape)
 
 
 def _core(values: np.ndarray) -> np.ndarray:
@@ -379,6 +391,127 @@ def _start_block(prec: TensorPreconditioner, diag: np.ndarray,
     return X
 
 
+def _inv_cholesky(V: np.ndarray):
+    """Inverse of the lower Cholesky factor L of V V^T, so that L^{-1} V has
+    orthonormal rows; None if V V^T is not numerically positive definite."""
+    try:
+        # the copy keeps the product off BLAS syrk, which numpy calls for
+        # V @ V.T and which took 3.5 times as long on (5, 27000) blocks
+        return np.linalg.inv(np.linalg.cholesky(V @ V.copy().T))
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _symmetric(upper) -> np.ndarray:
+    """The symmetric matrix whose block row i starts with the blocks
+    ``upper[i]`` from the diagonal on; diagonal blocks are symmetrized."""
+    rows = []
+    for i, row in enumerate(upper):
+        rows.append([upper[j][i - j].T for j in range(i)]
+                    + [0.5 * (row[0] + row[0].T), *row[1:]])
+    return np.block(rows)
+
+
+def _ritz(gram_a: np.ndarray, gram_b: np.ndarray, count: int):
+    """The ``count`` lowest eigenpairs of the pencil (gram_a, gram_b), by the
+    Cholesky factor L of gram_b, with the eigenvectors as rows; None if
+    gram_b is not numerically positive definite."""
+    try:
+        Li = np.linalg.inv(np.linalg.cholesky(gram_b))
+    except np.linalg.LinAlgError:
+        return None
+    vals, Y = np.linalg.eigh(Li @ gram_a @ Li.T)
+    return vals[:count], Y[:, :count].T @ Li
+
+
+def _lobpcg(matmat, pmat, X: np.ndarray, tol: float, maxiter: int):
+    """Lowest eigenpairs of a symmetric operator by block LOBPCG.
+
+    Knyazev's locally optimal block preconditioned conjugate gradient
+    (SIAM J. Sci. Comput. 23, 2001), step for step the iteration of
+    ``scipy.sparse.linalg.lobpcg`` with B = I, less its restart on a
+    residual that grows 2^20-fold.  Blocks hold one vector per row, so
+    every vector is contiguous: ``X`` is the (b, N) start, with orthonormal
+    rows, and ``matmat`` and ``pmat`` apply the operator and the
+    preconditioner to (c, N) blocks.  Each iteration
+
+    * forms the residuals R = A X - diag(lam) X and locks every vector whose
+      residual norm has fallen to ``tol``: it stays in X and in the
+      Rayleigh-Ritz step but gets no new directions (soft locking);
+    * preconditions the active residuals, W = pmat(R), orthogonalizes W
+      against X and orthonormalizes it, and the active rows of P (the W and
+      P part of the last update) likewise, by the inverse Cholesky factor of
+      their Gram matrix (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006);
+    * moves X to the b lowest Ritz pairs of [X W P].  Its Gram matrices are
+      assembled from (<= b, N) block products; X X^T = W W^T = P P^T = I and
+      X W^T = 0 are taken as exact until every residual is below sqrt(eps),
+      and computed from then on.  A P that cannot be orthonormalized, or a
+      Gram matrix of [X W P] that is not numerically positive definite,
+      drops P from the step.
+
+    Returns the iterate with the smallest mean residual norm and the number
+    of preconditioned iterations run, at most ``maxiter + 1``.  Unlike
+    scipy, the start is returned only when no step is taken: a solve that
+    restarts from it repeats the same iterations, and on the four-well trap
+    of the tests (n = 12, k = 4), whose residuals fall only after the round
+    ends, it did so in every round and never left its start.
+    """
+    X = _inv_cholesky(X) @ X
+    AX = matmat(X)
+    lam, V = np.linalg.eigh(X @ AX.T)
+    X, AX = V.T @ X, V.T @ AX
+    b = lam.size
+    active = np.ones(b, dtype=bool)
+    P = AP = None
+    best, best_X, explicit = math.inf, X, False
+    it = 0
+    while True:
+        R = AX - lam[:, None] * X
+        res = np.sqrt(np.einsum("ij,ij->i", R, R))
+        if it and res.mean() < best:
+            best, best_X = res.mean(), X
+        active &= res > tol
+        if it > maxiter or not active.any():
+            return best_X, it
+        W = pmat(R[active])
+        W -= (W @ X.T) @ X
+        F = _inv_cholesky(W)
+        if F is None:
+            return best_X, it + 1
+        W = F @ W
+        AW = matmat(W)
+        c = W.shape[0]
+        if P is not None:
+            P, AP = P[active], AP[active]
+            F = _inv_cholesky(P)
+            if F is not None:
+                P, AP = F @ P, F @ AP
+        explicit = explicit or res.max() <= _SQRT_EPS
+        if explicit:
+            XAX, XX, XW, WW = X @ AX.T, X @ X.T, X @ W.T, W @ W.T
+        else:
+            XAX, XX, XW, WW = np.diag(lam), np.eye(b), np.zeros((b, c)), np.eye(c)
+        XAW, WAW = X @ AW.T, W @ AW.T
+        step = None
+        if P is not None and F is not None:
+            PP = P @ P.T if explicit else np.eye(c)
+            step = _ritz(
+                _symmetric([[XAX, XAW, X @ AP.T], [WAW, W @ AP.T], [P @ AP.T]]),
+                _symmetric([[XX, XW, X @ P.T], [WW, W @ P.T], [PP]]), b)
+        if step is not None:
+            lam, V = step
+            VP = V[:, b + c:]
+            P, AP = V[:, b:b + c] @ W + VP @ P, V[:, b:b + c] @ AW + VP @ AP
+        else:
+            step = _ritz(_symmetric([[XAX, XAW], [WAW]]), _symmetric([[XX, XW], [WW]]), b)
+            if step is None:
+                return best_X, it + 1
+            lam, V = step
+            P, AP = V[:, b:] @ W, V[:, b:] @ AW
+        X, AX = V[:, :b] @ X + P, V[:, :b] @ AX + AP
+        it += 1
+
+
 def lowest_eigenpairs(
     rho: ScalarField,
     V: ScalarField,
@@ -389,10 +522,12 @@ def lowest_eigenpairs(
 ) -> EigResult:
     """Certified k lowest eigenpairs of H = -lap + V - (5a/3) rho^{2/3}.
 
-    LOBPCG with the tensor preconditioner on a block of k + 3, then a
-    Rayleigh-Ritz cleanup of the returned block; residuals ||H v - lam v||
-    are recomputed in L2 and the result is flagged unconverged if any of the
-    k lowest exceeds tol.  The three guard columns come back uncertified.
+    LOBPCG (:func:`_lobpcg`) with the tensor preconditioner on a block of
+    k + 3, in rounds of 16 iterations; each round ends in a Rayleigh-Ritz
+    step on its best iterate, whose residuals ||H v - lam v|| are recomputed
+    in L2, and the solve stops once the k lowest are within tol.  The
+    result is flagged unconverged if any of them still exceeds tol after
+    ``_EIG_ROUNDS`` rounds.  The three guard columns come back uncertified.
 
     The start block (:func:`_start_block`) holds the ``warm`` fields first.
     Its other columns are the lowest Ritz vectors of H on the
@@ -412,50 +547,35 @@ def lowest_eigenpairs(
     diag = _core(effective_potential(rho, V, a))
     prec = TensorPreconditioner(grid, diag, _PRECOND_SHIFT)
 
+    # blocks hold one field per row; the kernels see them as (m, m, m, c)
+    # views with the fields last, and return the same memory layout
     def matmat(X: np.ndarray) -> np.ndarray:
-        x = X.reshape(m, m, m, -1)
-        return (neg_laplacian_core(x, h) + diag[..., None] * x).reshape(X.shape)
-
-    passes = 0
+        x = X.reshape(-1, m, m, m)
+        y = neg_laplacian_core(x.transpose(1, 2, 3, 0), h).transpose(3, 0, 1, 2)
+        y += diag * x
+        return y.reshape(X.shape)
 
     def pmat(X: np.ndarray) -> np.ndarray:
-        # LOBPCG preconditions its active residuals once per iteration; the
-        # count is reset at the start of each round
-        nonlocal passes
-        passes += 1
-        return prec.apply_core(X.reshape(m, m, m, -1)).reshape(X.shape)
+        x = X.reshape(-1, m, m, m).transpose(1, 2, 3, 0)
+        return prec.apply_core(x).transpose(3, 0, 1, 2).reshape(X.shape)
 
     block = min(m ** 3, k + 3)
-    X, _ = np.linalg.qr(_start_block(prec, diag, warm, block))
+    X = np.ascontiguousarray(np.linalg.qr(_start_block(prec, diag, warm, block))[0].T)
 
     total_iter = 0
     for _round in range(_EIG_ROUNDS):
-        passes = 0
-        with np.errstate(all="ignore"), warnings.catch_warnings():
-            # residuals are recomputed and certified below; the solver's own
-            # not-converged-yet warnings are noise between rounds
-            warnings.simplefilter("ignore")
-            _vals, X = lobpcg(
-                matmat, X, M=pmat, tol=tol * 0.2, maxiter=15, largest=False,
-                verbosityLevel=0,
-            )
+        X, passes = _lobpcg(matmat, pmat, X, tol * 0.2, 15)
         # a start already within tol makes no pass but still counts one
         total_iter += max(1, passes)
-        # Rayleigh-Ritz cleanup: orthonormalize, project, rediagonalize
-        Q, _ = np.linalg.qr(X)
-        AQ = matmat(Q)
-        S = Q.T @ AQ
-        S = 0.5 * (S + S.T)
-        evals, U = np.linalg.eigh(S)
-        X = Q @ U
-        AX = AQ @ U
-        R = AX - X * evals[None, :]
-        res = np.linalg.norm(R, axis=0)
+        AX = matmat(X)
+        evals, U = _ritz(X @ AX.T, X @ X.T, block)
+        X, AX = U @ X, U @ AX
+        R = AX - evals[:, None] * X
+        res = np.sqrt(np.einsum("ij,ij->i", R, R))
         if res[:k].max() <= tol:
             break
 
-    fields = [ScalarField(grid, _pad(X[:, j].reshape(m, m, m) / math.sqrt(h ** 3)))
-              for j in range(block)]
+    fields = [ScalarField(grid, _pad(x.reshape(m, m, m) / math.sqrt(h ** 3))) for x in X]
     # L2 residuals equal algebraic ones under the uniform interior weight
     return EigResult(
         values=np.asarray(evals[:k], dtype=float),

@@ -351,6 +351,17 @@ def test_quartic_cold_block_is_certified_in_one_round():
     assert eig.iterations <= 16
 
 
+def test_double_well_cold_block_is_certified_in_two_rounds():
+    # the cold start of the continuation sweep's first point: the n = 32
+    # double-well block takes two rounds, and a third would add half again
+    # to the cost of every cold double-well solve
+    g = BoxGrid(32, 2.5)
+    eig = lowest_eigenpairs(g.zeros(), potential_field(DOUBLE_WELL, g), 0.0, 2,
+                            solvers._EIG_TOL)
+    assert eig.converged
+    assert eig.iterations <= 32
+
+
 def test_eigensolve_ignores_the_global_random_state():
     # no random numbers enter the start: reseeding and drawing from numpy's
     # global generator between two calls changes no bit of the block
