@@ -11,7 +11,9 @@ writes ``astar.json`` plus field snapshots, and prints the JSON.  ``solve``
 minimizes the trapped energy at one coupling.  ``sweep`` drives the
 continuation toward the stored threshold and emits the records CSV, a
 verdict report, and plot-ready tables.  No command draws random numbers:
-the same config writes byte-identical artifacts.
+the same config writes byte-identical artifacts.  Before any work, every
+command checks the config against ``RUN_CONFIG_SCHEMA``, read by a short
+reader in this module, and builds its grid and trap.
 
 Exit codes: 0 success, 1 configuration error, 2 solver failure,
 3 threshold breach, 4 partial sweep.
@@ -24,17 +26,13 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import sys
 
 import numpy as np
 
-try:
-    import jsonschema
-except ImportError as _exc:  # pragma: no cover - hard dependency
-    raise ImportError("the command-line interface requires jsonschema") from _exc
-
-from .grid import BoxGrid, read_snapshot, write_snapshot
+from .grid import BoxGrid, GridError, read_snapshot, write_snapshot
 from .model import TrapPotential, TrapError, Well
 from .frames import OrbitalPair
 from .solvers import (
@@ -146,9 +144,101 @@ RUN_CONFIG_SCHEMA = {
 }
 
 
+# The config check reads RUN_CONFIG_SCHEMA itself, with only the keywords the
+# schema uses and with jsonschema's meaning of each: a bool is not a number,
+# an integral float is an integer, and a keyword that constrains one JSON type
+# passes every value of another type.
+_PY_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool}
+
+
+def _is_type(value, name: str) -> bool:
+    if name in ("number", "integer"):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return False
+        return name == "number" or isinstance(value, int) or value.is_integer()
+    return isinstance(value, _PY_TYPES[name])
+
+
+def _type(value, rule, schema, path):
+    names = [rule] if isinstance(rule, str) else rule
+    if not any(_is_type(value, name) for name in names):
+        yield path, "type", f"{value!r} is not of type {', '.join(map(repr, names))}"
+
+
+def _const(value, rule, schema, path):
+    if isinstance(value, bool) != isinstance(rule, bool) or value != rule:
+        yield path, "const", f"{rule!r} was expected"
+
+
+def _bound(key: str, kind: str, holds, symbol: str):
+    # Each test is written so that NaN fails it.
+    def check(value, rule, schema, path):
+        if _is_type(value, kind):
+            size = value if kind == "number" else len(value)
+            if not holds(size, rule):
+                what = repr(value) if kind == "number" else f"the length of {value!r}"
+                yield path, key, f"{what} is not {symbol} {rule!r}"
+    return check
+
+
+def _items(value, rule, schema, path):
+    if isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _violations(item, rule, (*path, i))
+
+
+def _required(value, rule, schema, path):
+    if isinstance(value, dict):
+        for name in rule:
+            if name not in value:
+                yield path, "required", f"{name!r} is a required property"
+
+
+def _properties(value, rule, schema, path):
+    if isinstance(value, dict):
+        for name, sub in rule.items():
+            if name in value:
+                yield from _violations(value[name], sub, (*path, name))
+
+
+def _no_additional(value, rule, schema, path):
+    if rule is not False:
+        raise ValueError("only 'additionalProperties: false' is read")
+    if isinstance(value, dict):
+        extra = [k for k in value if k not in schema.get("properties", {})]
+        if extra:
+            yield path, "additionalProperties", f"unexpected properties {extra}"
+
+
+_KEYWORDS = {
+    "$schema": lambda value, rule, schema, path: (),  # an annotation
+    "type": _type,
+    "const": _const,
+    "minimum": _bound("minimum", "number", operator.ge, ">="),
+    "exclusiveMinimum": _bound("exclusiveMinimum", "number", operator.gt, ">"),
+    "exclusiveMaximum": _bound("exclusiveMaximum", "number", operator.lt, "<"),
+    "minLength": _bound("minLength", "string", operator.ge, ">="),
+    "minItems": _bound("minItems", "array", operator.ge, ">="),
+    "maxItems": _bound("maxItems", "array", operator.le, "<="),
+    "items": _items,
+    "required": _required,
+    "properties": _properties,
+    "additionalProperties": _no_additional,
+}
+
+
+def _violations(value, schema: dict, path: tuple = ()):
+    """Each (path, keyword, message) at which ``value`` breaks ``schema``,
+    in the schema's key order, depth first."""
+    for key, rule in schema.items():
+        yield from _KEYWORDS[key](value, rule, schema, path)
+
+
 def load_config(path: str) -> dict:
-    """The run config at ``path``, checked against the schema and built into
-    a trap, so that every command refuses the same bad config."""
+    """The run config at ``path``, checked against ``RUN_CONFIG_SCHEMA`` and
+    built into a grid and a trap, so that every command refuses the same bad
+    config.  The first schema violation is a ConfigError whose details name
+    its ``schema_pointer`` and its ``validator`` keyword."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -156,14 +246,14 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, RUN_CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        pointer = "/" + "/".join(str(p) for p in exc.absolute_path)
+    found = next(_violations(raw, RUN_CONFIG_SCHEMA), None)
+    if found:
+        where, keyword, message = found
+        pointer = "/" + "/".join(str(p) for p in where)
         raise ConfigError(
-            f"config {path} invalid at {pointer or '/'}: {exc.message}",
-            details={"schema_pointer": pointer, "validator": exc.validator},
-        ) from exc
+            f"config {path} invalid at {pointer}: {message}",
+            details={"schema_pointer": pointer, "validator": keyword},
+        )
     fr = raw.get("sweep", {}).get("a_fractions", [])
     if any(b <= a for a, b in zip(fr, fr[1:])):
         raise ConfigError(
@@ -179,6 +269,7 @@ def load_config(path: str) -> dict:
                 f"well center {w['center']} outside the box [-{L}, {L}]^3",
                 details={"schema_pointer": f"/trap/wells/{i}/center"},
             )
+    build_grid(raw)
     build_trap(raw)
     return raw
 
@@ -198,7 +289,11 @@ def config_digest(raw: dict) -> str:
 
 def build_grid(raw: dict) -> BoxGrid:
     g = raw["grid"]
-    return BoxGrid(n_per_axis=int(g["n"]), half_width=float(g["half_width"]))
+    try:
+        return BoxGrid(n_per_axis=int(g["n"]), half_width=float(g["half_width"]))
+    except GridError as exc:
+        raise ConfigError(f"invalid grid: {exc}",
+                          details={"schema_pointer": "/grid"}) from exc
 
 
 def build_trap(raw: dict) -> TrapPotential:

@@ -28,9 +28,9 @@ BASE_CONFIG = {
 }
 
 
-def write_config(tmp_path, patch=None, drop=None):
+def patched_config(patch=None, drop=None):
+    """BASE_CONFIG with dotted keys set from ``patch`` and removed by ``drop``."""
     cfg = json.loads(json.dumps(BASE_CONFIG))
-    cfg["output_dir"] = str(tmp_path / "out")
     for key, value in (patch or {}).items():
         node = cfg
         parts = key.split(".")
@@ -43,6 +43,12 @@ def write_config(tmp_path, patch=None, drop=None):
         for p in parts[:-1]:
             node = node[p]
         del node[parts[-1]]
+    return cfg
+
+
+def write_config(tmp_path, patch=None, drop=None):
+    cfg = patched_config(patch, drop)
+    cfg["output_dir"] = str(tmp_path / "out")
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
@@ -93,7 +99,7 @@ def test_invalid_json(tmp_path, capsys):
     assert "not valid JSON" in stderr_error(err)["message"]
 
 
-@pytest.mark.parametrize("patch,drop,pointer", [
+SCHEMA_REJECTIONS = [
     (None, ["grid"], ""),
     ({"grid.n": 4}, None, "/grid/n"),
     ({"grid.half_width": -1.0}, None, "/grid/half_width"),
@@ -106,7 +112,10 @@ def test_invalid_json(tmp_path, capsys):
      "/trap/wells/0/center"),
     ({"solver": {"multistart": 3}}, None, "/solver"),  # a removed knob
     ({"solver": {"scf_mixing": 0.5}}, None, "/solver"),  # now a constant
-])
+]
+
+
+@pytest.mark.parametrize("patch,drop,pointer", SCHEMA_REJECTIONS)
 def test_schema_rejections(tmp_path, capsys, patch, drop, pointer):
     cp = write_config(tmp_path, patch=patch, drop=drop)
     rc, _, err = run(["astar", "--config", cp], capsys)
@@ -123,6 +132,93 @@ def test_fractions_must_increase(tmp_path, capsys):
     e = stderr_error(err)
     assert e["schema_pointer"] == "/sweep/a_fractions"
     assert "strictly increasing" in e["message"]
+
+
+def _well(center=(0.0, 0.0, 0.0), power=2.0):
+    return {"trap.wells": [{"center": list(center), "power": power}]}
+
+
+# Every finite config that the schema reader is held to jsonschema on: the
+# rejection cases above, the shipped configs, a benchmark-style config with
+# the ignored solver seed, and values at each keyword's edge.
+READER_CORPUS = [
+    *((f"rejection{i}", patched_config(patch, drop))
+      for i, (patch, drop, _) in enumerate(SCHEMA_REJECTIONS)),
+    *((p.name, load_json(p)) for p in sorted((REPO_ROOT / "configs").glob("*.json"))),
+    ("benchmark_style", patched_config({
+        "grid": {"n": 32, "half_width": 2.2},
+        "solver": {"seed": 20240607, "pin_fraction": 0.4, "max_iters": 250}})),
+    ("n_true", patched_config({"grid.n": True})),
+    ("n_32.0", patched_config({"grid.n": 32.0})),
+    ("n_32.5", patched_config({"grid.n": 32.5})),
+    ("half_width_0", patched_config({"grid.half_width": 0})),
+    ("half_width_string", patched_config({"grid.half_width": "2"})),
+    ("center_2_items", patched_config(_well(center=(0.0, 0.0)))),
+    ("center_4_items", patched_config(_well(center=(0.0, 0.0, 0.0, 0.0)))),
+    ("center_string", patched_config(_well(center=(0.0, "0", 0.0)))),
+    ("power_0", patched_config(_well(power=0))),
+    ("prefactor_null", patched_config({"trap.prefactor": None})),
+    ("output_dir_empty", patched_config({"output_dir": ""})),
+    ("fractions_empty", patched_config({"sweep.a_fractions": []})),
+    ("fractions_0", patched_config({"sweep.a_fractions": [0.0]})),
+    ("fractions_1", patched_config({"sweep.a_fractions": [1.0]})),
+    ("format_version_1.0", patched_config({"format_version": 1.0})),
+    ("format_version_true", patched_config({"format_version": True})),
+    ("unknown_key", patched_config({"extra": 1})),
+    ("unknown_key_and_no_grid", patched_config({"extra": 1}, ["grid"])),
+    ("solver_list", patched_config({"solver": []})),
+    ("top_level_list", []),
+    ("top_level_null", None),
+    ("top_level_string", "x"),
+]
+
+
+@pytest.mark.parametrize("cfg", [c for _, c in READER_CORPUS],
+                         ids=[name for name, _ in READER_CORPUS])
+def test_schema_reader_agrees_with_jsonschema(tmp_path, cfg):
+    # jsonschema is reference code here; the package does not import it.
+    # Both walk the schema depth first in its key order, so they list the
+    # same violations in the same order, and the reader reports the first
+    jsonschema = pytest.importorskip("jsonschema")
+    validator = jsonschema.Draft202012Validator(fcli.RUN_CONFIG_SCHEMA)
+    reference = [(list(e.absolute_path), e.validator) for e in validator.iter_errors(cfg)]
+    found = [(list(where), keyword) for where, keyword, _ in
+             fcli._violations(cfg, fcli.RUN_CONFIG_SCHEMA)]
+    assert found == reference
+    if len(reference) == 1:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        with pytest.raises(fcli.ConfigError) as info:
+            fcli.load_config(str(path))
+        (where, keyword), = reference
+        assert info.value.details == {
+            "schema_pointer": "/" + "/".join(map(str, where)), "validator": keyword}
+
+
+def _unread_keywords(schema: dict) -> list[str]:
+    """Keywords of ``schema`` and its subschemas that the reader would not
+    apply as jsonschema does."""
+    found = []
+    for key, rule in schema.items():
+        if key not in fcli._KEYWORDS or (key == "additionalProperties" and rule is not False):
+            found.append(key)
+        if key == "properties":
+            for sub in rule.values():
+                found += _unread_keywords(sub)
+        elif key == "items":
+            found += _unread_keywords(rule)
+    return found
+
+
+def test_schema_reader_reads_every_keyword_of_the_schema():
+    assert _unread_keywords(fcli.RUN_CONFIG_SCHEMA) == []
+
+
+def test_unread_keywords_are_found():
+    schema = {"type": "object", "additionalProperties": True, "properties": {
+        "name": {"type": "string", "pattern": "^a"},
+        "tags": {"type": "array", "items": {"enum": ["x"]}}}}
+    assert _unread_keywords(schema) == ["additionalProperties", "pattern", "enum"]
 
 
 @pytest.mark.parametrize("path", sorted((REPO_ROOT / "configs").glob("*.json")),
@@ -225,6 +321,21 @@ def test_invalid_solver_section_is_a_config_error(tmp_path, capsys, command):
     rc, _, err = run([command, "--config", cp, *_COMMAND_ARGS[command]], capsys)
     assert rc == fcli.EXIT_CONFIG
     assert stderr_error(err)["message"].startswith("invalid solver section: ")
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+@pytest.mark.parametrize("width", [float("nan"), float("inf"), -float("inf")],
+                         ids=["NaN", "Infinity", "-Infinity"])
+def test_nonfinite_grid_width_is_a_config_error(tmp_path, capsys, command, width):
+    # json reads the tokens NaN and Infinity; the schema reader turns NaN
+    # away and the grid refuses an infinite width, before any command starts
+    cp = write_config(tmp_path, patch={"grid.half_width": width, "sweep.a_fractions": [0.5]})
+    assert json.dumps(width) in Path(cp).read_text()  # NaN, Infinity, -Infinity
+    rc, _, err = run([command, "--config", cp, *_COMMAND_ARGS[command]], capsys)
+    assert rc == fcli.EXIT_CONFIG
+    e = stderr_error(err)
+    assert e["kind"] == "config" and e["schema_pointer"].startswith("/grid")
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Source hygiene: every name a package module imports is used in it, every
 import sits at module level, so no import cost hides inside a call, the
 descent loop imports nothing from the package, neither importing the package
-nor an eigensolve loads any scipy module, and the package draws no random
-numbers."""
+nor an eigensolve loads any scipy module, the command line's path from start
+to a checked config loads only the standard library and numpy, and the
+package draws no random numbers."""
 
 import ast
 import os
@@ -11,7 +12,7 @@ import sys
 
 import pytest
 
-from conftest import SRC_DIR
+from conftest import REPO_ROOT, SRC_DIR
 
 # __init__.py imports names to re-export them
 MODULES = sorted(p for p in SRC_DIR.glob("*.py") if p.name != "__init__.py")
@@ -99,6 +100,27 @@ def test_package_import_and_eigensolve_leave_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(SRC_DIR.parent), os.environ.get("PYTHONPATH", "")]))
     subprocess.run([sys.executable, "-c", _SCIPY_PROBE], env=env, check=True, timeout=120)
+
+
+_CLI_PATH_PROBE = """
+import sys
+before = set(sys.modules)  # what site and its .pth files loaded
+import fermivar, fermivar.cli
+fermivar.cli.load_config(sys.argv[1])
+loaded = {m.split(".")[0] for m in set(sys.modules) - before}
+foreign = sorted(loaded - set(sys.stdlib_module_names) - {"numpy", "fermivar"})
+assert foreign == [], foreign
+"""
+
+
+def test_cli_path_loads_only_the_standard_library_and_numpy():
+    # every command imports the CLI and checks its config before any work;
+    # with jsonschema that path loaded eleven more third-party packages
+    config = REPO_ROOT / "configs" / "harmonic.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC_DIR.parent), os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", _CLI_PATH_PROBE, str(config)],
+                   env=env, check=True, timeout=120)
 
 
 # the program is deterministic by construction: no module may draw from a
