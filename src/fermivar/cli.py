@@ -92,7 +92,8 @@ RUN_CONFIG_SCHEMA = {
             "required": ["n", "half_width"],
             "additionalProperties": False,
             "properties": {
-                "n": {"type": "integer", "minimum": 8},
+                # one 512^3 field is 1 GiB and a solve holds tens of fields
+                "n": {"type": "integer", "minimum": 8, "maximum": 512},
                 "half_width": {"type": "number", "exclusiveMinimum": 0},
             },
         },
@@ -215,6 +216,7 @@ _KEYWORDS = {
     "type": _type,
     "const": _const,
     "minimum": _bound("minimum", "number", operator.ge, ">="),
+    "maximum": _bound("maximum", "number", operator.le, "<="),
     "exclusiveMinimum": _bound("exclusiveMinimum", "number", operator.gt, ">"),
     "exclusiveMaximum": _bound("exclusiveMaximum", "number", operator.lt, "<"),
     "minLength": _bound("minLength", "string", operator.ge, ">="),
@@ -480,7 +482,6 @@ def cmd_solve(raw: dict, args) -> int:
         "degeneracy_gap": res.degeneracy_gap,
         "width": res.width,
         "eig_values": [float(v) for v in res.eig_values],
-        "cold_eig_iters": res.cold_eig_iters,
         "level_eig_iters": res.level_eig_iters,
         "history": [[int(i), float(e), float(g)] for i, e, g in res.history],
         "config_digest": digest,

@@ -10,12 +10,12 @@ the two problems it is handed:
   ends short of its tolerance is polished with a self-consistent-field
   loop on the frozen mean-field operator, and a pair that fails the
   aufbau check descends once more from the two lowest levels of its own
-  operator.  A cold solve starts from the two lowest a = 0 levels.  When
-  the second level is degenerate (the p level of a symmetric trap) the
-  eigensolver's basis of it is arbitrary, so the start takes the p
-  orbital along the cube symmetry axis whose pair has the lowest energy
-  at a (the body diagonals on the traps measured); the descent no longer
-  turns it through the lattice's weak cubic anisotropy;
+  operator.  A cold solve starts from the two lowest a = 0 Ritz pairs on
+  the surrogate's product modes.  When the second level is degenerate
+  (the p level of a symmetric trap) its Ritz basis is arbitrary, so the
+  start takes the p orbital along the cube symmetry axis whose pair has
+  the lowest energy at a (the body diagonals on the traps measured); the
+  descent no longer turns it through the lattice's weak cubic anisotropy;
 * the concentration quotient T/P over k-frames (k = 2 pairs, k = 1 unit
   fields), on slices pinned at fixed orbital widths and started from
   Gaussians, so no random numbers enter.  The discrete quotient degrades at
@@ -141,16 +141,9 @@ _SPIKE_GUARD = 2.5e-3
 # matrices are computed rather than taken as exact.
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 
-# LOBPCG residual tolerance of the cold start and of the converged-solve
-# certificate.
+# LOBPCG residual scale: the SCF polish's loosest eigensolve is 100 times
+# it, and a converged solve's eigenresiduals may reach 50 times it.
 _EIG_TOL = 1e-7
-
-# Largest residual of a guard column that may join the degenerate shell
-# the cold start is oriented in (:func:`_oriented_start`).  It only seeds the
-# descent; the guard residuals of the harmonic p shell read 1.2e-7 to
-# 1.3e-6 at n = 24 and 48, above ``_EIG_TOL``, while its Ritz values agree
-# to 1e-13.
-_GUARD_RESIDUAL = 1e-5
 
 # The cube's 13 symmetry axes: four-fold, two-fold, then three-fold.
 _CUBE_AXES = (
@@ -220,9 +213,7 @@ class SolveResult:
     width: float = 0.0
     # the two certified occupied levels and the next one up, uncertified
     eig_values: tuple[float, ...] = ()
-    # LOBPCG iterations of the cold a = 0 start (None if warm-started) and
-    # of the closing level checks
-    cold_eig_iters: int | None = None
+    # LOBPCG iterations of the closing level checks
     level_eig_iters: int = 0
 
 
@@ -340,18 +331,19 @@ def _apply_prec(prec: TensorPreconditioner, frame):
 
 
 def _start_block(prec: TensorPreconditioner, diag: np.ndarray,
-                 warm: list[ScalarField] | None, block: int) -> np.ndarray:
-    """The start of an eigensolve of A = -lap + diag: (m^3, block) columns.
+                 warm: list[ScalarField] | None, block: int):
+    """The start of an eigensolve of A = -lap + diag: (m^3, block) columns,
+    and the Ritz values of those past the warm ones.
 
-    The ``warm`` fields come first.  The other columns are the lowest Ritz
-    vectors of A on the surrogate's ``_START_MODES`` lowest product modes
-    b_c (in stable argsort order of the summed 1-D eigenvalues), past the
-    first ``len(warm)``.  A product mode satisfies A b = L b + R o b, with
-    L its surrogate eigenvalue and R = diag minus the surrogate potential,
-    so the Ritz matrix is S = diag(L) + B^T (R o B) and needs no operator
-    application.  S is accumulated, and the columns B U are written, over
-    x-slabs of m // _START_MODES rows: no slab holds more than one field's
-    worth of mode values, and B itself is never formed.
+    The ``warm`` fields come first.  The other columns are the lowest
+    (orthonormal) Ritz vectors of A on the surrogate's ``_START_MODES``
+    lowest product modes b_c (in stable argsort order of the summed 1-D
+    eigenvalues), past the first ``len(warm)``.  A product mode satisfies
+    A b = L b + R o b, with L its surrogate eigenvalue and R = diag minus
+    the surrogate potential, so the Ritz matrix is S = diag(L) + B^T (R o B)
+    and needs no operator application.  S is accumulated, and the columns
+    B U are written, over x-slabs of m // _START_MODES rows: no slab holds
+    more than one field's worth of mode values, and B itself is never formed.
     """
     m = diag.shape[0]
     X = np.empty((m ** 3, block))
@@ -360,7 +352,7 @@ def _start_block(prec: TensorPreconditioner, diag: np.ndarray,
         X[:, nwarm] = _core(f.values).ravel()
         nwarm += 1
     if nwarm == block:
-        return X
+        return X, np.empty(0)
     # den grows weakly with each index, so a mode with an index past
     # _START_MODES has at least _START_MODES modes before it in the stable
     # order: the lowest lie in the corner of smaller indices, whose stable
@@ -384,11 +376,19 @@ def _start_block(prec: TensorPreconditioner, diag: np.ndarray,
         R = (diag[x] - v1[x, None, None] - v2[None, :, None] - v3[None, None, :]
              + 2.0 * prec.depth)
         S += B.T @ (R.reshape(-1, 1) * B)
-    _, U = np.linalg.eigh(0.5 * (S + S.T))
+    vals, U = np.linalg.eigh(0.5 * (S + S.T))
     U = U[:, nwarm:block]
     for x, B in slabs():
         X[x.start * m * m:x.stop * m * m, nwarm:] = B @ U
-    return X
+    return X, vals[nwarm:block]
+
+
+def _unit_fields(grid: BoxGrid, X: np.ndarray) -> list[ScalarField]:
+    """The orthonormal rows of an (c, m^3) interior block as fields of unit
+    L2 norm, zero on the boundary."""
+    m = grid.n_per_axis - 2
+    scale = math.sqrt(grid.spacing ** 3)
+    return [ScalarField(grid, _pad(x.reshape(m, m, m) / scale)) for x in X]
 
 
 def _inv_cholesky(V: np.ndarray):
@@ -560,7 +560,7 @@ def lowest_eigenpairs(
         return prec.apply_core(x).transpose(3, 0, 1, 2).reshape(X.shape)
 
     block = min(m ** 3, k + 3)
-    X = np.ascontiguousarray(np.linalg.qr(_start_block(prec, diag, warm, block))[0].T)
+    X = np.ascontiguousarray(np.linalg.qr(_start_block(prec, diag, warm, block)[0])[0].T)
 
     total_iter = 0
     for _round in range(_EIG_ROUNDS):
@@ -575,7 +575,7 @@ def lowest_eigenpairs(
         if res[:k].max() <= tol:
             break
 
-    fields = [ScalarField(grid, _pad(x.reshape(m, m, m) / math.sqrt(h ** 3))) for x in X]
+    fields = _unit_fields(grid, X)
     # L2 residuals equal algebraic ones under the uniform interior weight
     return EigResult(
         values=np.asarray(evals[:k], dtype=float),
@@ -727,12 +727,6 @@ class _GroundStateDescent:
         return pair, E, self.gradient(pair, rho), stop, False
 
 
-def _level_cluster(vals, i: int) -> list[int]:
-    """Indices of the levels degenerate with level i, i included."""
-    tol = 1e-8 * (1.0 + abs(vals[i]))
-    return [j for j in range(len(vals)) if abs(vals[j] - vals[i]) <= tol]
-
-
 def scf_refine(
     pair: OrbitalPair,
     a: float,
@@ -789,18 +783,24 @@ def scf_refine(
     return pair, outer, defect, history
 
 
-def _degenerate_shell(eig: EigResult) -> list[ScalarField]:
-    """Eigenfunctions of the second level if it is degenerate, else [].
+def _degenerate_shell(values, fields: list[ScalarField]) -> list[ScalarField]:
+    """The fields of the second level if it is degenerate, else [].
 
-    The shell is taken from the certified levels and the guard columns
-    with residual at most ``_GUARD_RESIDUAL``; a second level degenerate
-    with the first counts as no shell.
+    A level within 1e-8 (1 + |value|) of the second is degenerate with it;
+    a second level degenerate with the first counts as no shell.
     """
-    admitted = eig.guard_residuals <= _GUARD_RESIDUAL
-    vals = np.concatenate([eig.values, eig.guard_values[admitted]])
-    fields = eig.fields + [f for f, ok in zip(eig.guard_fields, admitted) if ok]
-    shell = _level_cluster(vals, 1)
-    return [] if len(shell) < 2 or 0 in shell else [fields[j] for j in shell]
+    tol = 1e-8 * (1.0 + abs(values[1]))
+    shell = [f for v, f in zip(values, fields) if abs(v - values[1]) <= tol]
+    return [] if len(shell) < 2 or abs(values[0] - values[1]) <= tol else shell
+
+
+def _ritz_levels(grid: BoxGrid, V: ScalarField):
+    """The five lowest Ritz values and unit fields of -lap + V on the
+    surrogate's product modes, the start of a k = 2 eigensolve at a = 0
+    (:func:`_start_block`); exact eigenpairs on a separable trap."""
+    diag = _core(V.values)
+    X, values = _start_block(TensorPreconditioner(grid, diag, _PRECOND_SHIFT), diag, None, 5)
+    return values, _unit_fields(grid, X.T)
 
 
 def _axis_start(u1: ScalarField, shell: list[ScalarField], n) -> OrbitalPair:
@@ -815,27 +815,27 @@ def _axis_start(u1: ScalarField, shell: list[ScalarField], n) -> OrbitalPair:
     return loewdin(u1, *combine(shell, np.array([[inner(f, t)] for f in shell])))
 
 
-def _oriented_start(eig: EigResult, a: float, V: ScalarField) -> OrbitalPair:
-    """The cold-start pair from the a = 0 eigen block, oriented for coupling a.
+def _oriented_start(values, fields: list[ScalarField], a: float,
+                    V: ScalarField) -> OrbitalPair:
+    """The cold-start pair from :func:`_ritz_levels`, oriented for coupling a.
 
-    A non-degenerate second level gives the two lowest eigenfunctions.  In
-    a degenerate shell (the p level of a symmetric trap) the eigensolver's
-    basis is arbitrary, and the descent would spend most of its iterations
-    turning the p orbital through the lattice's weak cubic anisotropy.  The
-    start is instead the :func:`_axis_start` of lowest energy at a over the
-    cube symmetry axes ``_CUBE_AXES``, scanned in order; a later axis
-    displaces the best only when lower by more than 1e-8 relative.  Axes
-    equivalent by symmetry tie only to eigensolver noise (up to 7e-11
-    relative at a = 5, n = 24 and 32), while face and body diagonals differ
-    by 6e-5 (quartic) to 1e-3 (harmonic), so the pick is the table's first
-    axis of the lowest class.
+    A non-degenerate second level gives the two lowest fields.  In a
+    degenerate shell (the p level of a symmetric trap) their basis is
+    arbitrary, and the descent would spend most of its iterations turning
+    the p orbital through the lattice's weak cubic anisotropy.  The start
+    is instead the :func:`_axis_start` of lowest energy at a over the cube
+    symmetry axes ``_CUBE_AXES``, scanned in order; a later axis displaces
+    the best only when lower by more than 1e-8 relative.  Axes equivalent
+    by symmetry tie to rounding (below 1e-15 relative at a = 5, n = 24 and
+    32), while face and body diagonals differ by 1e-4 (quartic) to 1e-3
+    (harmonic), so the pick is the table's first axis of the lowest class.
     """
-    shell = _degenerate_shell(eig)
+    shell = _degenerate_shell(values, fields)
     if not shell:
-        return loewdin(eig.fields[0], eig.fields[1])
+        return loewdin(fields[0], fields[1])
     best, best_E = None, math.inf
     for n in _CUBE_AXES:
-        cand = _axis_start(eig.fields[0], shell, n)
+        cand = _axis_start(fields[0], shell, n)
         E = energy(cand, a, V).energy
         if best is None or E < best_E - 1e-8 * abs(best_E):
             best, best_E = cand, E
@@ -863,39 +863,35 @@ def minimize_ground_state(
     reads left to right: the descent's reason, then ``+scf`` if it was
     polished; a second pass reports its own behind ``aufbau+`` (for
     instance ``aufbau+tolerance``), and ``scf_defect`` is that of the last
-    pass's polish.  A cold solve starts from :func:`_oriented_start` of
-    the a = 0 eigen block (exact product modes on a separable trap, see
-    :func:`lowest_eigenpairs`).  A ``warm_start`` with non-zero boundary
-    values (a quotient slice's frame, say) has its boundary planes set to
-    zero and is Loewdin-orthonormalized again: the kinetic energy ignores
-    boundary nodes that the mass counts, and the descent's own moves keep
-    them zero.  ``converged`` needs small eigenresiduals
-    and the aufbau property, checked on a certified eigen block: the
-    occupied multipliers are the two lowest levels of the pair's own
-    mean-field operator.  That level check certifies those two levels
+    pass's polish.  A cold solve calls no eigensolver: it starts from
+    :func:`_oriented_start` of the five a = 0 Ritz pairs of
+    :func:`_ritz_levels` (exact eigenpairs on a separable trap).  A
+    ``warm_start`` with non-zero boundary values (a quotient slice's frame,
+    say) has its boundary planes set to zero and is Loewdin-orthonormalized
+    again: the kinetic energy ignores boundary nodes that the mass counts,
+    and the descent's own moves keep them zero.  ``converged`` needs small
+    eigenresiduals and the aufbau property, checked on a certified eigen
+    block: the occupied multipliers are the two lowest levels of the pair's
+    own mean-field operator.  That level check certifies those two levels
     only; the third, behind ``degeneracy_gap`` and ``eig_values[2]``, is
     its first guard Ritz value, uncertified (on the body diagonal of a
     symmetric trap it is one of a degenerate pair, which a certified
-    boundary would split).  The check starts from the rotated pair and,
-    after a cold start, the a = 0 block's three guard eigenvectors, which
-    fill its block.  An energy
+    boundary would split).  The check starts from the rotated pair alone,
+    after a cold start as after a warm one; the Ritz rule of
+    :func:`_start_block` fills the rest of its block.  An energy
     dive through zero flags ``threshold_breach`` — the subcritical energy
     is provably nonnegative, so crossing zero means a is past the discrete
     threshold (the descent is left to run a few more steps so the history
     records the dive).
     """
     V = potential_field(trap, grid)
-    guards: list[ScalarField] = []
-    cold_iters = None
     if warm_start is not None:
         if max(boundary_max_abs(u) for u in warm_start) > 0.0:
             pair = loewdin(*(ScalarField(grid, mask_boundary(u.values)) for u in warm_start))
         else:
             pair = warm_start.copy()
     else:
-        eig = lowest_eigenpairs(grid.zeros(), V, 0.0, 2, _EIG_TOL)
-        pair, guards, cold_iters = _oriented_start(eig, a, V), eig.guard_fields, eig.iterations
-        del eig  # only the guards warm the level check
+        pair = _oriented_start(*_ritz_levels(grid, V), a, V)
 
     history: list[tuple[int, float, float]] = []
     E = energy(pair, a, V).energy
@@ -916,7 +912,6 @@ def minimize_ground_state(
                 residuals=(math.inf, math.inf), history=history,
                 stop_reason="breach", threshold_breach=True,
                 max_pair_defect=max_defect, width=pair_width(pair),
-                cold_eig_iters=cold_iters,
             )
         reason += stop
         scf_defect = None
@@ -932,7 +927,7 @@ def minimize_ground_state(
         # certify the two occupied levels; the first guard gives the gap
         gap_eig = lowest_eigenpairs(
             density(rotated), V, a, 2, 1e-6,
-            warm=[rotated.u1, rotated.u2, *guards],
+            warm=[rotated.u1, rotated.u2],
         )
         level_iters += gap_eig.iterations
         # Aufbau: a minimizer occupies the two lowest levels of its own
@@ -965,7 +960,7 @@ def minimize_ground_state(
         scf_outer=scf_outer, scf_defect=scf_defect,
         max_pair_defect=max_defect, width=pair_width(rotated),
         eig_values=tuple(float(v) for v in levels),
-        cold_eig_iters=cold_iters, level_eig_iters=level_iters,
+        level_eig_iters=level_iters,
     )
 
 

@@ -1,10 +1,10 @@
 """Session fixtures: CLI runs are cached on disk and reused across sessions.
 
-The heavy artifacts (threshold estimation, continuation sweeps) take minutes
-each at production resolution.  Each run is keyed by a digest of the package
-sources plus the exact run configuration, so a cache entry can never serve
-stale results: editing any source file or config invalidates the key.  Set
-FERMIVAR_TEST_CACHE to move the cache root (default /tmp/fermivar_test_cache).
+The coarse threshold run behind the CLI round-trip tests is cached.  Each
+run is keyed by a digest of the package sources plus the exact run
+configuration, so a cache entry can never serve stale results: editing any
+source file or config invalidates the key.  Set FERMIVAR_TEST_CACHE to move
+the cache root (default /tmp/fermivar_test_cache).
 """
 
 from __future__ import annotations
@@ -86,55 +86,8 @@ def load_json(path: Path) -> dict:
         return json.load(fh)
 
 
-def repo_config(name: str) -> dict:
-    cfg = load_json(REPO_ROOT / "configs" / name)
-    cfg.pop("output_dir", None)
-    return cfg
-
-
 def _astar_step():
     return ("astar", lambda cp, od: ["astar", "--config", cp], 0)
-
-
-def _sweep_step():
-    return ("sweep", lambda cp, od: ["sweep", "--config", cp], 0)
-
-
-def _breach_step():
-    def argv(cp, od):
-        a_hat = load_json(Path(od) / "astar.json")["a2_hat"]
-        return [
-            "solve", "--config", cp, "--a", repr(1.1 * a_hat),
-            "--allow-supercritical",
-        ]
-    return ("breach", argv, fcli.EXIT_BREACH)
-
-
-@pytest.fixture(scope="session")
-def harmonic_run() -> Path:
-    return run_cli_cached(
-        repo_config("harmonic.json"),
-        [_astar_step(), _sweep_step(), _breach_step()],
-        "harmonic",
-    )
-
-
-@pytest.fixture(scope="session")
-def quartic_run() -> Path:
-    return run_cli_cached(
-        repo_config("quartic.json"),
-        [_astar_step(), _sweep_step()],
-        "quartic",
-    )
-
-
-@pytest.fixture(scope="session")
-def doublewell_run() -> Path:
-    return run_cli_cached(
-        repo_config("doublewell.json"),
-        [_astar_step(), _sweep_step()],
-        "doublewell",
-    )
 
 
 SMALL_ASTAR_CONFIG = {

@@ -112,6 +112,8 @@ SCHEMA_REJECTIONS = [
      "/trap/wells/0/center"),
     ({"solver": {"multistart": 3}}, None, "/solver"),  # a removed knob
     ({"solver": {"scf_mixing": 0.5}}, None, "/solver"),  # now a constant
+    ({"grid.n": 513}, None, "/grid/n"),
+    ({"grid.n": 1e20}, None, "/grid/n"),  # an integer to the schema
 ]
 
 
@@ -151,6 +153,7 @@ READER_CORPUS = [
     ("n_true", patched_config({"grid.n": True})),
     ("n_32.0", patched_config({"grid.n": 32.0})),
     ("n_32.5", patched_config({"grid.n": 32.5})),
+    ("n_512", patched_config({"grid.n": 512})),
     ("half_width_0", patched_config({"grid.half_width": 0})),
     ("half_width_string", patched_config({"grid.half_width": "2"})),
     ("center_2_items", patched_config(_well(center=(0.0, 0.0)))),
@@ -367,8 +370,8 @@ def test_solve_requires_stored_threshold(tmp_path, capsys):
 
 
 def test_solve_reports_its_eigensolve_iterations(tmp_path, capsys):
-    # solve.json says what the cold a = 0 start and the closing level check
-    # cost; the separable harmonic start is exact, certified in one pass
+    # solve.json says what the closing level check cost, the only
+    # eigensolve of a cold solve; it certifies within one round
     cp = write_config(tmp_path)
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "astar.json").write_text(
@@ -376,8 +379,7 @@ def test_solve_reports_its_eigensolve_iterations(tmp_path, capsys):
     rc, _, _ = run(["solve", "--config", cp, "--a", "5.0"], capsys)
     assert rc == fcli.EXIT_OK
     doc = load_json(tmp_path / "out" / "solve.json")
-    assert doc["cold_eig_iters"] == 1
-    assert isinstance(doc["level_eig_iters"], int) and doc["level_eig_iters"] >= 1
+    assert isinstance(doc["level_eig_iters"], int) and 1 <= doc["level_eig_iters"] <= 16
     # the sum-rule and virial residuals README promises: the sum rule holds
     # at a converged solve; the virial identity of the one-well trap does
     # not hold in a box this small, whose walls squeeze the pair (0.23 here)
