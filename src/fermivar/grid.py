@@ -366,51 +366,57 @@ def dilation_generator(field: ScalarField) -> ScalarField:
     second-order differences miss its derivative by ~1% of scale at
     h/sigma = 0.26.  Subtracting its component from a search direction pins
     the scale of otherwise dilation-invariant functionals.
+
+    The operator is a sum of three 1-D operators on the core, one per axis,
+    each the m x m matrix 1/2 I + diag(x) D/(12 h) with D the banded
+    difference (8, -1 at distance one, two) truncated at the core's edge:
+    the masked boundary plane and the plane beyond the box both read as
+    zero.  Each is one matrix product with m^2 rows and m columns in the
+    result, as in :meth:`solvers.TensorPreconditioner.apply_core`, so the
+    value does not depend on the BLAS thread count (a test pins n = 32 and
+    96); the three results are summed in the core's axis order.  It agrees
+    with the stencil to roundoff (3e-16 of max |result| at n = 32 and 96).
     """
     g = field.grid
-    h = g.spacing
     n = g.n_per_axis
-    # The result's boundary planes are zero, so only its core is computed.
-    # The core's stencil reaches two nodes out, where the masked boundary
-    # plane and the plane beyond the box both read as zero: the interior
-    # sits in a buffer with two zero planes on each side.
-    p = np.zeros((n + 2,) * 3)
-    p[2:n, 2:n, 2:n] = field.values[1:-1, 1:-1, 1:-1]
-    ax = g.axis()[1:-1]
-
-    def shifted(d, k):  # v at x + k*h along axis d over the core
-        idx = [slice(2, n)] * 3
-        idx[d] = slice(2 + k, n + k)
-        return p[tuple(idx)]
-
+    m = n - 2
+    D = 8.0 * (np.eye(m, k=1) - np.eye(m, k=-1)) - (np.eye(m, k=2) - np.eye(m, k=-2))
+    At = (0.5 * np.eye(m) + g.axis()[1:-1, None] * D / (12.0 * g.spacing)).T
+    core = field.values[1:-1, 1:-1, 1:-1]
+    c = np.ascontiguousarray(core)  # (i, j, k)
+    cy = np.ascontiguousarray(core.transpose(0, 2, 1))  # (i, k, j)
+    along_z = (c.reshape(m * m, m) @ At).reshape(m, m, m)
+    along_x = (c.reshape(m, m * m).T @ At).reshape(m, m, m)  # (j, k, i)
+    along_y = (cy.reshape(m * m, m) @ At).reshape(m, m, m)  # (i, k, j)
     out = np.zeros((n, n, n))
-    core = out[1:-1, 1:-1, 1:-1]
-    np.multiply(shifted(0, 0), 1.5, out=core)
-    df, tmp = np.empty_like(core), np.empty_like(core)
-    for d in range(3):
-        np.subtract(shifted(d, 1), shifted(d, -1), out=df)
-        df *= 8.0
-        np.subtract(shifted(d, 2), shifted(d, -2), out=tmp)
-        df -= tmp
-        df /= 12.0 * h
-        shape = [1, 1, 1]
-        shape[d] = n - 2
-        df *= ax.reshape(shape)
-        core += df
+    out_core = out[1:-1, 1:-1, 1:-1]
+    np.add(along_z, along_x.transpose(2, 0, 1), out=out_core)
+    out_core += along_y.transpose(0, 2, 1)
     return ScalarField(g, out)
 
 
+def axis_marginals(field_sq: ScalarField) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The x, y and z marginals of a density: the trapezoid quadrature over
+    the other two axes, z then y summed out first."""
+    w = field_sq.grid.quad_weights_1d()
+    v = field_sq.values
+    pxy, pxz = v @ w, w @ v
+    return pxy @ w, w @ pxy, w @ pxz
+
+
 def second_moment(field_sq: ScalarField, center: np.ndarray | None = None) -> float:
-    """integrate(|x - center|^2 * field_sq)."""
+    """integrate(|x - center|^2 * field_sq), about the origin by default.
+
+    The weight |x - c|^2 is a sum of one term per axis, so the integral is
+    the sum of the 1-D quadratures of the :func:`axis_marginals`; no r^2
+    field is formed.  It agrees with the quadrature of the product field to
+    roundoff.
+    """
     g = field_sq.grid
-    ax = g.axis()
-    if center is None:
-        center = np.zeros(3)
-    X = (ax - center[0])[:, None, None]
-    Y = (ax - center[1])[None, :, None]
-    Z = (ax - center[2])[None, None, :]
-    r2 = X * X + Y * Y + Z * Z
-    return integrate(ScalarField(g, field_sq.values * r2))
+    ax, w = g.axis(), g.quad_weights_1d()
+    c = np.zeros(3) if center is None else center
+    return float(sum(p @ ((ax - c[d]) ** 2 * w)
+                     for d, p in enumerate(axis_marginals(field_sq))))
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,10 @@ class RadialProfile:
     C * exp(-r)/r and its slope -C * exp(-r) * (1/r + 1/r^2) rather than the
     raw integrator output; the raw solution is polluted there by the
     exponentially growing mode at the level of the bisection resolution.
-    ``bisections`` counts the coarse and fine bisection steps of the shooting
-    and says whether the coarse bracket was accepted.
+    ``bisections`` counts the steps of the shooting (see
+    :func:`shoot_soliton`): ``coarse`` bisection steps, ``secant`` shots,
+    fine-step ``checks`` of bracket ends and ``fine`` bisection steps, and
+    says whether the coarse bracket was accepted (``coarse_bracket``).
     """
 
     r: np.ndarray
@@ -99,10 +101,11 @@ def _series_start(w0: float, r: float) -> tuple[float, float]:
 def _integrate(w0: float, dr: float, r_max: float, keep: bool = False):
     """Fixed-step RK4 from the series start at r = dr.
 
-    Returns (kind, r_stop, history) where kind is 'cross' if w reached zero,
-    'turn' if w started growing again while positive, and 'decay' if the
-    trajectory survived to r_max.  history is the (w, w') arrays on the mesh
-    r = 0, dr, ..., r_stop when keep, else None.
+    Returns (kind, r_stop, history, end) where kind is 'cross' if w reached
+    zero, 'turn' if w started growing again while positive, and 'decay' if
+    the trajectory survived to r_max.  history is the (w, w') arrays on the
+    mesh r = 0, dr, ..., r_stop when keep, else None; end is (w, w') at
+    r_stop.
     """
     nsteps = int(round(r_max / dr))
     w, dw = _series_start(w0, dr)
@@ -133,10 +136,10 @@ def _integrate(w0: float, dr: float, r_max: float, keep: bool = False):
         if keep:
             ws[k + 1], dws[k + 1] = w, dw
         if w <= 0.0:
-            return "cross", r, (ws[: k + 2], dws[: k + 2]) if keep else None
+            return "cross", r, (ws[: k + 2], dws[: k + 2]) if keep else None, (w, dw)
         if dw > 0.0 and w < 0.5 * w0:
-            return "turn", r, (ws[: k + 2], dws[: k + 2]) if keep else None
-    return "decay", r, (ws, dws) if keep else None
+            return "turn", r, (ws[: k + 2], dws[: k + 2]) if keep else None, (w, dw)
+    return "decay", r, (ws, dws) if keep else None, (w, dw)
 
 
 # Coarse-first shooting: bisect with this multiple of the step until the
@@ -146,28 +149,74 @@ def _integrate(w0: float, dr: float, r_max: float, keep: bool = False):
 _COARSE_STEPS = 4
 _HANDOFF_WIDTH = 1e-7
 
+# The secant's miss is the Robin mismatch w' + (1 + 1/R) w at this radius,
+# which vanishes on the decaying tail C e^{-r}/r of the linearised equation.
+# Here it is linear in w(0) across the handoff width (three shots converge),
+# and the nonlinear term w^{7/3} moves its zero by less than 1e-14, inside
+# the fine root's final bracket (5.1e-13 wide at dr = 2e-3, tol = 1e-12).
+# That shift grows about e^{10/3}-fold per unit of R inward: at R = 9 it is
+# 1.5e-12, three final brackets.  At R = 11 the miss is no longer linear
+# across the handoff width.
+_MISS_RADIUS = 10.5
+_MAX_SHOTS = 8
 
-def _bisect(lo, hi, tol, dr, r_max, cross_is_high):
-    """Bisect [lo, hi] with step dr until it is at most ``tol`` wide.
 
-    Returns the final (lo, hi) and the number of midpoints integrated; a
-    midpoint that decays to r_max is the root, and ends the bisection as a
-    bracket of width zero.
+def _bisect(lo, hi, tol, side):
+    """Bisect [lo, hi] until it is at most ``tol`` wide.
+
+    ``side(mid)`` is True when the midpoint belongs to hi's side, False for
+    lo's, and None when the midpoint is the root, which ends the bisection
+    as a bracket of width zero.  Returns the final (lo, hi) and the number
+    of midpoints classified.
     """
     steps = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # float resolution reached
-        kind, _, _ = _integrate(mid, dr, r_max)
+        high = side(mid)
         steps += 1
-        if kind == "decay":
+        if high is None:
             return mid, mid, steps
-        if (kind == "cross") == cross_is_high:
+        if high:
             hi = mid
         else:
             lo = mid
     return lo, hi, steps
+
+
+def _shooting_side(dr, r_max, cross_is_high):
+    """The bisection's ``side`` at step dr: a midpoint that decays to r_max
+    is the root."""
+    def side(w0):
+        kind = _integrate(w0, dr, r_max)[0]
+        return None if kind == "decay" else (kind == "cross") == cross_is_high
+    return side
+
+
+def _secant_root(lo, hi, tol, dr):
+    """Zero of the Robin miss G(w0) = w'(R) + (1 + 1/R) w(R), R = _MISS_RADIUS,
+    by secant steps from the ends of a bracket within the handoff width.
+
+    Returns the estimate and the number of shots integrated.  The steps
+    stop once a step is below tol / 64, after ``_MAX_SHOTS`` shots, or when
+    a shot stops short of R; an estimate from an unconverged run is checked
+    like any other.
+    """
+    def miss(w0):
+        kind, _, _, (w, dw) = _integrate(w0, dr, _MISS_RADIUS)
+        return dw + (1.0 + 1.0 / _MISS_RADIUS) * w if kind == "decay" else None
+
+    x0, x1 = lo, hi
+    g0, g1 = miss(x0), miss(x1)
+    shots = 2
+    while g0 is not None and g1 is not None and g1 != g0:
+        x2 = x1 - g1 * (x1 - x0) / (g1 - g0)
+        if abs(x2 - x1) <= tol / 64 or shots == _MAX_SHOTS:
+            return x2, shots
+        x0, g0, x1, g1 = x1, g1, x2, miss(x2)
+        shots += 1
+    return x1, shots
 
 
 def shoot_soliton(
@@ -176,24 +225,32 @@ def shoot_soliton(
     r_max: float = 25.0,
     bracket: tuple[float, float] = (1.0, 10.0),
 ) -> RadialProfile:
-    """Bisect the shooting parameter w(0) until the bracket is below tol.
+    """The shooting parameter w(0) of the fine-step bisection down to tol.
 
     The dichotomy: too-large w(0) makes the trajectory cross zero, too-small
     makes it turn around while positive.  The bracket must be finite with
     lo < hi, and its endpoints are classified up front and must disagree.
 
     The bisection first runs with step ``_COARSE_STEPS * dr`` down to
-    ``_HANDOFF_WIDTH``.  The fine step takes that bracket over only if it
-    classifies both ends as it classified the original ends; otherwise it
-    restarts from the original bracket.  The classification is monotone in
-    w(0), so an accepted bracket is one the fine bisection visits itself,
-    and w0 is the fine bisection's to the bit either way.
+    ``_HANDOFF_WIDTH``.  In that bracket the secant steps of
+    :func:`_secant_root` estimate the root, and the fine bisection's own
+    midpoint arithmetic is replayed from the bracket against the estimate.
+    Only the two ends of the final bracket are integrated at the fine
+    step.  If they classify as the original ends, the fine root lies in
+    that bracket; the classification is monotone in w(0), so every
+    midpoint the replay placed also classifies as the fine bisection
+    would, and w0 is the fine bisection's to the bit.  An end that
+    classifies wrongly says on which side the root lies: the check moves
+    to the neighbouring final bracket, at most twice.  After that it falls
+    back to the fine bisection, of the coarse bracket if the fine step
+    classifies its ends as it classified the original ends, else of the
+    original bracket.
     """
     lo, hi = bracket
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise BracketError(f"bracket must be finite with lo < hi: {bracket}")
-    kind_lo, _, _ = _integrate(lo, dr, r_max)
-    kind_hi, _, _ = _integrate(hi, dr, r_max)
+    kind_lo = _integrate(lo, dr, r_max)[0]
+    kind_hi = _integrate(hi, dr, r_max)[0]
     # border case: an endpoint that decays is treated like an undershoot
     ends = tuple("turn" if k == "decay" else k for k in (kind_lo, kind_hi))
     if ends[0] == ends[1]:
@@ -201,15 +258,43 @@ def shoot_soliton(
     cross_is_high = ends[1] == "cross"
 
     c_lo, c_hi, coarse = _bisect(lo, hi, max(tol, _HANDOFF_WIDTH),
-                                 _COARSE_STEPS * dr, r_max, cross_is_high)
-    accepted = c_lo < c_hi and all(
-        _integrate(end, dr, r_max)[0] == kind for end, kind in zip((c_lo, c_hi), ends))
-    if accepted:
-        lo, hi = c_lo, c_hi
-    lo, hi, fine = _bisect(lo, hi, tol, dr, r_max, cross_is_high)
+                                 _shooting_side(_COARSE_STEPS * dr, r_max, cross_is_high))
+    checked = {}  # fine-step kinds of the bracket ends checked
+
+    def kinds(*xs):
+        for x in xs:
+            if x not in checked:
+                checked[x] = _integrate(x, dr, r_max)[0]
+        return tuple(checked[x] for x in xs)
+
+    est, shots = _secant_root(c_lo, c_hi, tol, dr) if c_hi - c_lo > tol else (c_lo, 0)
+    b_lo, b_hi, _ = _bisect(c_lo, c_hi, tol, lambda mid: mid > est)
+    verified = False
+    for _ in range(3):  # the estimate's bracket, then at most two neighbours
+        k_lo, k_hi = kinds(b_lo, b_hi)
+        if (k_lo, k_hi) == ends:
+            verified = True
+            break
+        if k_lo == ends[1]:  # the root lies below: the left neighbour
+            edge = math.nextafter(b_lo, -math.inf)
+        elif k_hi == ends[0]:  # above: the right neighbour
+            edge = b_hi
+        else:
+            break
+        moved = _bisect(c_lo, c_hi, tol, lambda mid: mid > edge)[:2]
+        if moved == (b_lo, b_hi):
+            break
+        b_lo, b_hi = moved
+    if verified:
+        lo, hi, fine, accepted = b_lo, b_hi, 0, True
+    else:
+        accepted = c_lo < c_hi and kinds(c_lo, c_hi) == ends
+        if accepted:
+            lo, hi = c_lo, c_hi
+        lo, hi, fine = _bisect(lo, hi, tol, _shooting_side(dr, r_max, cross_is_high))
     w0 = 0.5 * (lo + hi)
 
-    _, _, (ws, dws) = _integrate(w0, dr, r_max, keep=True)
+    _, _, (ws, dws), _ = _integrate(w0, dr, r_max, keep=True)
     n = int(round(r_max / dr)) + 1
     r = np.arange(n) * dr
     w, dw = np.zeros(n), np.zeros(n)
@@ -228,7 +313,8 @@ def shoot_soliton(
     return RadialProfile(
         r=r, w=w, dw=dw, w0=w0, dr=dr, r_max=r_max, match_radius=r[im],
         tail_coeff=C,
-        bisections={"coarse": coarse, "fine": fine,
+        bisections={"coarse": coarse, "secant": shots, "checks": len(checked),
+                    "fine": fine,
                     "coarse_bracket": "accepted" if accepted else "rejected"},
     )
 

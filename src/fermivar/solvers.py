@@ -34,7 +34,8 @@ product mode the operator acts as the surrogate eigenvalue plus the
 diagonal's departure from the surrogate potential, so that step applies
 no operator and is built over x-slabs in a few fields of memory.  The
 residuals of the requested levels are recomputed and certified after
-every solve; the block's guard columns come back uncertified.
+every solve; of the block's guard columns only their Ritz values and
+residuals come back, uncertified.
 
 The continuum upper bound on the rank-2 threshold evaluates the separated
 pair trial by a 2-D quadrature streamed over blocks of nodes
@@ -51,6 +52,7 @@ import numpy as np
 from .grid import (
     BoxGrid,
     ScalarField,
+    axis_marginals,
     boundary_max_abs,
     dilate,
     dilation_generator,
@@ -77,6 +79,7 @@ from .model import (
     diagnose,
     effective_potential,
     energy,
+    five_thirds_power,
     hamiltonian_apply,
     multipliers,
     p_integral,
@@ -187,10 +190,9 @@ class EigResult:
     residuals: np.ndarray
     converged: bool
     iterations: int
-    # Ritz pairs of the block's guard columns, above the k certified ones;
-    # their residuals are reported but do not enter ``converged``
+    # Ritz values and residuals of the block's guard columns, above the k
+    # certified ones; the residuals do not enter ``converged``
     guard_values: np.ndarray
-    guard_fields: list[ScalarField]
     guard_residuals: np.ndarray
 
 
@@ -527,7 +529,9 @@ def lowest_eigenpairs(
     step on its best iterate, whose residuals ||H v - lam v|| are recomputed
     in L2, and the solve stops once the k lowest are within tol.  The
     result is flagged unconverged if any of them still exceeds tol after
-    ``_EIG_ROUNDS`` rounds.  The three guard columns come back uncertified.
+    ``_EIG_ROUNDS`` rounds.  Only the k certified rows become fields; the
+    three guard columns return their Ritz values and residuals,
+    uncertified.
 
     The start block (:func:`_start_block`) holds the ``warm`` fields first.
     Its other columns are the lowest Ritz vectors of H on the
@@ -575,16 +579,14 @@ def lowest_eigenpairs(
         if res[:k].max() <= tol:
             break
 
-    fields = _unit_fields(grid, X)
     # L2 residuals equal algebraic ones under the uniform interior weight
     return EigResult(
         values=np.asarray(evals[:k], dtype=float),
-        fields=fields[:k],
+        fields=_unit_fields(grid, X[:k]),
         residuals=np.asarray(res[:k], dtype=float),
         converged=bool(res[:k].max() <= tol),
         iterations=total_iter,
         guard_values=np.asarray(evals[k:], dtype=float),
-        guard_fields=fields[k:],
         guard_residuals=np.asarray(res[k:], dtype=float),
     )
 
@@ -596,8 +598,10 @@ def lowest_eigenpairs(
 
 def _gradient_fields(frame, rho, V, a):
     """2 H u_i for every orbital of the frame."""
-    return tuple(ScalarField(rho.grid, 2.0 * hamiltonian_apply(rho, V, a, u).values)
-                 for u in frame)
+    hus = hamiltonian_apply(rho, V, a, frame)
+    for hu in hus:
+        hu.values *= 2.0
+    return hus
 
 
 def _positive_lobe(u: ScalarField) -> ScalarField:
@@ -624,10 +628,9 @@ def _rotate_to_multiplier_basis(frame, V, a):
     us = tuple(frame)
     mus, R, _ = multipliers(us, V, a)
     rotated = [_positive_lobe(u) for u in combine(us, R)]
-    rho = density(rotated)
-    residuals = tuple(
-        norm(ScalarField(u.grid, hamiltonian_apply(rho, V, a, u).values - mu * u.values))
-        for u, mu in zip(rotated, mus))
+    hus = hamiltonian_apply(density(rotated), V, a, rotated)
+    residuals = tuple(norm(ScalarField(u.grid, hu.values - mu * u.values))
+                      for u, hu, mu in zip(rotated, hus, mus))
     return tuple(rotated), mus, residuals
 
 
@@ -647,9 +650,8 @@ def _density_sigma(rho: ScalarField, center: np.ndarray) -> float:
 
 def _centroid(grid: BoxGrid, v: np.ndarray) -> tuple[float, float, float]:
     """Centroid of a unit-mass density on the nodes, from its axis marginals."""
-    w = grid.quad_weights_1d()
-    pxy, pxz, xw = v @ w, w @ v, grid.axis() * w  # z, then y, summed out
-    return ((pxy @ w) @ xw, (w @ pxy) @ xw, (w @ pxz) @ xw)
+    xw = grid.axis() * grid.quad_weights_1d()
+    return tuple(p @ xw for p in axis_marginals(ScalarField(grid, v)))
 
 
 def _gaussian(grid: BoxGrid, sigma: float):
@@ -1279,14 +1281,15 @@ def _separated_pair_quotients(profile, d: float, panels=_PAIR_PANELS) -> tuple[f
         K += float(np.sum(weight * (dfl * dfl + dfr * dfr)))
         s += float(np.sum(weight * (fl * fr)))
         g += float(np.sum(weight * (gl * gr * ((X + d) * (X - d) + r * r))))
-        PL += float(np.sum(weight * (np.cbrt(fl * fl) ** 5 + np.cbrt(fr * fr) ** 5)))
+        PL += float(np.sum(weight * (five_thirds_power(fl * fl)
+                                     + five_thirds_power(fr * fr))))
     s, g = 2.0 * s, 2.0 * g
     # half the integrals of rho and rho^{5/3}
     half_mass = half_P = 0.0
     for weight, _, ((fl, _, _), (fr, _, _)) in blocks():
         rho = (fl + fr) ** 2 / (2.0 * (M + s)) + (fl - fr) ** 2 / (2.0 * (M - s))
         half_mass += float(np.sum(weight * rho))
-        half_P += float(np.sum(weight * np.cbrt(rho) ** 5))
+        half_P += float(np.sum(weight * five_thirds_power(rho)))
     T = (K + g) / (M + s) + (K - g) / (M - s)
     q2 = T * half_mass ** (2.0 / 3.0) / (2.0 * half_P)
     q1 = K * M ** (2.0 / 3.0) / PL

@@ -715,9 +715,11 @@ def test_astar_artifacts_are_complete(small_astar_run):
     assert oracle["a1_star"] == art["oracle_a1"]
     assert 4.0 <= oracle["match_radius"] < 25.0
     bis = oracle["bisections"]
-    assert set(bis) == {"coarse", "fine", "coarse_bracket"}
+    assert set(bis) == {"coarse", "secant", "checks", "fine", "coarse_bracket"}
     assert bis["coarse_bracket"] == "accepted"
-    assert bis["coarse"] > 0 and bis["fine"] > 0
+    # the secant's bracket verified at once: no fine bisection step
+    assert bis["coarse"] > 0 and bis["secant"] > 0
+    assert bis["checks"] == 2 and bis["fine"] == 0
     assert set(oracle["residuals"]) == {"sum_identity", "kinetic_fraction",
                                         "mass_fraction"}
     assert all(0.0 <= v < 1e-10 for v in oracle["residuals"].values())

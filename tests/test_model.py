@@ -21,6 +21,7 @@ from fermivar.model import (
     density,
     diagnose,
     energy,
+    five_thirds_power,
     hamiltonian_apply,
     lower_bound_gap,
     multipliers,
@@ -139,6 +140,18 @@ def test_p_norm_five_thirds_power():
     assert got == pytest.approx(exact, rel=1e-3)
 
 
+def test_five_thirds_power_matches_the_general_pow():
+    # products of the cube root, against numpy's pow, over 60 decades
+    rng = np.random.default_rng(53)
+    x = np.concatenate([10.0 ** rng.uniform(-30.0, 30.0, 20_000),
+                        rng.random(20_000), [1.0, 8.0, 0.125]])
+    ref = np.cbrt(x) ** 5
+    got = five_thirds_power(x)
+    assert np.max(np.abs(got - ref) / ref) <= 1e-15
+    zero = five_thirds_power(np.zeros(3))
+    assert np.all(zero == 0.0)
+
+
 def test_hamiltonian_symmetry():
     g = BoxGrid(24, 2.5)
     V = potential_field(harmonic(), g)
@@ -147,8 +160,9 @@ def test_hamiltonian_symmetry():
         pair = random_pair(g, rng, 0.5)
         rho = density(pair)
         f, h = pair.u1, pair.u2
-        lhs = inner(hamiltonian_apply(rho, V, 2.0, f), h)
-        rhs = inner(f, hamiltonian_apply(rho, V, 2.0, h))
+        hf, hh = hamiltonian_apply(rho, V, 2.0, (f, h))
+        lhs = inner(hf, h)
+        rhs = inner(f, hh)
         assert lhs == pytest.approx(rhs, rel=1e-11), f"seed={900 + seed}"
 
 

@@ -132,6 +132,54 @@ def test_rejected_coarse_bracket_restarts_at_the_fine_step(monkeypatch):
     assert profile.bisections["fine"] > PROFILE.bisections["fine"]
 
 
+def _final_bracket(w0):
+    """The final bracket of the default shooting that holds ``w0``."""
+    coarse = radial._shooting_side(radial._COARSE_STEPS * PROFILE.dr, PROFILE.r_max, True)
+    lo, hi, _ = radial._bisect(1.0, 10.0, radial._HANDOFF_WIDTH, coarse)
+    return radial._bisect(lo, hi, 1e-12, lambda mid: mid > w0)[:2]
+
+
+@pytest.mark.parametrize("brackets_off, checks, fine", [
+    (1, 3, 0),  # the neighbour verifies: one more end integrated
+    # two neighbours fail too: the coarse bracket's ends are checked, and
+    # the fine bisection of that bracket runs
+    (3, 6, 17),
+])
+def test_misplaced_secant_estimate_still_gives_the_fine_root(
+        monkeypatch, brackets_off, checks, fine):
+    # an estimate in the wrong final bracket fails the check; the shooting
+    # moves to the neighbour, then falls back to the fine bisection
+    lo, hi = _final_bracket(PROFILE.w0)
+    secant = radial._secant_root
+
+    def misplaced(*args):
+        _, shots = secant(*args)
+        return PROFILE.w0 + brackets_off * (hi - lo), shots
+
+    monkeypatch.setattr(radial, "_secant_root", misplaced)
+    profile = shoot_soliton()
+    assert profile.w0 == PROFILE.w0
+    assert profile.bisections == {**PROFILE.bisections, "checks": checks, "fine": fine}
+
+
+def test_default_shooting_integrates_at_most_eight_fine_trajectories(monkeypatch):
+    # two end classifications, the secant's shots, the two ends of the
+    # verified bracket and the kept profile; a return to the fine bisection
+    # would add its 17 steps
+    calls = []
+    integrate = radial._integrate
+
+    def counted(w0, dr, r_max, keep=False):
+        calls.append(dr)
+        return integrate(w0, dr, r_max, keep)
+
+    monkeypatch.setattr(radial, "_integrate", counted)
+    profile = shoot_soliton()
+    assert profile.w0 == PROFILE.w0
+    assert calls.count(2e-3) <= 8
+    assert profile.bisections["fine"] == 0
+
+
 def test_hermite_reader_matches_a_cubic_spline():
     p = PROFILE
     spline = CubicSpline(p.r, p.w, bc_type=((1, 0.0), "not-a-knot"))
