@@ -26,6 +26,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import math
 import operator
 import os
 import sys
@@ -436,8 +437,8 @@ def _load_astar(outdir: str, grid: BoxGrid) -> float:
 def cmd_solve(raw: dict, args) -> int:
     if args.a is None:
         raise ConfigError("solve requires --a <coupling>")
-    if not args.a >= 0.0:
-        raise ConfigError(f"--a must be a nonnegative coupling, got {args.a}")
+    if not (math.isfinite(args.a) and args.a >= 0.0):
+        raise ConfigError(f"--a must be a finite nonnegative coupling, got {args.a}")
     grid = build_grid(raw)
     trap = build_trap(raw)
     cfg = build_solver(raw)

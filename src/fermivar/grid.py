@@ -412,11 +412,15 @@ def second_moment(field_sq: ScalarField, center: np.ndarray | None = None) -> fl
     field is formed.  It agrees with the quadrature of the product field to
     roundoff.
     """
-    g = field_sq.grid
-    ax, w = g.axis(), g.quad_weights_1d()
+    return marginal_second_moment(field_sq.grid, axis_marginals(field_sq), center)
+
+
+def marginal_second_moment(grid: BoxGrid, marginals, center=None) -> float:
+    """:func:`second_moment` of a density from its :func:`axis_marginals`,
+    for a caller that reads the marginals for another moment too."""
+    ax, w = grid.axis(), grid.quad_weights_1d()
     c = np.zeros(3) if center is None else center
-    return float(sum(p @ ((ax - c[d]) ** 2 * w)
-                     for d, p in enumerate(axis_marginals(field_sq))))
+    return float(sum(p @ ((ax - c[d]) ** 2 * w) for d, p in enumerate(marginals)))
 
 
 # ---------------------------------------------------------------------------

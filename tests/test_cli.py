@@ -354,12 +354,16 @@ def test_solve_requires_coupling(tmp_path, capsys):
 
 
 def test_solve_rejects_negative_coupling(tmp_path, capsys):
+    # a coupling that is not a finite number is refused before any work; an
+    # infinite one with --allow-supercritical used to reach the solver and
+    # end in a traceback
     cp = write_config(tmp_path)
-    rc, _, err = run(["solve", "--config", cp, "--a", "-1.0"], capsys)
-    assert rc == fcli.EXIT_CONFIG
-    e = stderr_error(err)
-    assert e["kind"] == "config"
-    assert "nonnegative coupling" in e["message"]
+    for extra in (["-1.0"], ["inf", "--allow-supercritical"], ["nan"]):
+        rc, _, err = run(["solve", "--config", cp, "--a", *extra], capsys)
+        assert rc == fcli.EXIT_CONFIG
+        e = stderr_error(err)
+        assert e["kind"] == "config"
+        assert "nonnegative coupling" in e["message"]
 
 
 def test_solve_requires_stored_threshold(tmp_path, capsys):
@@ -371,7 +375,7 @@ def test_solve_requires_stored_threshold(tmp_path, capsys):
 
 def test_solve_reports_its_eigensolve_iterations(tmp_path, capsys):
     # solve.json says what the closing level check cost, the only
-    # eigensolve of a cold solve; it certifies within one round
+    # eigensolve of a cold solve; it certifies within the guard minimum
     cp = write_config(tmp_path)
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "astar.json").write_text(

@@ -1,5 +1,6 @@
 """Source hygiene: every name a package module imports is used in it, every
-import sits at module level, so no import cost hides inside a call, the
+private name it defines at module level is read somewhere in the package,
+every import sits at module level, so no import cost hides inside a call, the
 descent loop imports nothing from the package, neither importing the package
 nor an eigensolve loads any scipy module, the command line's path from start
 to a checked config loads only the standard library and numpy, and the
@@ -55,6 +56,51 @@ def test_no_import_inside_a_function(path):
 def test_function_imports_are_found():
     tree = ast.parse("import os\ndef f():\n    if True:\n        import json\n")
     assert _function_imports(tree) == ["f (line 4)"]
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Module-level private functions, classes and constants, in order."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the source reads: loaded names, attributes and imports."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    return read
+
+
+def _unread_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    read = set().union(*(_read_names(t) for t in trees.values()))
+    return [f"{mod}: {name}" for mod, tree in sorted(trees.items())
+            for name in _private_definitions(tree) if name not in read]
+
+
+def test_every_private_name_is_used():
+    # a simplification must not leave a private helper or constant behind
+    # that nothing in the package reads any more
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in SRC_DIR.glob("*.py")}
+    assert sum(len(_private_definitions(t)) for t in trees.values()) > 0
+    assert _unread_private_names(trees) == []
+
+
+def test_unread_private_names_are_found():
+    tree = ast.parse("_LIMIT, _ROUNDS = 3, 6\ndef _f():\n    return _LIMIT\n")
+    assert _private_definitions(tree) == ["_LIMIT", "_ROUNDS", "_f"]
+    assert _unread_private_names({"m.py": tree}) == ["m.py: _ROUNDS", "m.py: _f"]
 
 
 def _package_imports(tree: ast.Module) -> list[str]:

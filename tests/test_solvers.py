@@ -283,11 +283,15 @@ def _dense_levels(g, trap, count):
 ])
 def test_lowest_eigenpairs_match_the_dense_spectrum(trap, g, certified, tol, rel):
     V = potential_field(trap, g)
-    dense = _dense_levels(g, trap, 4)
+    dense = _dense_levels(g, trap, 7)
     for k in (2, 3, 4):
         eig = lowest_eigenpairs(g.zeros(), V, 0.0, k, tol)
         assert eig.converged or not certified
         assert np.abs(eig.values - dense[:k]).max() <= rel * np.abs(dense[:k]).max()
+        # the guard values are Ritz values, upper bounds on the levels of
+        # their index, as the README's reading of degeneracy_gap assumes
+        assert eig.guard_values.size == 3
+        assert np.all(eig.guard_values >= dense[k:k + 3] - 1e-12 * np.abs(dense).max())
 
 
 def _apply(diag, X, h):
@@ -352,7 +356,7 @@ def test_start_block_works_in_a_few_fields():
 
 def test_quartic_cold_block_is_certified_in_one_round():
     # the Ritz start on the surrogate's modes certifies the non-separable
-    # n = 32 quartic block in one round
+    # n = 32 quartic block within the guard minimum of 16 iterations
     g = BoxGrid(32, 2.5)
     eig = lowest_eigenpairs(g.zeros(), potential_field(QUARTIC, g), 0.0, 2,
                             solvers._EIG_TOL)
@@ -361,9 +365,8 @@ def test_quartic_cold_block_is_certified_in_one_round():
 
 
 def test_double_well_cold_block_is_certified_in_two_rounds():
-    # the cold start of the continuation sweep's first point: the n = 32
-    # double-well block takes two rounds, and a third would add half again
-    # to the cost of every cold double-well solve
+    # the n = 32 double-well cold block takes 32 iterations; 16 more would
+    # add half again to the cost of the eigensolve
     g = BoxGrid(32, 2.5)
     eig = lowest_eigenpairs(g.zeros(), potential_field(DOUBLE_WELL, g), 0.0, 2,
                             solvers._EIG_TOL)
@@ -590,17 +593,23 @@ def _one_s_two_s(g):
                    ScalarField(g, mask_boundary((r2 - 1.5) * gauss)))
 
 
-@pytest.mark.parametrize("trap, half_width", [(HARMONIC, 2.2), (QUARTIC, 2.5)],
-                         ids=["harmonic", "quartic"])
-def test_aufbau_failure_reenters_the_descent(trap, half_width):
+@pytest.mark.parametrize("trap, half_width, n, a", [
+    pytest.param(HARMONIC, 2.2, 24, 5.0, id="harmonic"),
+    pytest.param(QUARTIC, 2.5, 24, 5.0, id="quartic"),
+    # a level check that stops as soon as its two levels are within tol
+    # certifies this stationary pair, 49 % above the minimum: the guard
+    # columns' minimum iterations find the lower p level
+    pytest.param(HARMONIC, 2.2, 16, 6.5, id="harmonic_n16_a6.5"),
+])
+def test_aufbau_failure_reenters_the_descent(trap, half_width, n, a):
     # the descent from the (1s, 2s) pair stops on tolerance at a stationary
     # point whose operator has a p level below mu2; the solve starts the
     # descent again from the level check's two lowest fields and reaches
     # the cold minimum (the SCF polish that used to take over from there
     # ended unconverged, 5e-4 above it)
-    g = BoxGrid(24, half_width)
-    cold = minimize_ground_state(5.0, trap, g, SolverConfig())
-    res = minimize_ground_state(5.0, trap, g, SolverConfig(), warm_start=_one_s_two_s(g))
+    g = BoxGrid(n, half_width)
+    cold = minimize_ground_state(a, trap, g, SolverConfig())
+    res = minimize_ground_state(a, trap, g, SolverConfig(), warm_start=_one_s_two_s(g))
     assert res.converged
     assert res.stop_reason == "aufbau+tolerance"
     assert res.scf_outer == 0
