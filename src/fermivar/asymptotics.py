@@ -69,6 +69,9 @@ class ResolutionWarning(UserWarning):
 # extraction warns.
 EPS_RESOLUTION_NODES = 8.0
 
+# A resolved extract's mass before orthonormalization lies within this of 2.
+MASS_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -222,10 +225,11 @@ def rescale_extract(
 
     The rescaling is mass-preserving up to interpolation and window-tail
     error; raw_mass records the interpolated mass before the final
-    orthonormalization so callers can assert the 2 +- 1e-4 invariant.  The
-    profile is read off a quintic spline: on an s+p Gaussian pair whose eps
-    spans 3.9 source spacings the mass error is 5e-6 (cubic: 4e-4), and it
-    stays below 1e-4 down to about 2.6 spacings.  The invariant is promised
+    orthonormalization so callers can assert the 2 +- ``MASS_TOL``
+    invariant (``report.json``'s ``profile.mass_ok``).  The profile is
+    read off a quintic spline: on an s+p Gaussian pair whose eps spans 3.9
+    source spacings the mass error is 5e-6 (cubic: 4e-4), and it stays
+    below 1e-4 down to about 2.6 spacings.  The invariant is promised
     only when eps spans at least ``EPS_RESOLUTION_NODES`` source spacings
     (the default rule by which sweep records count as under-resolved) and
     the window holds the tails; below that rule a
@@ -253,7 +257,7 @@ def rescale_extract(
         warnings.warn(
             f"eps={eps:.4g} spans {eps / src.spacing:.2f} source spacings, "
             f"below {EPS_RESOLUTION_NODES:g}: the extracted mass is not promised "
-            "to hold 2 +- 1e-4", ResolutionWarning, stacklevel=2)
+            f"to hold 2 +- {MASS_TOL:g}", ResolutionWarning, stacklevel=2)
     w = []
     for u in (pair.u1, pair.u2):
         v = resample_scaled(u, eps, center=c, out_grid=ref_grid, order=5)
@@ -434,8 +438,8 @@ def multiplier_limits(records, a_hat: float | None = None) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def radial_shell_profile(field: ScalarField, absolute: bool = False):
-    """Shell means of a field about the grid center, one bin per spacing.
+def radial_shell_profile(field: ScalarField):
+    """Shell means of |field| about the grid center, one bin per spacing.
 
     Shells past the inscribed sphere are dropped (they are clipped by the
     box and would bias decay fits).  Returns (centers, means, counts).
@@ -444,7 +448,7 @@ def radial_shell_profile(field: ScalarField, absolute: bool = False):
     X, Y, Z = grid.meshgrid()
     r = np.sqrt(X * X + Y * Y + Z * Z)
     h = grid.spacing
-    vals = np.abs(field.values) if absolute else field.values
+    vals = np.abs(field.values)
     nbins = int(math.floor(grid.half_width / h))
     idx = np.minimum((r / h).astype(np.int64), nbins)
     sums = np.bincount(idx.ravel(), weights=vals.ravel(), minlength=nbins + 1)
@@ -455,9 +459,8 @@ def radial_shell_profile(field: ScalarField, absolute: bool = False):
     return centers, means, counts[keep]
 
 
-def shell_decay_rate(field: ScalarField, r_lo: float, r_hi: float,
-                     absolute: bool = False) -> float:
-    """Fitted exponential rate of shell means over [r_lo, r_hi].
+def shell_decay_rate(field: ScalarField, r_lo: float, r_hi: float) -> float:
+    """Fitted exponential rate of shell means of |field| over [r_lo, r_hi].
 
     The shell means m(r) are fitted as log m = c + beta log r - kappa r and
     kappa is returned.  The free power prefactor absorbs the angular and
@@ -467,7 +470,7 @@ def shell_decay_rate(field: ScalarField, r_lo: float, r_hi: float,
     """
     if not 0 <= r_lo < r_hi:
         raise WindowError(f"bad decay window [{r_lo}, {r_hi}]")
-    centers, means, counts = radial_shell_profile(field, absolute=absolute)
+    centers, means, counts = radial_shell_profile(field)
     sel = (centers >= r_lo) & (centers <= r_hi) & (means > 0) & (counts > 0)
     if int(sel.sum()) < 6:
         raise WindowError(
@@ -519,8 +522,8 @@ def fit_decay_rate(extract: ProfileExtract) -> DecayRates:
 
     win_1 = window(2.0 / math.sqrt(-extract.lambda1))
     win_2 = window(2.0 / math.sqrt(-extract.lambda2))
-    rate_1 = shell_decay_rate(extract.rescaled_pair.u1, *win_1, absolute=True)
-    rate_2 = shell_decay_rate(extract.rescaled_pair.u2, *win_2, absolute=True)
+    rate_1 = shell_decay_rate(extract.rescaled_pair.u1, *win_1)
+    rate_2 = shell_decay_rate(extract.rescaled_pair.u2, *win_2)
     return DecayRates(
         rate_rho=2.0 * min(rate_1, rate_2),
         rate_w1=rate_1,
@@ -537,7 +540,7 @@ def fit_decay_rate(extract: ProfileExtract) -> DecayRates:
 
 
 def energy_constant_check(records, extract: ProfileExtract,
-                          trap: TrapPotential, xbar) -> dict:
+                          trap: TrapPotential, a_hat: float, xbar) -> dict:
     """Limit constant of E/(a_hat-a)^{p/(p+2)} vs its profile decomposition.
 
     Left side: the constant of a fixed-exponent power-law fit of E over the
@@ -552,7 +555,6 @@ def energy_constant_check(records, extract: ProfileExtract,
     p = float(meta.p)
     alpha = meta.alpha
     theta = p / (p + 2.0)
-    a_hat = recs[-1].a + recs[-1].eps ** (p + 2.0)
 
     tail = recs[len(recs) // 2:]
     logs = [math.log(r.E) - theta * math.log(a_hat - r.a) for r in tail]
@@ -568,7 +570,6 @@ def energy_constant_check(records, extract: ProfileExtract,
     moment = integrate(ScalarField(grid, weight * rho.values))
     rhs = p_norm + alpha * moment
 
-    tp = quotient_value(extract.rescaled_pair)
     return {
         "lhs_fit_constant": lhs,
         "rhs_profile_constant": rhs,
@@ -579,11 +580,6 @@ def energy_constant_check(records, extract: ProfileExtract,
         "a_hat": a_hat,
         "profile_p_norm": p_norm,
         "profile_trap_moment": moment,
-        "kinetic_identity": {
-            "profile_quotient": tp,
-            "a_hat": a_hat,
-            "rel_dev": abs(tp - a_hat) / a_hat,
-        },
     }
 
 
@@ -656,6 +652,8 @@ def build_report(
         report["profile"] = {
             "raw_masses": masses,
             "max_mass_error": max(abs(m - 2.0) for m in masses),
+            # the window held every profile's mass (a clipped extract does not)
+            "mass_ok": all(abs(m - 2.0) <= MASS_TOL for m in masses),
             "consecutive_density_distances": dists,
             "last_three_decreasing": bool(
                 len(dists) >= 2 and dists[-1] < dists[-2]
@@ -665,7 +663,7 @@ def build_report(
         }
         xbar = report["concentration"]["xbar"]
         report["energy_constant"] = energy_constant_check(
-            recs, profile_extracts[-1], trap, xbar
+            recs, profile_extracts[-1], trap, float(a_hat), xbar
         )
 
     if decay_extract is not None:

@@ -473,7 +473,8 @@ def cmd_solve(raw: dict, args) -> int:
         "mu2": res.diag.mu2,
         "sum_rule_residual": res.diag.sum_rule_residual,
         "virial_residual": res.diag.virial_residual,
-        "residuals": [float(r) for r in res.residuals],
+        # null: a breach stops before the residuals are computed
+        "residuals": [float(r) if math.isfinite(r) else None for r in res.residuals],
         "defect": res.pair.defect(),
         "max_pair_defect": res.max_pair_defect,
         "iters": res.iters,

@@ -81,9 +81,14 @@ def run_cli_cached(config: dict, steps, tag: str) -> Path:
     return outdir
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-JSON constant {name}")
+
+
 def load_json(path: Path) -> dict:
+    """Parse a JSON file strictly: NaN and Infinity are not JSON."""
     with open(path) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=_reject_constant)
 
 
 def _astar_step():

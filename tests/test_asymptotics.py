@@ -107,7 +107,7 @@ def test_csv_round_trip_is_exact(tmp_path):
         a=recs[2].a, eps=math.pi / 30.0, E=recs[2].E, T=recs[2].T,
         W=recs[2].W, P=recs[2].P, mu1=-1.0 / 7.0, mu2=-0.1,
         peak=(0.1, -0.2, 1e-17), defect=3e-16, converged=False,
-        under_resolved=True, stop_reason="max_iters+scf",
+        under_resolved=True, stop_reason="max_iters+scf+max_iters",
     )
     recs[3] = dataclasses.replace(recs[3], stop_reason="tolerance")
     path = tmp_path / "records.csv"
@@ -125,7 +125,7 @@ def test_csv_round_trip_is_exact(tmp_path):
 def test_csv_carries_under_resolved_and_stop_reason(tmp_path):
     # the whole record lives in the CSV: no flag list rides beside it
     flags = [False, True, False, True]
-    reasons = ["tolerance", None, "line_search+scf", "breach"]
+    reasons = ["tolerance", None, "line_search+scf+tolerance", "breach"]
     recs = [dataclasses.replace(r, under_resolved=f, stop_reason=s)
             for r, f, s in zip(synthetic_records(n=4), flags, reasons)]
     path = tmp_path / "r.csv"
@@ -446,21 +446,22 @@ def _small_extract(lam1=-16.0, lam2=-16.0):
 
 def test_energy_constant_lhs_recovers_planted_constant():
     recs = synthetic_records(c_E=1.3)
-    out = energy_constant_check(recs, _small_extract(), HARMONIC,
+    extract = _small_extract()
+    out = energy_constant_check(recs, extract, HARMONIC, 9.5,
                                 xbar=(0.0, 0.0, 0.0))
     # records follow E = 1.3 * (a_hat - a)^{1/2} exactly
     assert out["lhs_fit_constant"] == pytest.approx(1.3, rel=1e-9)
     assert out["theta"] == pytest.approx(0.5)
-    assert out["a_hat"] == pytest.approx(9.5, rel=1e-12)
+    assert out["a_hat"] == 9.5
     # rhs is an independent quadrature on the profile: finite and positive
     assert out["rhs_profile_constant"] > 0
-    pair = _small_extract().rescaled_pair
+    pair = extract.rescaled_pair
     T = kinetic_energy(pair.u1) + kinetic_energy(pair.u2)
     g = pair.grid
     rho = ScalarField(g, pair.u1.values**2 + pair.u2.values**2)
     P = integrate(ScalarField(g, np.cbrt(rho.values)**5))
-    assert out["kinetic_identity"]["profile_quotient"] == pytest.approx(
-        T / P, rel=1e-12)
+    profile = build_report(recs, HARMONIC, 9.5, [extract])["profile"]
+    assert profile["quotient"] == pytest.approx(T / P, rel=1e-12)
 
 
 def test_build_report_structure_and_planted_laws(tmp_path):
@@ -478,6 +479,10 @@ def test_build_report_structure_and_planted_laws(tmp_path):
     assert rep["multipliers"]["lambda1"] == pytest.approx(-16.0, rel=1e-9)
     assert rep["concentration"]["verdict"] == "ok"
     assert rep["profile"]["max_mass_error"] == pytest.approx(0.0, abs=1e-12)
+    assert rep["profile"]["mass_ok"] is True
+    # one threshold: the energy constant uses the report's a_hat, not one
+    # rebuilt from the last record
+    assert rep["energy_constant"]["a_hat"] == rep["a_hat"] == 9.5
     # identical consecutive extracts: distances all zero, trend test false
     assert rep["profile"]["consecutive_density_distances"] == [0.0, 0.0]
     dec = rep["decay"]
@@ -501,6 +506,35 @@ def test_build_report_structure_and_planted_laws(tmp_path):
     write_json(rep2, p2)
     assert p1.read_bytes() == p2.read_bytes()  # bitwise reproducible
     assert json.loads(p1.read_text())["a_hat"] == 9.5
+
+
+def test_energy_constant_uses_the_report_threshold():
+    # records at 0.3-0.45 of a threshold, as an n = 32 double-well sweep
+    # takes them: a_hat rebuilt from the last one as a + eps^4 reads
+    # 9.888898361999999
+    a_hat = 9.888898362
+    recs = [dataclasses.replace(r, a=f * a_hat, eps=(a_hat - f * a_hat) ** 0.25)
+            for f, r in zip((0.3, 0.35, 0.4, 0.45), synthetic_records(n=4))]
+    rep = build_report(recs, HARMONIC, a_hat, [_small_extract()])
+    assert rep["energy_constant"]["a_hat"] == rep["a_hat"] == a_hat
+
+
+@pytest.mark.parametrize("masses, ok", [
+    pytest.param((2.0, 2.0 + 0.99e-4, 2.0 - 0.99e-4), True, id="within"),
+    pytest.param((2.0, 2.0 - 1.01e-4, 2.0), False, id="one_outside"),
+    # the clipped extracts of an n = 32 double-well sweep at fractions
+    # 0.3-0.45 of its threshold
+    pytest.param((1.874, 1.887, 1.880), False, id="clipped"),
+])
+def test_profile_mass_ok_flags_a_clipped_extract(masses, ok):
+    # every extract's mass before orthonormalization must hold 2 +- 1e-4,
+    # as rescale_extract promises for a resolved profile inside its window
+    recs = synthetic_records(a_hat=9.5, p=2.0)
+    base = _small_extract()
+    extracts = [dataclasses.replace(base, raw_mass=m) for m in masses]
+    profile = build_report(recs, HARMONIC, 9.5, extracts)["profile"]
+    assert profile["raw_masses"] == list(masses)
+    assert profile["mass_ok"] is ok
 
 
 def test_build_report_records_a_skipped_decay_fit():

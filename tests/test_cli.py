@@ -409,6 +409,7 @@ def test_solve_exits_on_a_threshold_breach(tmp_path, capsys):
     doc = load_json(outdir / "solve.json")
     assert doc["threshold_breach"] is True and doc["converged"] is False
     assert doc["stop_reason"] == "breach"
+    assert doc["residuals"] == [None, None]
     assert sorted(p.name for p in outdir.iterdir()) == ["astar.json", "solve.json"]
 
 
@@ -565,6 +566,8 @@ def test_sweep_records_a_skipped_decay_fit(double_well_sweep):
     assert report["decay"] == {
         "skipped": "scaled multipliers must be negative for decay fits"}
     assert report["n_usable"] == 4 and len(report["profile"]["raw_masses"]) == 4
+    # the window clips these profiles' tails: masses 1.87-1.89, not 2 +- 1e-4
+    assert report["profile"]["mass_ok"] is False
     records = fermivar.read_sweep_csv(str(outdir / "records.csv"))
     assert [r.stop_reason for r in records] == ["tolerance"] * 4
     meta = load_json(outdir / "meta.json")

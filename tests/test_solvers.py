@@ -169,7 +169,7 @@ def test_default_preconditioner_is_the_axis_line_surrogate():
     diags = (solvers._core(effective_potential(rho, V, 6.0)),
              rng.random((12, 12, 12)), deep)
     for diag in diags:
-        prec = TensorPreconditioner(g, diag, 1.0)
+        prec = TensorPreconditioner(g, diag)
         lines, depth, lams, Qs, den = _axis_line_surrogate(g, diag, 1.0)
         assert prec.depth == depth
         for got, want in zip((*prec.lines, *prec.lams, *prec.Q), (*lines, *lams, *Qs)):
@@ -185,7 +185,7 @@ def test_weighted_preconditioner_averages_over_product_weights():
     rng = np.random.default_rng(8)
     diag = rng.random((10, 10, 10))
     w = tuple(x / x.sum() for x in rng.random((3, 10)))
-    prec = TensorPreconditioner(g, diag, 1.0, weights=w)
+    prec = TensorPreconditioner(g, diag, weights=w)
     W = w[0][:, None, None] * w[1][None, :, None] * w[2][None, None, :]
     mean = float((W * diag).sum())
     assert prec.depth == pytest.approx(mean, rel=1e-14)
@@ -205,8 +205,8 @@ def test_tensor_preconditioner_block_and_dense_solve():
     x = g.axis()[1:-1]
     diag = (x ** 2)[:, None, None] + (0.5 * x + 1.0)[None, :, None] \
         + np.cos(x)[None, None, :]
-    shift = 1.0
-    prec = TensorPreconditioner(g, diag, shift)
+    shift = TensorPreconditioner.SHIFT
+    prec = TensorPreconditioner(g, diag)
     T = (np.diag(np.full(m, 2.0 / h ** 2))
          - np.diag(np.full(m - 1, 1.0 / h ** 2), 1)
          - np.diag(np.full(m - 1, 1.0 / h ** 2), -1))
@@ -277,8 +277,8 @@ def _dense_levels(g, trap, count):
     pytest.param(FOUR_WELLS, BoxGrid(16, 2.2), False, solvers._EIG_TOL, 1e-8,
                  id="four_wells"),
     # a tolerance whose fifth, 0.2 tol, lies below sqrt(eps): LOBPCG computes
-    # its Gram matrices once every residual is that small, as only the SCF
-    # polish's tight eigensolves otherwise ask it to
+    # its Gram matrices once every residual is that small, which no solve
+    # of the package asks it to
     pytest.param(QUARTIC, BoxGrid(12, 2.5), True, 1e-9, 1e-10, id="quartic_tight"),
 ])
 def test_lowest_eigenpairs_match_the_dense_spectrum(trap, g, certified, tol, rel):
@@ -328,7 +328,7 @@ def test_slab_start_is_the_dense_rayleigh_ritz_start(trap, whole, n):
     # Rayleigh-Ritz step with A applied to every mode
     g = BoxGrid(n, 2.5)
     diag = solvers._core(potential_field(trap, g).values)
-    prec = TensorPreconditioner(g, diag, solvers._PRECOND_SHIFT)
+    prec = TensorPreconditioner(g, diag)
     X, start_vals = solvers._start_block(prec, diag, None, 5)
     vals, ref = _dense_ritz_start(prec, diag, g.spacing, 5)
     ritz = np.einsum("ij,ij->j", X, _apply(diag, X, g.spacing))
@@ -349,7 +349,7 @@ def test_start_block_works_in_a_few_fields():
     # columns and at most one slab of mode values and its product with R
     g = BoxGrid(48, 2.2)
     diag = solvers._core(potential_field(QUARTIC, g).values)
-    prec = TensorPreconditioner(g, diag, solvers._PRECOND_SHIFT)
+    prec = TensorPreconditioner(g, diag)
     field_mb = diag.nbytes / 1e6
     assert traced_peak_mb(solvers._start_block, prec, diag, None, 5) < 10 * field_mb
 
@@ -399,7 +399,7 @@ g = BoxGrid(96, 2.2)
 rng = np.random.default_rng(2024)
 f = ScalarField(g, rng.standard_normal(g.shape))
 h = ScalarField(g, rng.standard_normal(g.shape))
-prec = TensorPreconditioner(g, rng.random((94, 94, 94)), 1.0)
+prec = TensorPreconditioner(g, rng.random((94, 94, 94)))
 core = f.values[1:-1, 1:-1, 1:-1]
 print(inner(f, h).hex(), integrate(f).hex(),
       hashlib.sha256(prec.apply_core(core).tobytes()).hexdigest(),
@@ -475,7 +475,7 @@ def test_ground_state_trajectory_is_pinned():
 def test_descent_reaches_a_tight_tolerance(trap, half_width):
     # a tolerance two decades below the default: the descent reaches it on
     # plain Armijo steps (no search needs more than two trials), without
-    # the SCF polish
+    # an SCF step
     g = BoxGrid(24, half_width)
     res = minimize_ground_state(5.0, trap, g, SolverConfig(grad_tol=1e-8))
     assert res.stop_reason == "tolerance"
@@ -519,17 +519,18 @@ def test_supercritical_coupling_breaches():
 
 
 def test_scf_polish_converges_after_capped_descent():
-    # a descent cut off by max_iters hands over to the SCF polish, which
-    # settles the double-well pair in five outers
+    # a descent cut off by max_iters takes one SCF step to the level
+    # check's two lowest fields, and the second descent from there settles
+    # the double-well pair at its first iterate
     g = BoxGrid(24, 2.5)
     trap = TrapPotential(wells=(Well(center=(-0.8, 0.0, 0.0), power=2.0),
                                 Well(center=(0.8, 0.0, 0.0), power=4.0)))
     res = minimize_ground_state(3.0, trap, g, SolverConfig(max_iters=30))
-    assert res.stop_reason == "max_iters+scf"
+    assert res.stop_reason == "max_iters+scf+tolerance"
     assert res.converged
-    assert res.scf_outer == 5
-    assert res.iters == 30 + 5  # one history entry per descent step and outer
-    assert res.scf_defect <= 1e-6
+    assert res.scf_outer == 1
+    assert res.iters == 30 + 1 + 1  # one history entry per descent step and SCF step
+    assert res.history[30][2] == res.scf_defect  # the SCF step's L1 change
     assert res.diag.energy == pytest.approx(10.664488255420956, rel=1e-12)
 
 
@@ -542,29 +543,30 @@ def _unoriented_start(trap, g):
 
 def test_scf_polish_reports_a_stalled_polish():
     # from the eigensolver's own p-shell orientation on the quartic trap at
-    # n = 32, the polish after a capped descent stalls at an L1 defect near
-    # 1.7e-3 (no defect progress over six outers); the solve must not call
-    # that converged.  The polish after the capped oriented cold start
-    # converges (5 outers at max_iters 10)
+    # n = 32, both capped passes stop on max_iters, the second one after
+    # the SCF step; the solve must not call that converged
     g = BoxGrid(32, 2.5)
     start = _unoriented_start(QUARTIC, g)
     res = minimize_ground_state(3.0, QUARTIC, g, SolverConfig(max_iters=5),
                                 warm_start=start)
-    assert res.stop_reason == "max_iters+scf"
-    assert res.scf_outer == 7
+    assert res.stop_reason == "max_iters+scf+max_iters"
+    assert res.scf_outer == 1
+    assert res.iters == 5 + 1 + 5
     assert not res.converged
-    assert res.scf_defect > 1e-6
 
 
-def test_scf_polish_settles_the_oriented_cold_start():
-    # the same capped descent from the oriented cold start: the polish
-    # contracts linearly to its tolerance and the solve is certified
+def test_scf_step_keeps_the_capped_budget():
+    # a capped descent from the oriented cold start: the second pass gets
+    # max_iters iterations of its own after one SCF step, and no more; the
+    # pair ends above the cold minimum, unconverged
     g = BoxGrid(24, 2.2)
+    cold = minimize_ground_state(6.5, HARMONIC, g, SolverConfig())
     res = minimize_ground_state(6.5, HARMONIC, g, SolverConfig(max_iters=3))
-    assert res.stop_reason == "max_iters+scf"
-    assert res.scf_outer == 30
-    assert res.scf_defect <= solvers._SCF_TOL
-    assert res.converged
+    assert res.stop_reason == "max_iters+scf+max_iters"
+    assert res.scf_outer == 1
+    assert res.iters <= 2 * 3 + 1
+    assert not res.converged
+    assert res.diag.energy > cold.diag.energy
 
 
 def test_unconverged_level_check_is_not_certified(monkeypatch):
@@ -603,16 +605,15 @@ def _one_s_two_s(g):
 ])
 def test_aufbau_failure_reenters_the_descent(trap, half_width, n, a):
     # the descent from the (1s, 2s) pair stops on tolerance at a stationary
-    # point whose operator has a p level below mu2; the solve starts the
-    # descent again from the level check's two lowest fields and reaches
-    # the cold minimum (the SCF polish that used to take over from there
-    # ended unconverged, 5e-4 above it)
+    # point whose operator has a p level below mu2; the solve takes one SCF
+    # step to the level check's two lowest fields, descends again from
+    # there and reaches the cold minimum
     g = BoxGrid(n, half_width)
     cold = minimize_ground_state(a, trap, g, SolverConfig())
     res = minimize_ground_state(a, trap, g, SolverConfig(), warm_start=_one_s_two_s(g))
     assert res.converged
     assert res.stop_reason == "aufbau+tolerance"
-    assert res.scf_outer == 0
+    assert res.scf_outer == 1
     assert res.diag.energy == pytest.approx(cold.diag.energy, rel=1e-12)
 
 
