@@ -27,7 +27,6 @@ from .grid import (
     read_snapshot,
     resample_scaled,
     sample,
-    second_moment,
     write_snapshot,
 )
 from .model import (

@@ -404,20 +404,15 @@ def axis_marginals(field_sq: ScalarField) -> tuple[np.ndarray, np.ndarray, np.nd
     return pxy @ w, w @ pxy, w @ pxz
 
 
-def second_moment(field_sq: ScalarField, center: np.ndarray | None = None) -> float:
-    """integrate(|x - center|^2 * field_sq), about the origin by default.
+def marginal_second_moment(grid: BoxGrid, marginals, center=None) -> float:
+    """integrate(|x - center|^2 * rho), about the origin by default, of a
+    density rho from its :func:`axis_marginals`.
 
     The weight |x - c|^2 is a sum of one term per axis, so the integral is
-    the sum of the 1-D quadratures of the :func:`axis_marginals`; no r^2
-    field is formed.  It agrees with the quadrature of the product field to
+    the sum of the 1-D quadratures of the marginals; no r^2 field is
+    formed.  It agrees with the quadrature of the product field to
     roundoff.
     """
-    return marginal_second_moment(field_sq.grid, axis_marginals(field_sq), center)
-
-
-def marginal_second_moment(grid: BoxGrid, marginals, center=None) -> float:
-    """:func:`second_moment` of a density from its :func:`axis_marginals`,
-    for a caller that reads the marginals for another moment too."""
     ax, w = grid.axis(), grid.quad_weights_1d()
     c = np.zeros(3) if center is None else center
     return float(sum(p @ ((ax - c[d]) ** 2 * w) for d, p in enumerate(marginals)))

@@ -62,7 +62,6 @@ from .grid import (
     mask_boundary,
     neg_laplacian_core,
     norm,
-    second_moment,
 )
 from .frames import (
     OrbitalPair,
@@ -205,7 +204,7 @@ class SolveResult:
     history: list[tuple[int, float, float]]
     # why the descent stopped (see optim.riemannian_lbfgs); a second pass
     # reads "<first>+scf+<second>" after a descent that stopped short, or
-    # "aufbau+<second>" after an aufbau failure
+    # "aufbau+<second>" after an aufbau failure; a breach reads "breach"
     stop_reason: str
     threshold_breach: bool = False
     degeneracy_gap: float | None = None
@@ -213,8 +212,10 @@ class SolveResult:
     scf_outer: int = 0
     scf_defect: float | None = None
     max_pair_defect: float = 0.0
+    # radial width of the pair density about its centroid (_orbital_width)
     width: float = 0.0
-    # the two certified levels and an upper bound on the next, uncertified
+    # the two certified levels and an upper bound on the next, uncertified;
+    # () after a breach
     eig_values: tuple[float, ...] = ()
     # LOBPCG iterations of the closing level checks
     level_eig_iters: int = 0
@@ -629,24 +630,19 @@ def _rotate_to_multiplier_basis(frame, V, a):
     return tuple(rotated), mus, residuals
 
 
-def pair_width(pair: OrbitalPair) -> float:
-    """Effective width (int |x|^2 rho / 2)^{1/2} about the origin."""
-    rho = density(pair)
-    return math.sqrt(max(second_moment(rho) / 2.0, 0.0))
-
-
-def _density_sigma(rho: ScalarField, center: np.ndarray) -> float:
-    """Per-axis standard deviation of rho/2 about ``center``."""
-    mass = integrate(rho)
-    if mass <= 0:
-        return 0.0
-    return math.sqrt(max(second_moment(rho, center) / mass / 3.0, 0.0))
-
-
 def _centroid(grid: BoxGrid, marginals) -> tuple[float, float, float]:
     """Centroid of a unit-mass density from its :func:`axis_marginals`."""
     xw = grid.axis() * grid.quad_weights_1d()
     return tuple(p @ xw for p in marginals)
+
+
+def _orbital_width(rho: ScalarField, mass: float) -> float:
+    """Radial second-moment width (int |x - c|^2 rho / mass)^{1/2} of a
+    density of the given mass about its centroid c: mass 1 for a quotient
+    orbital's u^2, mass 2 for a pair's rho.  The package's one width."""
+    ps = axis_marginals(rho)
+    c = np.divide(_centroid(rho.grid, ps), mass)
+    return math.sqrt(max(marginal_second_moment(rho.grid, ps, c) / mass, 0.0))
 
 
 def _gaussian(grid: BoxGrid, sigma: float):
@@ -763,17 +759,23 @@ def _ritz_levels(grid: BoxGrid, V: ScalarField):
     return values, _unit_fields(grid, X.T)
 
 
-def _axis_start(u1: ScalarField, shell: list[ScalarField], n) -> OrbitalPair:
+def _axis_start(u1: ScalarField, shell: list[ScalarField], n) -> OrbitalPair | None:
     """The pair of u1 and (n . (x - xbar)) u1 projected onto the shell.
 
-    xbar is the centroid of u1^2; n . x is formed from the 1-D axis.
+    xbar is the centroid of u1^2; n . x is formed from the 1-D axis.  None
+    when the projection vanishes, below 1e-8 of that dipole field's norm:
+    the axis is normal to the shell, as the z axis is to the two-fold
+    (p_x, p_y) shell of a planar trap.
     """
     grid, x = u1.grid, u1.grid.axis()
     xbar = _centroid(grid, axis_marginals(ScalarField(grid, u1.values * u1.values)))
     d = [ni * (x - ci) for ni, ci in zip(n, xbar)]
     t = ScalarField(grid, u1.values * (
         d[0][:, None, None] + d[1][None, :, None] + d[2][None, None, :]))
-    return loewdin(u1, *combine(shell, np.array([[inner(f, t)] for f in shell])))
+    c = np.array([[inner(f, t)] for f in shell])
+    if np.linalg.norm(c) <= 1e-8 * norm(t):
+        return None
+    return loewdin(u1, *combine(shell, c))
 
 
 def _oriented_start(values, fields: list[ScalarField], a: float,
@@ -786,10 +788,11 @@ def _oriented_start(values, fields: list[ScalarField], a: float,
     the p orbital through the lattice's weak cubic anisotropy.  The start
     is instead the :func:`_axis_start` of lowest energy at a over the cube
     symmetry axes ``_CUBE_AXES``, scanned in order; a later axis displaces
-    the best only when lower by more than 1e-8 relative.  Axes equivalent
-    by symmetry tie to rounding (below 1e-15 relative at a = 5, n = 24 and
-    32), while face and body diagonals differ by 1e-4 (quartic) to 1e-3
-    (harmonic), so the pick is the table's first axis of the lowest class.
+    the best only when lower by more than 1e-8 relative, and an axis
+    normal to the shell is skipped.  Axes equivalent by symmetry tie to
+    rounding (below 1e-15 relative at a = 5, n = 24 and 32), while face
+    and body diagonals differ by 1e-4 (quartic) to 1e-3 (harmonic), so the
+    pick is the table's first axis of the lowest class.
     """
     shell = _degenerate_shell(values, fields)
     if not shell:
@@ -797,6 +800,8 @@ def _oriented_start(values, fields: list[ScalarField], a: float,
     best, best_E = None, math.inf
     for n in _CUBE_AXES:
         cand = _axis_start(fields[0], shell, n)
+        if cand is None:
+            continue
         E = energy(cand, a, V).energy
         if best is None or E < best_E - 1e-8 * abs(best_E):
             best, best_E = cand, E
@@ -846,7 +851,12 @@ def minimize_ground_state(
     An energy dive through zero flags ``threshold_breach`` — the
     subcritical energy is provably nonnegative, so crossing zero means a is
     past the discrete threshold (the descent is left to run a few more
-    steps so the history records the dive).
+    steps so the history records the dive).  A breach ends the solve in
+    whichever pass it happens: ``breach`` closes the stop reason
+    (``breach``, ``aufbau+breach``, ``max_iters+scf+breach``), the pair is
+    the descent's last, unrotated, and the result reads residuals
+    (inf, inf), no ``eig_values`` and no ``degeneracy_gap``, while
+    ``level_eig_iters`` keeps the level check of a first pass.
     """
     V = potential_field(trap, grid)
     if warm_start is not None:
@@ -870,14 +880,9 @@ def minimize_ground_state(
         history += [(it0 + it, v, g) for it, v, g in log]
         max_defect = max(max_defect, descent.max_defect, pair.defect())
         if descent.post_breach:  # whatever stop followed the dive
-            diag = diagnose(pair, a, V, trap)
-            return SolveResult(
-                pair=pair, diag=diag, converged=False, iters=len(history),
-                residuals=(math.inf, math.inf), history=history,
-                stop_reason="breach", threshold_breach=True,
-                scf_outer=scf_outer, scf_defect=scf_defect,
-                max_pair_defect=max_defect, width=pair_width(pair),
-            )
+            reason += "breach"
+            rotated, mus, residuals = pair, None, (math.inf, math.inf)
+            break
         reason += stop
         frame, mus, residuals = _rotate_to_multiplier_basis(pair, V, a)
         rotated = OrbitalPair(*frame)
@@ -897,23 +902,23 @@ def minimize_ground_state(
         pair, scf_outer, scf_defect = scf_refine(rotated, gap_eig, a, V, history)
         E = history[-1][1]  # the SCF step's energy
         reason = "aufbau+" if stop == "tolerance" else reason + "+scf+"
-    max_defect = max(max_defect, rotated.defect())
-    diag = diagnose(rotated, a, V, trap, mus)
-    levels = (*gap_eig.values, gap_eig.guard_values[0])
-    gap = float(levels[2] - levels[1])
-
+    breach = descent.post_breach > 0
+    levels = () if breach else (*gap_eig.values, gap_eig.guard_values[0])
     res_tol = 10.0 * cfg.grad_tol
     converged = (
-        aufbau
+        not breach
+        and aufbau
         and gap_eig.converged
         and max(residuals) <= max(res_tol, 50 * _EIG_TOL)
     )
     return SolveResult(
-        pair=rotated, diag=diag, converged=converged, iters=len(history),
-        residuals=residuals, history=history,
-        stop_reason=reason, degeneracy_gap=gap,
+        pair=rotated, diag=diagnose(rotated, a, V, trap, mus), converged=converged,
+        iters=len(history), residuals=residuals, history=history,
+        stop_reason=reason, threshold_breach=breach,
+        degeneracy_gap=float(levels[2] - levels[1]) if levels else None,
         scf_outer=scf_outer, scf_defect=scf_defect,
-        max_pair_defect=max_defect, width=pair_width(rotated),
+        max_pair_defect=max(max_defect, rotated.defect()),
+        width=_orbital_width(density(rotated), 2.0),
         eig_values=tuple(float(v) for v in levels),
         level_eig_iters=level_iters,
     )
@@ -930,12 +935,6 @@ def _max_node_mass(grid: BoxGrid, *fields: ScalarField) -> float:
     return h3 * max(float(np.max(f.values * f.values)) for f in fields)
 
 
-def _orbital_width(u: ScalarField) -> float:
-    """Radial second-moment width of a unit-mass orbital about its centroid."""
-    ps = axis_marginals(ScalarField(u.grid, u.values * u.values))
-    return math.sqrt(max(marginal_second_moment(u.grid, ps, _centroid(u.grid, ps)), 0.0))
-
-
 def _pinned_width(grid: BoxGrid, cfg: SolverConfig) -> float:
     """Radial width the quotient minimizers pin; raises if the grid cannot hold it."""
     target_w = cfg.pin_fraction * grid.half_width
@@ -949,7 +948,7 @@ def _pinned_width(grid: BoxGrid, cfg: SolverConfig) -> float:
 
 def _pin_orbitals(us, widths) -> tuple[ScalarField, ...]:
     """Rescale each orbital to its prescribed radial width, re-orthonormalize."""
-    ws = [_orbital_width(u) for u in us]
+    ws = [_orbital_width(density((u,)), 1.0) for u in us]
     if min(ws) <= 0:
         raise UnderResolvedError("iterate has zero width")
     return loewdin_frame(dilate(u, w / c) for u, w, c in zip(us, ws, widths))
@@ -1096,11 +1095,12 @@ class _QuotientSlice:
     def examine(self, it, us, q):
         k, zero = len(us), self.zero
         restart = it % _REFRESH_EVERY == 0 and any(
-            abs(_orbital_width(u) / wt - 1.0) > 0.02 for u, wt in zip(us, self.widths))
+            abs(_orbital_width(density((u,)), 1.0) / wt - 1.0) > 0.02
+            for u, wt in zip(us, self.widths))
         if restart:
             us = _pin_orbitals(us, self.widths)
             q = quotient_value(us)
-        ws = [_orbital_width(u) for u in us]
+        ws = [_orbital_width(density((u,)), 1.0) for u in us]
         spiky = _max_node_mass(zero.grid, *us) > _SPIKE_GUARD
         if spiky or min(ws) < _COLLAPSE_WIDTH_NODES * zero.grid.spacing:
             raise UnderResolvedError(
@@ -1318,7 +1318,7 @@ def separated_pair_upper_bound(
 class SweepOutcome:
     records: list
     pairs: list  # OrbitalPair per record (same order)
-    widths: list
+    widths: list  # SolveResult.width per record
     aborted_at: int | None = None
 
 
@@ -1358,9 +1358,7 @@ def continuation_sweep(
         if res.threshold_breach:
             aborted = i
             break
-        rho = density(res.pair)
-        peak = _asy.find_peak(rho)
-        sigma = _density_sigma(rho, peak)
+        peak = _asy.find_peak(density(res.pair))
         eps = (a_hat - a) ** (1.0 / (p + 2.0))
         under = eps < _asy.EPS_RESOLUTION_NODES * grid.spacing
         rec = _asy.SweepRecord(
@@ -1380,6 +1378,6 @@ def continuation_sweep(
         )
         records.append(rec)
         pairs.append(res.pair)
-        widths.append(sigma)
+        widths.append(res.width)
         prev = res.pair
     return SweepOutcome(records=records, pairs=pairs, widths=widths, aborted_at=aborted)

@@ -7,7 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +391,38 @@ def test_solve_reports_its_eigensolve_iterations(tmp_path, capsys):
     assert 0.0 < doc["virial_residual"] < 1.0
 
 
+def test_solve_json_carries_every_solve_result_field(tmp_path, capsys):
+    # the pair rides along as snapshots and the diagnostics are expanded;
+    # every other field of the result is a key of its own
+    cp = write_config(tmp_path)
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "astar.json").write_text(
+        json.dumps({"a2_hat": 9.5, "grid": BASE_CONFIG["grid"]}))
+    rc, _, _ = run(["solve", "--config", cp, "--a", "5.0"], capsys)
+    assert rc == fcli.EXIT_OK
+    doc = load_json(outdir / "solve.json")
+    result = {f.name for f in fields(fermivar.SolveResult)} - {"pair", "diag"}
+    assert result | {f.name for f in fields(fermivar.Diagnostics)} <= set(doc)
+    assert (outdir / "solve_u1.snap").is_file() and (outdir / "solve_u2.snap").is_file()
+
+
+def test_solve_starts_cold_on_a_two_fold_p_shell(tmp_path, capsys):
+    # a planar four-well trap, whose p shell is (p_x, p_y): the cold start
+    # skips the z axis, normal to that shell, and the solve converges
+    grid = {"n": 16, "half_width": 2.5}
+    wells = [{"center": c, "power": 2.0} for c in
+             ([0.3, 0.0, 0.0], [-0.3, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0, -0.3, 0.0])]
+    cp = write_config(tmp_path, patch={"grid": grid, "trap.wells": wells})
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    (outdir / "astar.json").write_text(json.dumps({"a2_hat": 9.5, "grid": grid}))
+    rc, _, _ = run(["solve", "--config", cp, "--a", "3.0"], capsys)
+    assert rc == fcli.EXIT_OK
+    doc = load_json(outdir / "solve.json")
+    assert doc["converged"] is True and doc["stop_reason"] == "tolerance"
+
+
 def _breach_config(tmp_path, **patch):
     # a stored a2_hat of 20 admits a = 14, far past the n = 16 lattice's
     # threshold: the energy dives through zero
@@ -410,6 +442,7 @@ def test_solve_exits_on_a_threshold_breach(tmp_path, capsys):
     assert doc["threshold_breach"] is True and doc["converged"] is False
     assert doc["stop_reason"] == "breach"
     assert doc["residuals"] == [None, None]
+    assert doc["eig_values"] == [] and doc["degeneracy_gap"] is None
     assert sorted(p.name for p in outdir.iterdir()) == ["astar.json", "solve.json"]
 
 

@@ -18,6 +18,7 @@ from fermivar.grid import (
     NonFiniteFieldError,
     ScalarField,
     SnapshotFormatError,
+    axis_marginals,
     boundary_max_abs,
     dilate,
     dilation_generator,
@@ -25,13 +26,13 @@ from fermivar.grid import (
     integrate,
     kinetic_energy,
     laplacian_apply,
+    marginal_second_moment,
     mask_boundary,
     neg_laplacian_core,
     norm,
     read_snapshot,
     resample_scaled,
     sample,
-    second_moment,
     write_snapshot,
 )
 from fermivar.grid import _SPLINE_PAD, _spline_weights
@@ -312,7 +313,8 @@ def test_second_moment_matches_the_r2_field(center, mass):
     # a noise floor puts mass on the boundary planes too
     v = random_smooth_field(g, rng, 0.6).values ** 2 + 0.05 * rng.random(g.shape)
     rho = ScalarField(g, mass * v / integrate(ScalarField(g, v)))
-    got = second_moment(rho, None if not any(center) else np.array(center))
+    got = marginal_second_moment(g, axis_marginals(rho),
+                                 None if not any(center) else np.array(center))
     ref = _second_moment_reference(rho, center)
     assert got == pytest.approx(ref, rel=1e-13)
 
@@ -323,8 +325,9 @@ def test_second_moment_of_gaussian():
     f = gaussian(g, s)
     rho = ScalarField(g, f.values ** 2)
     # u^2 ~ e^{-r^2/s^2}: per-axis variance s^2/2, trace 3 s^2/2
-    assert second_moment(rho) == pytest.approx(1.5 * s * s, rel=1e-3)
-    off = second_moment(rho, center=np.array([0.5, 0.0, 0.0]))
+    ps = axis_marginals(rho)
+    assert marginal_second_moment(g, ps) == pytest.approx(1.5 * s * s, rel=1e-3)
+    off = marginal_second_moment(g, ps, center=np.array([0.5, 0.0, 0.0]))
     assert off == pytest.approx(1.5 * s * s + 0.25, rel=1e-3)
 
 

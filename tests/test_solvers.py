@@ -47,7 +47,6 @@ from fermivar.solvers import (
     minimize_ground_state,
     minimize_quotient_rank1,
     minimize_quotient_rank2,
-    pair_width,
     quotient_value,
     separated_pair_upper_bound,
 )
@@ -231,6 +230,11 @@ FOUR_WELLS = TrapPotential(wells=tuple(
     Well(center=c, power=2.0) for c in ((0.7, 0.7, 0.7), (0.7, -0.7, -0.7),
                                         (-0.7, 0.7, -0.7), (-0.7, -0.7, 0.7))))
 OFF_CENTRE = TrapPotential(wells=(Well(center=(0.3, -0.2, 0.1), power=2.0),))
+# four harmonic wells multiplied, in the z = 0 plane: its p shell is
+# two-fold (p_x, p_y), with p_z above it
+PLANAR = TrapPotential(wells=tuple(
+    Well(center=c, power=2.0) for c in ((0.3, 0.0, 0.0), (-0.3, 0.0, 0.0),
+                                        (0.0, 0.3, 0.0), (0.0, -0.3, 0.0))))
 
 
 @pytest.mark.parametrize("trap", [HARMONIC, OFF_CENTRE], ids=["centred", "off_centre"])
@@ -516,6 +520,21 @@ def test_supercritical_coupling_breaches():
     assert not res.converged
     assert res.history[-1][1] < 0.0  # the dive is on record
     assert math.isinf(res.residuals[0])
+    assert res.eig_values == () and res.degeneracy_gap is None
+
+
+def test_second_pass_breach_keeps_the_first_level_check():
+    # from the (1s, 2s) pair the quartic n = 16 solve at a = 6.5 fails the
+    # aufbau check, takes its SCF step and breaches in the second descent;
+    # the result still counts the first pass's level check
+    g = BoxGrid(16, 2.5)
+    res = minimize_ground_state(6.5, QUARTIC, g, SolverConfig(), warm_start=_one_s_two_s(g))
+    assert res.threshold_breach and not res.converged
+    assert res.stop_reason == "aufbau+breach"
+    assert res.level_eig_iters > 0
+    assert res.scf_outer == 1
+    assert res.residuals == (math.inf, math.inf)
+    assert res.eig_values == () and res.degeneracy_gap is None
 
 
 def test_scf_polish_converges_after_capped_descent():
@@ -751,6 +770,24 @@ def test_warm_level_check_certifies_in_one_round():
     assert warm.eig_values[2] == pytest.approx(cold.eig_values[2], rel=1e-8)
 
 
+@pytest.mark.parametrize("a", [0.0, 3.0])
+def test_cold_start_on_a_two_fold_p_shell(a):
+    # the z axis projects onto the planar trap's (p_x, p_y) shell with
+    # coefficients of norm 4e-15: the oriented start skips it rather than
+    # orthonormalizing a null vector, and the solve converges
+    g = BoxGrid(16, 2.5)
+    V = potential_field(PLANAR, g)
+    values, fields = solvers._ritz_levels(g, V)
+    shell = solvers._degenerate_shell(values, fields)
+    assert len(shell) == 2
+    assert solvers._axis_start(fields[0], shell, (0, 0, 1)) is None
+    res = minimize_ground_state(a, PLANAR, g, SolverConfig())
+    assert res.stop_reason == "tolerance" and res.converged
+    if a == 0.0:  # no interaction: the two lowest levels, occupied
+        eig = lowest_eigenpairs(g.zeros(), V, 0.0, 2, solvers._EIG_TOL)
+        assert res.diag.energy == pytest.approx(eig.values.sum(), abs=1e-10)
+
+
 def test_nondegenerate_cold_start_is_the_eigenpair():
     # the double well's second level is simple: its start is the two
     # lowest Ritz pairs, bit for bit
@@ -839,10 +876,23 @@ def test_orbital_width_is_measured_about_the_centroid():
     sigma = 0.3  # per-axis deviation of u^2; its radial width is sqrt(3) sigma
     centred, (X, Y, Z) = solvers._gaussian(g, sigma)
     shifted = np.exp(-((X - 0.3) ** 2 + Y ** 2 + Z ** 2) / (4.0 * sigma * sigma))
-    w0 = solvers._orbital_width(solvers._unit_orbital(g, centred))
-    w1 = solvers._orbital_width(solvers._unit_orbital(g, shifted))
+    w0, w1 = (solvers._orbital_width(density((solvers._unit_orbital(g, v),)), 1.0)
+              for v in (centred, shifted))
     assert w0 == pytest.approx(math.sqrt(3.0) * sigma, rel=1e-9)
     assert w1 == pytest.approx(w0, rel=1e-10)
+
+
+def test_pair_width_is_measured_about_the_centroid():
+    # a pair moved by whole nodes, its support kept clear of the walls,
+    # keeps its width; a width about the origin grows with the move
+    g = BoxGrid(40, 3.0)
+    inside = np.abs(g.axis()) <= 1.2
+    box = inside[:, None, None] & inside[None, :, None] & inside[None, None, :]
+    pair = loewdin(*(ScalarField(g, u.values * box) for u in gaussian_pair(g, 0.3)))
+    moved = OrbitalPair(*(ScalarField(g, np.roll(u.values, (4, -3, 2), axis=(0, 1, 2)))
+                          for u in pair))
+    w0, w1 = (solvers._orbital_width(density(p), 2.0) for p in (pair, moved))
+    assert w1 == pytest.approx(w0, rel=1e-12)
 
 
 def test_rank1_minimizer_matches_shooting_threshold():
@@ -1096,4 +1146,4 @@ def test_sweep_produces_ordered_records():
     assert r1.P > r0.P
     assert len(out.pairs) == 2 and len(out.widths) == 2
     assert out.widths[1] < out.widths[0]  # state narrows
-    assert pair_width(out.pairs[1]) < pair_width(out.pairs[0])
+    assert out.widths == [solvers._orbital_width(density(p), 2.0) for p in out.pairs]
