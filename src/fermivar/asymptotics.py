@@ -19,7 +19,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -588,6 +588,15 @@ def energy_constant_check(records, extract: ProfileExtract,
 # ---------------------------------------------------------------------------
 
 
+def field_values(obj, skip=()) -> dict:
+    """The fields of dataclass ``obj`` but those in ``skip``, by name.
+
+    The values are not copied: ``dataclasses.asdict`` would deep-copy every
+    array they hold.
+    """
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
+
+
 def build_report(
     records,
     trap: TrapPotential,
@@ -618,16 +627,8 @@ def build_report(
             ("E", [r.E for r in use], p / (p + 2.0)),
             ("P", [r.P for r in use], -2.0 / (p + 2.0)),
         ):
-            f = fit_power_law(xs, ys)
-            fits.append({
-                "quantity": name,
-                "exponent": f.exponent,
-                "expected_exponent": expected,
-                "log_constant": f.log_constant,
-                "r_squared": f.r_squared,
-                "n_points": f.n_points,
-                "window": list(f.window),
-            })
+            fits.append({"quantity": name, "expected_exponent": expected,
+                         **field_values(fit_power_law(xs, ys))})
 
     report: dict = {
         "format_version": FORMAT_VERSION,
@@ -677,12 +678,7 @@ def build_report(
             b_w1 = 0.5 * math.sqrt(max(-lam["lambda1"], 0.0))
             b_w2 = 0.5 * math.sqrt(max(-lam["lambda2"], 0.0))
             report["decay"] = {
-                "rate_rho": rates.rate_rho,
-                "rate_w1": rates.rate_w1,
-                "rate_w2": rates.rate_w2,
-                "window_rho": list(rates.window_rho),
-                "window_w1": list(rates.window_w1),
-                "window_w2": list(rates.window_w2),
+                **field_values(rates),
                 "bound_rho": b_rho,
                 "bound_w1": b_w1,
                 "bound_w2": b_w2,

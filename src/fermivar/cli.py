@@ -338,17 +338,27 @@ def _emit_error(code: int, kind: str, message: str, **extra) -> int:
     return code
 
 
+def _set_up(raw: dict):
+    """The grid, trap, solver config, created output directory and config
+    digest of a run; every command calls this once its arguments hold.  An
+    output directory that cannot be created is a ConfigError."""
+    grid, trap, cfg = build_grid(raw), build_trap(raw), build_solver(raw)
+    outdir = raw["output_dir"]
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output_dir {outdir}: {exc}",
+                          details={"schema_pointer": "/output_dir"}) from exc
+    return grid, trap, cfg, outdir, config_digest(raw)
+
+
 # ---------------------------------------------------------------------------
 # astar
 # ---------------------------------------------------------------------------
 
 
 def cmd_astar(raw: dict, args) -> int:
-    grid = build_grid(raw)
-    cfg = build_solver(raw)
-    outdir = raw["output_dir"]
-    os.makedirs(outdir, exist_ok=True)
-    digest = config_digest(raw)
+    grid, _, cfg, outdir, digest = _set_up(raw)
 
     try:
         a2_hat, pair, mus2, res2, scan, polish = minimize_quotient_rank2(grid, cfg)
@@ -419,6 +429,8 @@ def _load_astar(outdir: str, grid: BoxGrid) -> float:
                  "run `fermivar astar` first to store the threshold"):
         stored = _read_json(path)
         a2_hat, stored_grid = float(stored["a2_hat"]), stored["grid"]
+        if not 0.0 < a2_hat < math.inf:
+            raise ValueError(f"a2_hat {a2_hat} is not a finite positive number")
     configured = {"n": grid.n_per_axis, "half_width": grid.half_width}
     if stored_grid != configured:
         raise ConfigError(
@@ -439,12 +451,7 @@ def cmd_solve(raw: dict, args) -> int:
         raise ConfigError("solve requires --a <coupling>")
     if not (math.isfinite(args.a) and args.a >= 0.0):
         raise ConfigError(f"--a must be a finite nonnegative coupling, got {args.a}")
-    grid = build_grid(raw)
-    trap = build_trap(raw)
-    cfg = build_solver(raw)
-    outdir = raw["output_dir"]
-    os.makedirs(outdir, exist_ok=True)
-    digest = config_digest(raw)
+    grid, trap, cfg, outdir, digest = _set_up(raw)
 
     a2_hat = _load_astar(outdir, grid)
     a = float(args.a)
@@ -459,33 +466,15 @@ def cmd_solve(raw: dict, args) -> int:
     except SolverError as exc:
         return _emit_error(EXIT_SOLVER, "solver", f"solve failed: {exc}")
 
+    # the pair goes to snapshots; the diagnostics are keys of their own
     doc = {
-        "format_version": asy.FORMAT_VERSION,
-        "a": a,
-        "a2_hat": a2_hat,
-        "converged": bool(res.converged),
-        "threshold_breach": bool(res.threshold_breach),
-        "energy": res.diag.energy,
-        "kinetic": res.diag.kinetic,
-        "potential": res.diag.potential,
-        "p_norm": res.diag.p_norm,
-        "mu1": res.diag.mu1,
-        "mu2": res.diag.mu2,
-        "sum_rule_residual": res.diag.sum_rule_residual,
-        "virial_residual": res.diag.virial_residual,
+        **asy.field_values(res, skip=("pair", "diag")),
+        **asy.field_values(res.diag),
         # null: a breach stops before the residuals are computed
-        "residuals": [float(r) if math.isfinite(r) else None for r in res.residuals],
+        "residuals": [r if math.isfinite(r) else None for r in res.residuals],
+        "format_version": asy.FORMAT_VERSION,
+        "a2_hat": a2_hat,
         "defect": res.pair.defect(),
-        "max_pair_defect": res.max_pair_defect,
-        "iters": res.iters,
-        "stop_reason": res.stop_reason,
-        "scf_outer": res.scf_outer,
-        "scf_defect": res.scf_defect,
-        "degeneracy_gap": res.degeneracy_gap,
-        "width": res.width,
-        "eig_values": [float(v) for v in res.eig_values],
-        "level_eig_iters": res.level_eig_iters,
-        "history": [[int(i), float(e), float(g)] for i, e, g in res.history],
         "config_digest": digest,
     }
     asy.write_json(doc, os.path.join(outdir, "solve.json"))
@@ -521,6 +510,12 @@ def _profile_window(grid: BoxGrid, trap: TrapPotential, eps_max: float,
     return min(default_hw, room / eps_max)
 
 
+# A meta.json extract entry: the extract's fields but its rescaled pair,
+# whose orbitals are the two snapshots the entry names.
+_EXTRACT_KEYS = (*(f.name for f in dataclasses.fields(asy.ProfileExtract)
+                   if f.name != "rescaled_pair"), "u1", "u2")
+
+
 def _extract(pair, rec, ref: BoxGrid, paths: tuple[str, str], outdir: str) -> dict:
     """Profile extraction of one sweep record, stored: its meta.json entry.
 
@@ -536,23 +531,17 @@ def _extract(pair, rec, ref: BoxGrid, paths: tuple[str, str], outdir: str) -> di
         return {"eps": rec.eps, "center": list(rec.peak), "skipped": str(exc)}
     for u, path in zip(ex.rescaled_pair, paths):
         write_snapshot(u, os.path.join(outdir, path))
-    return {"eps": ex.eps, "center": list(ex.center), "lambda1": ex.lambda1,
-            "lambda2": ex.lambda2, "raw_mass": ex.raw_mass,
-            "u1": paths[0], "u2": paths[1]}
+    *names, u1, u2 = _EXTRACT_KEYS
+    return {**{k: getattr(ex, k) for k in names}, u1: paths[0], u2: paths[1]}
 
 
 def _stored_extract(entry: dict, outdir: str) -> asy.ProfileExtract:
     """The profile extract a ``meta.json`` entry and its snapshots hold."""
-    pair = OrbitalPair(*(read_snapshot(os.path.join(outdir, entry[k]))
-                         for k in ("u1", "u2")))
-    return asy.ProfileExtract(
-        rescaled_pair=pair,
-        lambda1=float(entry["lambda1"]),
-        lambda2=float(entry["lambda2"]),
-        eps=float(entry["eps"]),
-        center=tuple(float(c) for c in entry["center"]),
-        raw_mass=float(entry["raw_mass"]),
-    )
+    *names, u1, u2 = _EXTRACT_KEYS
+    pair = OrbitalPair(*(read_snapshot(os.path.join(outdir, entry[k])) for k in (u1, u2)))
+    values = {k: tuple(map(float, entry[k])) if k == "center" else float(entry[k])
+              for k in names}
+    return asy.ProfileExtract(rescaled_pair=pair, **values)
 
 
 def _report_from_artifacts(outdir: str, trap: TrapPotential, digest: str) -> list[str]:
@@ -624,12 +613,7 @@ def cmd_sweep(raw: dict, args) -> int:
     """
     if "sweep" not in raw:
         raise ConfigError("sweep requires the config's sweep section")
-    grid = build_grid(raw)
-    trap = build_trap(raw)
-    cfg = build_solver(raw)
-    outdir = raw["output_dir"]
-    os.makedirs(outdir, exist_ok=True)
-    digest = config_digest(raw)
+    grid, trap, cfg, outdir, digest = _set_up(raw)
 
     if args.refit_only:
         return _sweep_exit(_report_from_artifacts(outdir, trap, digest),

@@ -461,6 +461,8 @@ def read_snapshot(path) -> ScalarField:
         data = fh.read(n * n * n * 8)
         if len(data) != n * n * n * 8:
             raise SnapshotFormatError(f"truncated snapshot {path}")
+        if fh.read(1):
+            raise SnapshotFormatError(f"bytes after the {n}^3 values in snapshot {path}")
         vals = np.frombuffer(data, dtype="<f8").reshape(n, n, n).copy()
     grid = BoxGrid(n_per_axis=int(n), half_width=float(L))
     _check_finite(vals, grid, f"snapshot {path}")

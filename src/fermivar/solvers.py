@@ -896,7 +896,7 @@ def minimize_ground_state(
         # mean-field operator (swapping in a lower level lowers E to second
         # order), so a lower second level marks a stationary point that is
         # not a minimum.
-        aufbau = gap_eig.values[1] >= mus[1] - 1e-6 * (1.0 + abs(mus[1]))
+        aufbau = bool(gap_eig.values[1] >= mus[1] - 1e-6 * (1.0 + abs(mus[1])))
         if second or (stop == "tolerance" and aufbau):
             break
         pair, scf_outer, scf_defect = scf_refine(rotated, gap_eig, a, V, history)
@@ -1255,17 +1255,17 @@ def separated_pair_upper_bound(
 ) -> dict:
     """Continuum upper bound on the rank-2 threshold from explicit trials.
 
-    The best concentric pair (an s-like and a p-like orbital sharing one
-    center) scores *above* the rank-1 threshold, so the rank-2 infimum must
-    exploit separation: place two copies of the radial one-orbital
-    minimizer at x = +-d and take their even/odd normalized combinations.
-    As d grows, the superadditivity of the rho^{5/3} term (gain ~
-    e^{-(8/3)d}) beats the orthogonalization cost (~ e^{-4d}), so the
-    quotient of this family dips strictly below the rank-1 value at finite
-    d before returning to it as d -> infinity.  The dip is shallow —
-    relative depth of order 1e-5 — which is why descent-based estimates on
-    affordable grids cannot resolve the ordering and why this explicit
-    trial evaluation exists.
+    The separated pair is one admissible trial family: two copies of the
+    radial one-orbital minimizer at x = +-d, combined into their even/odd
+    normalized pair.  As d grows, the superadditivity of the rho^{5/3} term
+    (gain ~ e^{-(8/3)d}) beats the orthogonalization cost (~ e^{-4d}), so
+    the quotient of this family dips strictly below the rank-1 value at
+    finite d before returning to it as d -> infinity.  The dip is shallow,
+    about 3e-5 relative, the ``separation_rel_continuum`` that
+    ``astar.json`` reports; descent-based estimates on affordable grids
+    cannot resolve an ordering that close.  The family is not the
+    minimizer: the axisymmetric sine-Bessel quotient in ROADMAP's State
+    bounds the rank-2 threshold 2.48e-4 relative below the rank-1 one.
 
     The trial pair is axisymmetric about the separation axis, so its
     continuum quotient is a 2-D quadrature in cylindrical coordinates: 80 x

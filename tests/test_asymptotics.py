@@ -18,6 +18,7 @@ from fermivar.asymptotics import (
     PeakTieWarning,
     ProfileExtract,
     ResolutionWarning,
+    ScalingFit,
     SweepFormatError,
     SweepRecord,
     WindowError,
@@ -506,6 +507,33 @@ def test_build_report_structure_and_planted_laws(tmp_path):
     write_json(rep2, p2)
     assert p1.read_bytes() == p2.read_bytes()  # bitwise reproducible
     assert json.loads(p1.read_text())["a_hat"] == 9.5
+
+
+def test_report_json_carries_every_fit_and_decay_field(tmp_path):
+    # each fits entry is its ScalingFit plus the quantity and the expected
+    # exponent; decay is the DecayRates plus its bounds and verdicts
+    recs = synthetic_records(a_hat=9.5, p=2.0, lam1=-16.0, lam2=-9.0)
+    decay = _small_extract(lam1=-16.0, lam2=-16.0)
+    write_json(build_report(recs, HARMONIC, 9.5, [_small_extract()],
+                            decay_extract=decay), tmp_path / "report.json")
+    rep = json.loads((tmp_path / "report.json").read_text())
+    use = usable_records(recs)
+    xs = [9.5 - r.a for r in use]
+
+    def stored(obj, name):  # a field as JSON reads it back: tuples are lists
+        return json.loads(json.dumps(getattr(obj, name)))
+
+    fit_names = [f.name for f in dataclasses.fields(ScalingFit)]
+    assert [e["quantity"] for e in rep["fits"]] == ["E", "P"]
+    for entry, ys in zip(rep["fits"], ([r.E for r in use], [r.P for r in use])):
+        fit = fit_power_law(xs, ys)
+        assert set(entry) == {"quantity", "expected_exponent", *fit_names}
+        assert all(entry[k] == stored(fit, k) for k in fit_names)
+    rates = fit_decay_rate(decay)
+    rate_names = [f.name for f in dataclasses.fields(DecayRates)]
+    assert set(rep["decay"]) == {*rate_names, "bound_rho", "bound_w1", "bound_w2",
+                                 "ok_rho", "ok_w1", "ok_w2"}
+    assert all(rep["decay"][k] == stored(rates, k) for k in rate_names)
 
 
 def test_energy_constant_uses_the_report_threshold():

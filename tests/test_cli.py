@@ -9,13 +9,14 @@ import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import fermivar
 import fermivar.cli as fcli
-from fermivar.asymptotics import PeakTieWarning
+from fermivar.asymptotics import PeakTieWarning, ProfileExtract, rescale_extract
 
 from conftest import REPO_ROOT, SMALL_ASTAR_CONFIG, load_json
 
@@ -341,6 +342,24 @@ def test_nonfinite_grid_width_is_a_config_error(tmp_path, capsys, command, width
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", sorted(_COMMAND_ARGS))
+@pytest.mark.parametrize("below", [False, True], ids=["a_file", "below_a_file"])
+def test_uncreatable_output_dir_is_a_config_error(tmp_path, capsys, command, below):
+    # an output_dir that is a file, or lies below one, ended in a
+    # FileExistsError or NotADirectoryError traceback
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    cfg = patched_config({"sweep.a_fractions": [0.5]})
+    cfg["output_dir"] = str(blocker / "out" if below else blocker)
+    cp = tmp_path / "config.json"
+    cp.write_text(json.dumps(cfg))
+    rc, _, err = run([command, "--config", str(cp), *_COMMAND_ARGS[command]], capsys)
+    assert rc == fcli.EXIT_CONFIG
+    assert len(err.strip().splitlines()) == 1
+    e = stderr_error(err)
+    assert e["kind"] == "config" and e["schema_pointer"] == "/output_dir"
+
+
 # ---------------------------------------------------------------------------
 # solve / sweep preconditions
 # ---------------------------------------------------------------------------
@@ -646,6 +665,25 @@ def test_refit_reports_an_incomplete_stored_sweep(double_well_sweep, tmp_path,
         "records, got 3; partial artifacts retained")
 
 
+def test_meta_extract_entry_reads_back_as_its_profile_extract(tmp_path):
+    # the meta.json entry _extract writes, read back by _stored_extract,
+    # equals the extract it was written from, field by field
+    pair = fermivar.solvers.gaussian_pair(fermivar.BoxGrid(16, 2.0), 0.35)
+    rec = SimpleNamespace(eps=2.2, peak=(0.0, 0.0, 0.0), mu1=-3.0, mu2=-2.0)
+    ref = fermivar.BoxGrid(12, 0.9)  # eps spans 8.25 spacings: resolved
+    entry = fcli._extract(pair, rec, ref, ("e_u1.snap", "e_u2.snap"), str(tmp_path))
+    stored = fcli._stored_extract(json.loads(json.dumps(entry)), str(tmp_path))
+    written = rescale_extract(pair, rec.eps, np.asarray(rec.peak), ref,
+                              mu1=rec.mu1, mu2=rec.mu2)
+    for f in fields(ProfileExtract):
+        if f.name == "rescaled_pair":
+            for u, v in zip(stored.rescaled_pair, written.rescaled_pair):
+                assert u.grid == v.grid
+                assert u.values.tobytes() == v.values.tobytes()
+        else:
+            assert getattr(stored, f.name) == getattr(written, f.name), f.name
+
+
 def _drop_extracts(outdir):
     meta = load_json(outdir / "meta.json")
     del meta["extracts"]
@@ -664,9 +702,11 @@ def _truncate(path, size):
     lambda d: _truncate(d / "decay_u1.snap", 4096),
     lambda d: _truncate(d / "extract_03_u1.snap", 10),  # inside the header
     None,  # the config's trap changes instead
+    lambda d: (d / "extract_02_u1.snap").write_bytes(
+        (d / "extract_02_u1.snap").read_bytes() + bytes(22)),
 ], ids=["records_missing", "meta_not_json", "meta_without_extracts",
         "snapshot_deleted", "snapshot_truncated", "snapshot_header_cut",
-        "trap_changed"])
+        "trap_changed", "snapshot_overlong"])
 def test_refit_refuses_bad_artifacts(double_well_sweep, tmp_path, capsys, damage):
     outdir = _copy_sweep(double_well_sweep, tmp_path)
     report = (outdir / "report.json").read_bytes()
@@ -724,15 +764,22 @@ def test_threshold_of_another_grid_is_refused(small_astar_run, tmp_path, capsys,
     assert "'n': 48" in e["message"] and "'n': 40" in e["message"]
 
 
-@pytest.mark.parametrize("stored", ["{not json", '{"a2_hat": 9.5}',
-                                    '{"grid": {"n": 16, "half_width": 2.0}}'])
+@pytest.mark.parametrize("stored", [
+    "{not json", '{"a2_hat": 9.5}', '{"grid": {"n": 16, "half_width": 2.0}}',
+    # not a finite positive number: NaN and Infinity reached solve.json,
+    # and every one of these ended sweep in a traceback
+    *(pytest.param(f'{{"a2_hat": {x}, "grid": {{"n": 16, "half_width": 2.0}}}}',
+                   id=f"a2_hat={x}") for x in ("NaN", "Infinity", "0", "-1")),
+])
 def test_malformed_stored_threshold_is_a_config_error(tmp_path, capsys, stored):
-    cp = write_config(tmp_path)
+    cp = write_config(tmp_path, patch={"sweep.a_fractions": [0.5]})
     (tmp_path / "out").mkdir()
     (tmp_path / "out" / "astar.json").write_text(stored)
-    rc, _, err = run(["solve", "--config", cp, "--a", "5.0"], capsys)
-    assert rc == fcli.EXIT_CONFIG
-    assert "no stored threshold" in stderr_error(err)["message"]
+    for argv in (["solve", "--a", "1.0"], ["sweep"]):
+        rc, _, err = run([argv[0], "--config", cp, *argv[1:]], capsys)
+        assert rc == fcli.EXIT_CONFIG
+        assert len(err.strip().splitlines()) == 1
+        assert "no stored threshold" in stderr_error(err)["message"]
 
 
 def test_astar_artifacts_are_complete(small_astar_run):

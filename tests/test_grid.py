@@ -412,6 +412,14 @@ def test_snapshot_cut_inside_its_header_is_a_format_error(tmp_path):
         read_snapshot(tmp_path / "cut.snap")
 
 
+def test_snapshot_with_trailing_bytes_is_a_format_error(tmp_path):
+    path = tmp_path / "f.snap"
+    write_snapshot(gaussian(BoxGrid(8, 1.0), 0.4), path)
+    (tmp_path / "long.snap").write_bytes(path.read_bytes() + bytes(22))
+    with pytest.raises(SnapshotFormatError, match="after"):
+        read_snapshot(tmp_path / "long.snap")
+
+
 def test_snapshot_write_is_atomic(tmp_path):
     g = BoxGrid(12, 1.0)
     path = tmp_path / "f.snap"
